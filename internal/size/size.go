@@ -56,11 +56,27 @@ func Estimate(g graph.Topology, seed int64) (*EstimateResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("size: estimate: %w", err)
 	}
-	est := res.Results[0].(int64)
+	return estimateResult(res)
+}
+
+// estimateResult applies the survivors-agree rule: crash-stopped nodes
+// record nothing, and every node that finished must hold the same 2^k.
+func estimateResult(res *sim.Result) (*EstimateResult, error) {
+	var est int64
+	found := false
 	for v, r := range res.Results {
-		if r != est {
-			return nil, fmt.Errorf("size: node %d estimated %v, node 0 %v", v, r, est)
+		e, ok := r.(int64)
+		if !ok {
+			continue
 		}
+		if !found {
+			est, found = e, true
+		} else if e != est {
+			return nil, fmt.Errorf("size: node %d estimated %d, others %d", v, e, est)
+		}
+	}
+	if !found {
+		return nil, fmt.Errorf("size: no surviving node estimated the size")
 	}
 	return &EstimateResult{Estimate: est, Rounds: res.Metrics.Rounds, Metrics: res.Metrics}, nil
 }

@@ -4,7 +4,9 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 func TestExactComputesN(t *testing.T) {
@@ -90,6 +92,32 @@ func TestEstimateDistribution(t *testing.T) {
 		med := ratios[len(ratios)/2]
 		if med < 1.0/16 || med > 16 {
 			t.Errorf("n=%d: median estimate ratio %.2f outside [1/16,16]", n, med)
+		}
+	}
+}
+
+// TestEstimateSurvivesCrashes: a crash-stopped node records no estimate, so
+// the survivors alone must agree — whether the crashed node is node 0 or
+// any other.
+func TestEstimateSurvivesCrashes(t *testing.T) {
+	g, err := graph.Ring(16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"crash:0@1", "crash:3@1"} {
+		plan, err := fault.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := sim.DefaultFaults
+		sim.DefaultFaults = plan
+		res, err := Estimate(g, 1)
+		sim.DefaultFaults = old
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if res.Estimate < 2 || res.Estimate&(res.Estimate-1) != 0 || res.Metrics.Crashed != 1 {
+			t.Errorf("%s: estimate %d with %d crashed, want a power of two >= 2 with 1", spec, res.Estimate, res.Metrics.Crashed)
 		}
 	}
 }

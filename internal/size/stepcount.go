@@ -105,11 +105,5 @@ func EstimateStep(g graph.Topology, seed int64, opts ...sim.Option) (*EstimateRe
 	if err != nil {
 		return nil, fmt.Errorf("size: step estimate: %w", err)
 	}
-	est := res.Results[0].(int64)
-	for v, r := range res.Results {
-		if r != est {
-			return nil, fmt.Errorf("size: node %d estimated %v, node 0 %v", v, r, est)
-		}
-	}
-	return &EstimateResult{Estimate: est, Rounds: res.Metrics.Rounds, Metrics: res.Metrics}, nil
+	return estimateResult(res)
 }
