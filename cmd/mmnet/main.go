@@ -48,7 +48,7 @@ var algoNames = []string{
 	"partition-det", "partition-rand", "partition-lv",
 	"mst", "mst-boruvka",
 	"sum", "min", "p2p-sum", "bcast-sum",
-	"count", "census", "estimate", "estimate-step",
+	"count", "census", "estimate",
 	"elect", "snapshot", "coloring", "forest", "sync-sum",
 }
 
@@ -102,7 +102,7 @@ func run(args []string, w io.Writer) error {
 		algo      = fs.String("algo", "partition-det", strings.Join(algoNames, "|"))
 		variant   = fs.String("variant", "det", "multimedia function variant: det|balanced|rand")
 		stage     = fs.String("stage", "cap", "global stage: cap|mb")
-		engine    = fs.String("engine", "goroutine", "execution engine: goroutine|step (census and estimate-step are native step-engine protocols and always run on step)")
+		engine    = fs.String("engine", "goroutine", "execution engine: goroutine|step; affects only the goroutine programs of partition-det|partition-rand|partition-lv|mst-boruvka|count and the partition stage of mst|sum|min (every other protocol is a native step machine)")
 		workers   = fs.Int("workers", 0, "step-engine worker count (0 = GOMAXPROCS)")
 		jsonOut   = fs.Bool("json", false, "emit the run as one machine-readable JSON object on stdout")
 		faults    = fs.String("faults", "", "fault plan DSL, e.g. 'crash:7@10;jam:4-12/p0.5;drop:3@5-' (see README, Fault model)")
@@ -111,11 +111,11 @@ func run(args []string, w io.Writer) error {
 		faultSeed = fs.Int64("fault-seed", 1, "seed for the fault plan's probabilistic rules (unless the DSL pins seed:N)")
 		maxRounds = fs.Int("max-rounds", 0, "round budget per run (0 = graph-derived default); bound wedged faulted runs")
 
-		transcriptPath = fs.String("transcript", "", "stream the run's binary transcript to this file (.gz suffix = gzip); native step protocols (census|estimate-step) only")
-		ckptPath       = fs.String("checkpoint", "", "checkpoint sink file; a %d in the name is replaced by the capture round, otherwise the latest capture wins (census|estimate-step)")
+		transcriptPath = fs.String("transcript", "", "stream the run's binary transcript to this file (.gz suffix = gzip); single-run protocols (census|estimate) only")
+		ckptPath       = fs.String("checkpoint", "", "checkpoint sink file; a %d in the name is replaced by the capture round, otherwise the latest capture wins (census|estimate)")
 		ckptEvery      = fs.Int("checkpoint-every", 0, "capture a checkpoint every N rounds (requires -checkpoint)")
 		ckptAt         = fs.String("checkpoint-at", "", "comma-separated rounds to checkpoint at (requires -checkpoint)")
-		resumePath     = fs.String("resume", "", "resume from this checkpoint instead of round 0 (census|estimate-step; seed, faults, and round budget come from the checkpoint)")
+		resumePath     = fs.String("resume", "", "resume from this checkpoint instead of round 0 (census|estimate; seed, faults, and round budget come from the checkpoint)")
 
 		tracePath   = fs.String("trace", "", "write engine phase spans as Chrome trace_event JSON to this file (load in Perfetto or about:tracing)")
 		seriesPath  = fs.String("series", "", "stream per-round NDJSON time series to this file ('-' = stdout)")
@@ -145,7 +145,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	engineLabel := eng.String()
-	if *algo == "census" || *algo == "estimate-step" {
+	if *algo == "census" {
 		engineLabel = "step (native protocol)"
 	}
 
@@ -299,15 +299,15 @@ func ns(v int64) string {
 
 // ckptTranscriptOpts validates and wires the -transcript/-checkpoint*/-resume
 // flags into sim options. These flags talk to the engine of a single run, so
-// they are limited to the native step protocols (census, estimate-step) whose
-// execution is exactly one sim.RunStep.
+// they are limited to the protocols (census, estimate) whose execution is
+// exactly one sim.RunStep.
 func ckptTranscriptOpts(algo, transcriptPath, ckptPath string, every int, atList, resumePath string) (opts []sim.Option, closer func() error, err error) {
 	closer = func() error { return nil }
 	if transcriptPath == "" && ckptPath == "" && every == 0 && atList == "" && resumePath == "" {
 		return nil, closer, nil
 	}
-	if algo != "census" && algo != "estimate-step" {
-		return nil, nil, fmt.Errorf("-transcript/-checkpoint/-resume need a native step protocol (census|estimate-step), not %q", algo)
+	if algo != "census" && algo != "estimate" {
+		return nil, nil, fmt.Errorf("-transcript/-checkpoint/-resume need a single-run protocol (census|estimate), not %q", algo)
 	}
 	if (every > 0 || atList != "") && ckptPath == "" {
 		return nil, nil, errors.New("-checkpoint-every/-checkpoint-at need -checkpoint FILE")
@@ -383,10 +383,10 @@ func runResume(algo string, g graph.Topology, path string, opts []sim.Option) (*
 	switch algo {
 	case "census":
 		prog = globalfunc.P2PStepProgram(globalfunc.Sum, func(graph.NodeID) int64 { return 1 })
-	case "estimate-step":
+	case "estimate":
 		prog = size.GLStepProgram()
 	default:
-		return nil, fmt.Errorf("-resume supports census|estimate-step, not %q", algo)
+		return nil, fmt.Errorf("-resume supports census|estimate, not %q", algo)
 	}
 	res, err := sim.Resume(g, prog, cp, opts...)
 	if err != nil {
@@ -399,9 +399,9 @@ func runResume(algo string, g graph.Topology, path string, opts []sim.Option) (*
 		n := res.Results[0].(int64)
 		rep.addf("native step census (resumed from round %d): n=%d", cp.Round, n)
 		rep.set("n", n)
-	case "estimate-step":
+	case "estimate":
 		est := res.Results[0].(int64)
-		rep.addf("native step size estimate (resumed from round %d): 2^k=%d (true n=%d)", cp.Round, est, g.N())
+		rep.addf("randomized size estimate (resumed from round %d): 2^k=%d (true n=%d)", cp.Round, est, g.N())
 		rep.set("estimate", est)
 	}
 	rep.metrics = &res.Metrics
@@ -538,21 +538,11 @@ func runAlgo(algo string, g graph.Topology, seed int64, variant, stage string, s
 		rep.set("n", res.N)
 		rep.metrics = &res.Metrics
 	case "estimate":
-		res, err := size.Estimate(g, seed)
+		res, err := size.Estimate(g, seed, simOpts...)
 		if err != nil {
 			return nil, err
 		}
 		rep.addf("randomized size estimate: 2^k=%d (true n=%d, ratio %.2f)",
-			res.Estimate, g.N(), float64(res.Estimate)/float64(g.N()))
-		rep.set("estimate", res.Estimate)
-		rep.set("ratio", float64(res.Estimate)/float64(g.N()))
-		rep.metrics = &res.Metrics
-	case "estimate-step":
-		res, err := size.EstimateStep(g, seed, simOpts...)
-		if err != nil {
-			return nil, err
-		}
-		rep.addf("native step size estimate: 2^k=%d (true n=%d, ratio %.2f)",
 			res.Estimate, g.N(), float64(res.Estimate)/float64(g.N()))
 		rep.set("estimate", res.Estimate)
 		rep.set("ratio", float64(res.Estimate)/float64(g.N()))

@@ -30,7 +30,6 @@ func TestRunAlgos(t *testing.T) {
 		{"count", []string{"-graph", "ring", "-n", "12", "-algo", "count"}, "n=12"},
 		{"census", []string{"-graph", "ring", "-n", "12", "-algo", "census"}, "native step census: n=12"},
 		{"estimate", []string{"-graph", "ring", "-n", "12", "-algo", "estimate"}, "randomized size estimate"},
-		{"estimate-step", []string{"-graph", "ring", "-n", "12", "-algo", "estimate-step"}, "native step size estimate"},
 		{"elect", []string{"-graph", "ring", "-n", "12", "-algo", "elect"}, "leader=11"},
 		{"snapshot", []string{"-graph", "ring", "-n", "12", "-algo", "snapshot"}, "snapshot cut"},
 		{"forest", []string{"-graph", "ring", "-n", "12", "-algo", "forest"}, "counted n=12"},

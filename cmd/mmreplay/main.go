@@ -48,7 +48,7 @@ func run(args []string, w io.Writer) error {
 		at     = fs.Int("at", -1, "stitch cut round: frames ≤ at from the prefix, later frames from the resumed transcript")
 		bisect = fs.Bool("bisect", false, "binary-search the first round where two configurations' checkpointed states diverge")
 
-		algo     = fs.String("algo", "census", "bisect: protocol to re-run: census|estimate-step")
+		algo     = fs.String("algo", "census", "bisect: protocol to re-run: census|estimate")
 		gname    = fs.String("graph", "ring", "bisect: "+graph.SpecHelp())
 		n        = fs.Int("n", 64, "bisect: number of nodes")
 		seed     = fs.Int64("seed", 1, "bisect: master seed")

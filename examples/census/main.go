@@ -46,7 +46,7 @@ func main() {
 
 	fmt.Println("§7.4 randomized estimates (5 runs, native step machines):")
 	for s := int64(0); s < 5; s++ {
-		est, err := size.EstimateStep(g, s)
+		est, err := size.Estimate(g, s)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -131,13 +131,6 @@ func Protocols() []Protocol {
 			}
 			return []any{res.Estimate, res.Metrics}, nil
 		}},
-		{Name: "estimate-step", Algos: []string{"estimate-step"}, Run: func(g graph.Topology, seed int64) (any, error) {
-			res, err := size.EstimateStep(g, seed)
-			if err != nil {
-				return nil, err
-			}
-			return []any{res.Estimate, res.Metrics}, nil
-		}},
 		{Name: "elect", Algos: []string{"elect"}, Run: func(g graph.Topology, seed int64) (any, error) {
 			leader, met, err := resolve.Elect(g, seed)
 			if err != nil {

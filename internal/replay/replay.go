@@ -188,10 +188,10 @@ func Program(algo string) (sim.StepProgram, error) {
 	switch algo {
 	case "census":
 		return globalfunc.P2PStepProgram(globalfunc.Sum, func(graph.NodeID) int64 { return 1 }), nil
-	case "estimate-step":
+	case "estimate":
 		return size.GLStepProgram(), nil
 	default:
-		return nil, fmt.Errorf("bisect supports the native step protocols census|estimate-step, not %q", algo)
+		return nil, fmt.Errorf("bisect supports the single-run protocols census|estimate, not %q", algo)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package resolve implements the multiaccess-channel conflict-resolution
 // protocols the paper builds on: the deterministic tree-splitting algorithm
 // of Capetanakis (1979) used to schedule fragment cores, the randomized
-// contention scheme in the style of Metcalfe–Boggs (1976), the bit-by-bit
-// deterministic election sketched in §2, and the Greenberg–Ladner (1983)
-// randomized size estimator of §7.4.
+// contention scheme in the style of Metcalfe–Boggs (1976), and the
+// bit-by-bit deterministic election sketched in §2. (The Greenberg–Ladner
+// size estimator of §7.4 lives in internal/size.)
 //
 // Every protocol is a lock-step sub-routine embedded in a node program: all
 // nodes must enter it in the same round; all nodes exit it in the same round
@@ -169,71 +169,4 @@ func Election(c *sim.Ctx, in sim.Input, idSpace int, contending bool, myID int) 
 		}
 	}
 	return leader, true, in
-}
-
-// GreenbergLadner runs the randomized size-estimation protocol of §7.4:
-// in round i every participant transmits a busy tone with probability 1/2^i;
-// the protocol ends at the first idle slot, after k rounds, and every node
-// returns the estimate 2^k. For k participants the estimate is within a
-// constant factor of k with high probability.
-func GreenbergLadner(c *sim.Ctx, in sim.Input, participating bool) (estimate int64, out sim.Input) {
-	for i := 1; ; i++ {
-		p := 1.0
-		for j := 0; j < i; j++ {
-			p /= 2
-		}
-		if participating && c.Rand().Float64() < p {
-			c.Busy()
-		}
-		in = c.Tick()
-		if in.Slot.State == sim.SlotIdle {
-			return int64(1) << uint(min(i, 62)), in
-		}
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// RandomizedElection elects a leader among the contenders using randomness
-// only: a liveness slot detects the no-contender case, Greenberg–Ladner
-// estimates the contender multiplicity, then each surviving contender
-// transmits with probability 1/k̂ until the first success slot — its sender
-// is the leader, known to every node. Expected O(log n) slots end to end
-// (the paper's §2 points to Metcalfe–Boggs-style symmetry breaking by coin
-// flips; Willard's O(log log n) protocol would tighten the estimate stage).
-func RandomizedElection(c *sim.Ctx, in sim.Input, contending bool) (leader int, ok bool, out sim.Input) {
-	if contending {
-		c.Busy()
-	}
-	in = c.Tick()
-	if in.Slot.State == sim.SlotIdle {
-		return 0, false, in
-	}
-	est, in := GreenbergLadner(c, in, contending)
-	khat := est
-	if khat < 1 {
-		khat = 1
-	}
-	for {
-		if contending && c.Rand().Float64() < 1/float64(khat) {
-			c.Broadcast(wire{ID: int(c.ID())})
-		}
-		in = c.Tick()
-		switch in.Slot.State {
-		case sim.SlotSuccess:
-			w := in.Slot.Payload.(wire)
-			return w.ID, true, in
-		case sim.SlotCollision:
-			khat *= 2
-		case sim.SlotIdle:
-			if khat > 1 {
-				khat /= 2
-			}
-		}
-	}
 }

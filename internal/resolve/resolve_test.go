@@ -262,104 +262,9 @@ func TestElectionSlotCount(t *testing.T) {
 	}
 }
 
-func TestGreenbergLadnerEstimate(t *testing.T) {
-	// Median estimate across seeds should be within a constant factor of n.
-	for _, n := range []int{16, 64, 256} {
-		g, err := graph.Ring(n, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ratios []float64
-		for s := int64(0); s < 21; s++ {
-			res, err := sim.Run(g, func(ctx *sim.Ctx) error {
-				est, _ := GreenbergLadner(ctx, sim.Input{}, true)
-				ctx.SetResult(est)
-				return nil
-			}, sim.WithSeed(s))
-			if err != nil {
-				t.Fatal(err)
-			}
-			est := res.Results[0].(int64)
-			for v := 1; v < n; v++ {
-				if res.Results[v] != est {
-					t.Fatalf("nodes disagree on the estimate")
-				}
-			}
-			ratios = append(ratios, float64(est)/float64(n))
-		}
-		sort.Float64s(ratios)
-		med := ratios[len(ratios)/2]
-		if med < 1.0/16 || med > 16 {
-			t.Errorf("n=%d: median estimate ratio %.3f outside [1/16, 16]", n, med)
-		}
-	}
-}
-
 func b2i(b bool) int {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-func TestRandomizedElection(t *testing.T) {
-	tests := []struct {
-		name       string
-		contenders []int
-		wantOK     bool
-	}{
-		{"none", nil, false},
-		{"single", []int{5}, true},
-		{"few", []int{1, 6, 11}, true},
-		{"all", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			isC := make(map[int]bool)
-			for _, c := range tt.contenders {
-				isC[c] = true
-			}
-			res := runProtocol(t, 16, 3, func(ctx *sim.Ctx) error {
-				leader, ok, _ := RandomizedElection(ctx, sim.Input{}, isC[int(ctx.ID())])
-				ctx.SetResult([2]int{leader, b2i(ok)})
-				return nil
-			})
-			first := res.Results[0].([2]int)
-			if first[1] != b2i(tt.wantOK) {
-				t.Fatalf("ok = %d, want %v", first[1], tt.wantOK)
-			}
-			if tt.wantOK && !isC[first[0]] {
-				t.Errorf("leader %d is not a contender", first[0])
-			}
-			for v, r := range res.Results {
-				if r != first {
-					t.Errorf("node %d disagrees: %v vs %v", v, r, first)
-				}
-			}
-		})
-	}
-}
-
-func TestRandomizedElectionExpectedSlots(t *testing.T) {
-	// Average slots across seeds should stay small (O(log n) expected).
-	n := 64
-	g, err := graph.Ring(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	const seeds = 10
-	for s := int64(0); s < seeds; s++ {
-		res, err := sim.Run(g, func(ctx *sim.Ctx) error {
-			RandomizedElection(ctx, sim.Input{}, true)
-			return nil
-		}, sim.WithSeed(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += res.Metrics.Rounds
-	}
-	if avg := float64(total) / seeds; avg > 60 {
-		t.Errorf("avg %.1f slots, expected O(log n)", avg)
-	}
 }

@@ -163,47 +163,6 @@ func (s *ElectionStep) Poll(in sim.Input) (done bool) {
 	return false
 }
 
-// GreenbergLadnerStep is the per-round form of GreenbergLadner: the §7.4
-// randomized size estimator. After Poll reports done, Estimate holds 2^k.
-// The RNG draw order matches the blocking form exactly.
-type GreenbergLadnerStep struct {
-	c *sim.StepCtx
-
-	Estimate int64
-
-	participating bool
-	i             int
-}
-
-// NewGreenbergLadnerStep returns the component in its pre-Begin state.
-func NewGreenbergLadnerStep(c *sim.StepCtx, participating bool) *GreenbergLadnerStep {
-	return &GreenbergLadnerStep{c: c, participating: participating}
-}
-
-// Begin stages the first probe's transmission.
-func (s *GreenbergLadnerStep) Begin() { s.transmit() }
-
-func (s *GreenbergLadnerStep) transmit() {
-	s.i++
-	p := 1.0
-	for j := 0; j < s.i; j++ {
-		p /= 2
-	}
-	if s.participating && s.c.Rand().Float64() < p {
-		s.c.Busy()
-	}
-}
-
-// Poll consumes one probe outcome and stages the next probe.
-func (s *GreenbergLadnerStep) Poll(in sim.Input) (done bool) {
-	if in.Slot.State == sim.SlotIdle {
-		s.Estimate = int64(1) << uint(min(s.i, 62))
-		return true
-	}
-	s.transmit()
-	return false
-}
-
 // MetcalfeBoggsStep is the per-round form of MetcalfeBoggs: randomized
 // contention resolution with paired data/liveness slots. After Poll reports
 // done, Sched holds the schedule and Done whether every contender was

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/resolve"
 	"repro/internal/sim"
 )
 
@@ -46,13 +45,11 @@ type EstimateResult struct {
 
 // Estimate runs the Greenberg–Ladner protocol: in round i every node
 // transmits with probability 2^-i; the first idle slot after k rounds
-// yields the estimate 2^k, within a constant factor of n w.h.p.
-func Estimate(g graph.Topology, seed int64) (*EstimateResult, error) {
-	res, err := sim.Run(g, func(c *sim.Ctx) error {
-		est, _ := resolve.GreenbergLadner(c, sim.Input{}, true)
-		c.SetResult(est)
-		return nil
-	}, sim.WithSeed(seed))
+// yields the estimate 2^k, within a constant factor of n w.h.p. Extra
+// options (workers, transcript, checkpoints) pass through to the engine.
+func Estimate(g graph.Topology, seed int64, opts ...sim.Option) (*EstimateResult, error) {
+	opts = append([]sim.Option{sim.WithSeed(seed)}, opts...)
+	res, err := sim.RunStep(g, GLStepProgram(), opts...)
 	if err != nil {
 		return nil, fmt.Errorf("size: estimate: %w", err)
 	}

@@ -1,11 +1,10 @@
 package size
 
-// stepcount.go provides the native step-engine forms of the network-size
+// stepcount.go provides the native step machines of the network-size
 // protocols: Census, a point-to-point BFS census that counts the stations
 // exactly in O(diameter) rounds and O(n + m) total work — the protocol the
-// step engine can run on 10⁶-node networks — and EstimateStep, the native
-// port of the §7.4 Greenberg–Ladner estimator, draw-for-draw identical to
-// the goroutine form in Estimate.
+// step engine can run on 10⁶-node networks — and the §7.4 Greenberg–Ladner
+// estimator behind Estimate.
 
 import (
 	"encoding/gob"
@@ -36,10 +35,9 @@ func Census(g graph.Topology, seed int64, opts ...sim.Option) (*CensusResult, er
 	return &CensusResult{N: int(res.Value), Metrics: res.Total}, nil
 }
 
-// glMachine is the per-round form of resolve.GreenbergLadner: in iteration
-// i the node transmits with probability 2^-i; the first idle slot after k
-// rounds yields the estimate 2^k. The RNG draw order matches the goroutine
-// form exactly, so both produce identical estimates and metrics.
+// glMachine is one node of the Greenberg–Ladner estimator: in iteration i
+// the node transmits with probability 2^-i; the first idle slot after k
+// rounds yields the estimate 2^k.
 type glMachine struct {
 	c   *sim.StepCtx
 	i   int32
@@ -80,8 +78,8 @@ func (m *glMachine) RestoreState(state any) {
 }
 
 // GLStepProgram returns the native Greenberg–Ladner estimator program, for
-// callers that drive sim.RunStep or sim.Resume directly (EstimateStep wraps
-// it with result validation). Machines come from a per-run slab: one
+// callers that drive sim.RunStep or sim.Resume directly (Estimate wraps it
+// with result validation). Machines come from a per-run slab: one
 // allocation for the whole network.
 func GLStepProgram() sim.StepProgram {
 	var slab sim.Slab[glMachine]
@@ -94,16 +92,4 @@ func GLStepProgram() sim.StepProgram {
 
 func init() {
 	gob.Register(glState{})
-}
-
-// EstimateStep runs the §7.4 Greenberg–Ladner protocol on the native step
-// engine; same contract and transcript as Estimate. Extra options (workers,
-// transcript, checkpoints) pass through to the engine.
-func EstimateStep(g graph.Topology, seed int64, opts ...sim.Option) (*EstimateResult, error) {
-	opts = append([]sim.Option{sim.WithSeed(seed)}, opts...)
-	res, err := sim.RunStep(g, GLStepProgram(), opts...)
-	if err != nil {
-		return nil, fmt.Errorf("size: step estimate: %w", err)
-	}
-	return estimateResult(res)
 }

@@ -1,9 +1,12 @@
 package size
 
 import (
+	"math/bits"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 func TestCensusCountsExactly(t *testing.T) {
@@ -36,24 +39,55 @@ func TestCensusCountsExactly(t *testing.T) {
 	}
 }
 
-// TestEstimateStepMatchesEstimate checks the native Greenberg–Ladner port
-// against the goroutine form: identical estimates and metrics, seed by seed.
-func TestEstimateStepMatchesEstimate(t *testing.T) {
+// TestEstimateSlotAccounting checks each run against the protocol's own
+// arithmetic (the registry fixtures pin the exact transcripts): an estimate
+// 2^k takes k probe slots, the last one idle, plus the idle halting round,
+// and never a point-to-point message.
+func TestEstimateSlotAccounting(t *testing.T) {
 	g, err := graph.RandomConnected(120, 240, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 8; seed++ {
-		gor, err := Estimate(g, seed)
+		res, err := Estimate(g, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nat, err := EstimateStep(g, seed)
+		k := bits.TrailingZeros64(uint64(res.Estimate))
+		m := res.Metrics
+		if res.Estimate != 1<<k || res.Rounds != k+1 || m.SlotsIdle != 2 ||
+			m.SlotsIdle+m.Slots() != int64(m.Rounds) || m.Messages != 0 {
+			t.Errorf("seed %d: estimate %d in %d rounds, metrics %+v", seed, res.Estimate, res.Rounds, m)
+		}
+	}
+}
+
+// TestGreenbergLadnerEstimate: every node reaches the same estimate, and the
+// median across seeds is within a constant factor of n.
+func TestGreenbergLadnerEstimate(t *testing.T) {
+	for _, n := range []int{16, 64, 256} {
+		g, err := graph.Ring(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gor.Estimate != nat.Estimate || gor.Rounds != nat.Rounds || gor.Metrics != nat.Metrics {
-			t.Errorf("seed %d: goroutine %+v, native %+v", seed, gor, nat)
+		var ratios []float64
+		for s := int64(0); s < 21; s++ {
+			res, err := sim.RunStep(g, GLStepProgram(), sim.WithSeed(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			est := res.Results[0].(int64)
+			for v := 1; v < n; v++ {
+				if res.Results[v] != est {
+					t.Fatalf("nodes disagree on the estimate")
+				}
+			}
+			ratios = append(ratios, float64(est)/float64(n))
+		}
+		sort.Float64s(ratios)
+		med := ratios[len(ratios)/2]
+		if med < 1.0/16 || med > 16 {
+			t.Errorf("n=%d: median estimate ratio %.3f outside [1/16, 16]", n, med)
 		}
 	}
 }

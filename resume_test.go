@@ -38,7 +38,7 @@ var resumeProtocols = []struct {
 	prog sim.StepProgram
 }{
 	{"census", globalfunc.P2PStepProgram(globalfunc.Sum, onesInputs)},
-	{"estimate-step", size.GLStepProgram()},
+	{"estimate", size.GLStepProgram()},
 }
 
 // runWithTranscript runs the program capturing its transcript; the run
