@@ -1,6 +1,6 @@
 package async
 
-// sync.go runs a RoundFunc algorithm on the synchronous sim engines through
+// sync.go runs a RoundFunc algorithm on the synchronous step engine through
 // the §7.1 synchronizer protocol itself: every algorithm message is
 // acknowledged, a node transmits the busy tone while any of its messages is
 // unacknowledged, and an idle slot — heard by everyone in the same round —
@@ -10,9 +10,8 @@ package async
 // round costs at most three slots and Corollary 4's ≤2× message overhead is
 // visible directly in the metrics.
 //
-// Both engine forms — the goroutine program and the native machine — drive
-// one shared syncState, so they are message-for-message identical; the
-// native form parks passive nodes with the barrier's pulse-sleep.
+// Each node is a step machine around a syncState; passive nodes park with
+// the barrier's pulse-sleep.
 
 import (
 	"fmt"
@@ -77,8 +76,7 @@ func (p *syncPort) SendTo(to graph.NodeID, payload any) {
 	panic(fmt.Sprintf("async: node %d is not adjacent to %d", p.id, to))
 }
 
-// syncState is the per-node synchronizer state, shared by both engine
-// forms. One barrier step spans one simulated round: the round function
+// syncState is the per-node synchronizer state. One barrier step spans one simulated round: the round function
 // fires on the step's entry round, acknowledgements flow during it, and the
 // pulse that ends it starts the next simulated round.
 type syncState struct {
@@ -96,7 +94,7 @@ func newSyncState(port *syncPort, rf RoundFunc, maxRounds int) *syncState {
 	return &syncState{port: port, rf: rf, maxRounds: maxRounds}
 }
 
-// handle is the shared barrier handler: acknowledge arrivals, collect the
+// handle is the barrier handler: acknowledge arrivals, collect the
 // next round's inbox, fire the round function once per step, and stay busy
 // while any own message is unacknowledged.
 func (st *syncState) handle(linkOf func(edgeID int) int, step sim.Input) bool {
@@ -138,29 +136,7 @@ func (st *syncState) record() any {
 	return [3]int64{st.port.algSent, st.port.ackSent, int64(st.round)}
 }
 
-// syncProgram is the goroutine form.
-func syncProgram(g graph.Topology, maxRounds int, factory func(id graph.NodeID) RoundFunc) sim.Program {
-	return func(c *sim.Ctx) error {
-		port := &syncPort{id: c.ID(), g: g, send: c.Send}
-		st := newSyncState(port, factory(c.ID()), maxRounds)
-		in := sim.Input{}
-		for {
-			in = sim.BarrierStep(c, in, func(step sim.Input) bool {
-				return st.handle(c.LinkOf, step)
-			})
-			done, err := st.boundary()
-			if err != nil {
-				return err
-			}
-			if done {
-				c.SetResult(st.record())
-				return nil
-			}
-		}
-	}
-}
-
-// syncMachine is the native machine form.
+// syncMachine is one node of the synchronizer-driven run.
 type syncMachine struct {
 	c      *sim.StepCtx
 	b      *sim.StepBarrier
@@ -181,8 +157,8 @@ func (m *syncMachine) Step(in sim.Input) bool {
 		m.result = m.st.record()
 		return true
 	}
-	// The next simulated round's function fires in the pulse round, exactly
-	// as the goroutine form's next BarrierStep call does.
+	// The next simulated round's function fires in the pulse round: the
+	// pulse that ends one barrier step opens the next.
 	m.b.Step(in, handle)
 	return false
 }
@@ -200,20 +176,14 @@ func syncStepProgram(g graph.Topology, maxRounds int, factory func(id graph.Node
 	}
 }
 
-// Sync executes the synchronous algorithm produced by factory on
-// sim.DefaultEngine, driven by the §7.1 channel synchronizer. factory is
+// Sync executes the synchronous algorithm produced by factory, driven by
+// the §7.1 channel synchronizer. factory is
 // called once per node and returns that node's RoundFunc; maxRounds bounds
 // the number of simulated rounds.
 func Sync(g graph.Topology, seed int64, maxRounds int, factory func(id graph.NodeID) RoundFunc) (*SyncResult, error) {
-	var res *sim.Result
-	var err error
 	// WithSynchronizer unlocks skew: rules — clock skew is meaningful only
 	// at this layer, where a slot is a tick of the §7.1 clock.
-	if sim.DefaultEngine == sim.EngineStep {
-		res, err = sim.RunStep(g, syncStepProgram(g, maxRounds, factory), sim.WithSeed(seed), sim.WithSynchronizer())
-	} else {
-		res, err = sim.Run(g, syncProgram(g, maxRounds, factory), sim.WithSeed(seed), sim.WithSynchronizer())
-	}
+	res, err := sim.RunStep(g, syncStepProgram(g, maxRounds, factory), sim.WithSeed(seed), sim.WithSynchronizer())
 	if err != nil {
 		return nil, err
 	}

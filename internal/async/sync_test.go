@@ -1,12 +1,10 @@
 package async
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/sim"
 )
 
 // runSyncSum drives SumDemo through the sim-engine synchronizer.
@@ -50,21 +48,23 @@ func TestSyncComputesSum(t *testing.T) {
 	}
 }
 
-// TestSyncEngineEquivalence: both engine forms of the synchronizer must be
-// bit-identical.
-func TestSyncEngineEquivalence(t *testing.T) {
+// TestSyncMatchesEventEngine checks the synchronizer run against the
+// event-driven asynchronous engine executing the same algorithm (the
+// registry fixtures pin its exact transcripts): the same sum, simulated
+// rounds, algorithm messages and acknowledgements.
+func TestSyncMatchesEventEngine(t *testing.T) {
 	g, err := graph.RandomConnected(40, 70, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := sim.DefaultEngine
-	defer func() { sim.DefaultEngine = old }()
-
-	sim.DefaultEngine = sim.EngineGoroutine
-	goSum, goRes := runSyncSum(t, g, 1)
-	sim.DefaultEngine = sim.EngineStep
-	stSum, stRes := runSyncSum(t, g, 1)
-	if goSum != stSum || !reflect.DeepEqual(goRes, stRes) {
-		t.Errorf("engines diverge:\n goroutine: sum=%d %+v\n step:      sum=%d %+v", goSum, goRes, stSum, stRes)
+	sum, res := runSyncSum(t, g, 1)
+	results := make([]int64, g.N())
+	var mu sync.Mutex
+	ref, err := Run(g, 1, 50*g.N()+500, SumDemo(func(v graph.NodeID) int64 { return int64(v) + 1 }, results, &mu))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum != results[0] || res.Rounds != ref.Rounds || res.AlgMsgs != ref.AlgMsgs || res.AckMsgs != ref.AckMsgs {
+		t.Errorf("synchronizer run sum=%d %+v, event engine sum=%d %+v", sum, res, results[0], ref)
 	}
 }

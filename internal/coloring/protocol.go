@@ -9,10 +9,8 @@ package coloring
 // rounds — so the whole protocol needs no barrier and runs in
 // O(log* n) rounds with O(n · log* n) messages and no channel use.
 //
-// Both engine forms — the goroutine program in this file and the native
-// machine in step.go — drive the same per-round transition (colorState), so
-// they are message-for-message identical and the engines-equivalence suite
-// can compare them bit for bit.
+// The native machine in step.go advances the per-round transition
+// (colorState) defined here.
 
 import (
 	"fmt"
@@ -139,49 +137,6 @@ func (s *colorState) redNeighbor(parentCol int, childRed bool) bool {
 	return (!s.isRoot && parentCol == Red) || childRed
 }
 
-// Program returns the goroutine form of the distributed coloring over the
-// given forest: each node ends with its final color as its result.
-func Program(f *forest.Forest) sim.Program {
-	children := f.Children()
-	return func(c *sim.Ctx) error {
-		id := c.ID()
-		st := &colorState{
-			T:       stepsToSix(c.N()),
-			isRoot:  f.Parent[id] == -1,
-			hasKids: len(children[id]) > 0,
-			col:     int(id),
-		}
-		parentLink := -1
-		if !st.isRoot {
-			parentLink = c.LinkOf(f.ParentEdge[id])
-		}
-		childLinks := make([]int, 0, len(children[id]))
-		for _, k := range children[id] {
-			childLinks = append(childLinks, c.LinkOf(f.ParentEdge[k]))
-		}
-		send := func() {
-			p := cCol{Color: st.col, Root: st.isRoot}
-			if parentLink != -1 {
-				c.Send(parentLink, p)
-			}
-			for _, l := range childLinks {
-				c.Send(l, p)
-			}
-		}
-		send() // round 0: announce the initial color
-		for {
-			in := c.Tick()
-			parentCol, parentRoot, childRed := readColors(in.Msgs, f.ParentEdge[id])
-			st.update(in.Round, parentCol, parentRoot, childRed)
-			if in.Round == st.lastRound() {
-				c.SetResult(st.col)
-				return nil
-			}
-			send()
-		}
-	}
-}
-
 // readColors splits a round's messages into the parent's announcement and
 // the any-child-red summary.
 func readColors(msgs []sim.Message, parentEdge int) (parentCol int, parentRoot, childRed bool) {
@@ -196,18 +151,12 @@ func readColors(msgs []sim.Message, parentEdge int) (parentCol int, parentRoot, 
 	return parentCol, parentRoot, childRed
 }
 
-// Distributed runs the protocol over f on sim.DefaultEngine and returns
+// Distributed runs the protocol over f and returns
 // every vertex's final color. The result is a legal 3-coloring whose red
 // vertices form an MIS containing every root (validated by the caller via
 // IsLegalColoring / IsRootedMIS against ParentInts).
 func Distributed(f *forest.Forest, seed int64) ([]int, sim.Metrics, error) {
-	var res *sim.Result
-	var err error
-	if sim.DefaultEngine == sim.EngineStep {
-		res, err = sim.RunStep(f.G, StepProgram(f), sim.WithSeed(seed))
-	} else {
-		res, err = sim.Run(f.G, Program(f), sim.WithSeed(seed))
-	}
+	res, err := sim.RunStep(f.G, StepProgram(f), sim.WithSeed(seed))
 	if err != nil {
 		return nil, sim.Metrics{}, fmt.Errorf("coloring: distributed: %w", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/forest"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/sim"
 )
 
 // protocolForests builds rooted spanning forests to color: the §3 partition
@@ -101,29 +100,29 @@ func TestDistributedMeetsSpec(t *testing.T) {
 	}
 }
 
-// TestDistributedEngineEquivalence: goroutine and native machine forms must
-// produce identical colors and metrics.
-func TestDistributedEngineEquivalence(t *testing.T) {
-	old := sim.DefaultEngine
-	defer func() { sim.DefaultEngine = old }()
+// TestDistributedMatchesSequential checks the protocol against the
+// sequential pipeline it distributes (the registry fixtures pin its exact
+// transcripts): on these forests the Cole–Vishkin/GPS 3-coloring followed by
+// the MIS recoloring yields the same colors vertex for vertex.
+func TestDistributedMatchesSequential(t *testing.T) {
 	//mmlint:commutative independent subtests; names label, order never asserted
 	for name, f := range protocolForests(t) {
 		t.Run(name, func(t *testing.T) {
-			sim.DefaultEngine = sim.EngineGoroutine
-			goCols, goMet, err := coloring.Distributed(f, 1)
+			colors, _, err := coloring.Distributed(f, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim.DefaultEngine = sim.EngineStep
-			stCols, stMet, err := coloring.Distributed(f, 1)
+			parent := coloring.ParentInts(f)
+			three, _, err := coloring.ThreeColor(parent)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(goCols, stCols) {
-				t.Errorf("colors diverge:\n goroutine: %v\n step:      %v", goCols, stCols)
+			want, err := coloring.MISRecolor(parent, three)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(goMet, stMet) {
-				t.Errorf("metrics diverge:\n goroutine: %+v\n step:      %+v", goMet, stMet)
+			if !reflect.DeepEqual(colors, want) {
+				t.Errorf("colors diverge from the sequential pipeline:\n distributed: %v\n sequential:  %v", colors, want)
 			}
 		})
 	}

@@ -1,11 +1,10 @@
 package coloring
 
-// step.go is the native step-machine form of the distributed forest
-// coloring: the same colorState transition as the goroutine Program,
-// stepped once per round, so both forms are message-for-message identical.
-// The protocol's round count is O(log* n) and every node is active every
-// round, so no sleeping is needed — a 10⁶-node forest 3-colors in a couple
-// dozen rounds of O(n) work each (the E11 experiment's coloring leg).
+// step.go is the step machine of the distributed forest coloring: the
+// colorState transition, stepped once per round. The protocol's round count
+// is O(log* n) and every node is active every round, so no sleeping is
+// needed — a 10⁶-node forest 3-colors in a couple dozen rounds of O(n) work
+// each (the E11 experiment's coloring leg).
 
 import (
 	"repro/internal/forest"
@@ -49,8 +48,9 @@ func (m *colorMachine) Step(in sim.Input) bool {
 
 func (m *colorMachine) Result() any { return m.result }
 
-// StepProgram returns the native machine form of Program. Machines come
-// from a per-run slab: one allocation for the whole forest.
+// StepProgram returns the distributed coloring of f as a step program:
+// each node ends with its final color as its result. Machines come from a
+// per-run slab: one allocation for the whole forest.
 func StepProgram(f *forest.Forest) sim.StepProgram {
 	children := f.Children()
 	var slab sim.Slab[colorMachine]

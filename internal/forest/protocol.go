@@ -8,11 +8,9 @@ package forest
 // scalar aggregate. The protocol never touches the channel, so it is pure
 // point-to-point: O(diameter) rounds and O(n + m) messages.
 //
-// Both engine forms are message-for-message identical — one shared bfsState
-// transition drives the goroutine Program and the native machine, and the
-// engines-equivalence suite compares them bit for bit. Being message-driven,
-// the native form sleeps whenever no message can change its state, which
-// grows million-node forests in seconds.
+// The protocol is a native step machine. Being message-driven, it sleeps
+// whenever no message can change its state, which grows million-node
+// forests in seconds.
 
 import (
 	"fmt"
@@ -36,24 +34,7 @@ type bfsResult struct {
 	Total      int
 }
 
-// BFSProgram returns the goroutine form of the spanning-forest protocol.
-func BFSProgram() sim.Program {
-	return func(c *sim.Ctx) error {
-		st := newBFSState(c.ID() == 0)
-		if st.root {
-			st.explore(cSender{c}, 0, nil)
-		}
-		for {
-			in := c.Tick()
-			if st.step(cSender{c}, in) {
-				c.SetResult(st.record())
-				return nil
-			}
-		}
-	}
-}
-
-// BFSStepProgram returns the native machine form of the protocol. Machines
+// BFSStepProgram returns the protocol's step program. Machines
 // come from a per-run slab — one allocation for the whole network, with the
 // protocol state embedded by value — so million-node forests cost one block
 // per node, not two heap objects.
@@ -72,14 +53,13 @@ type bfsMachine struct {
 }
 
 func (m *bfsMachine) Step(in sim.Input) bool {
-	s := scSender{m.c}
 	if in.Round == 0 {
 		if m.st.root {
-			m.st.explore(s, 0, nil)
+			m.st.explore(m.c, 0, nil)
 		}
 		return m.st.finishRound(m.c)
 	}
-	if m.st.step(s, in) {
+	if m.st.step(m.c, in) {
 		return true
 	}
 	return m.st.finishRound(m.c)
@@ -87,27 +67,7 @@ func (m *bfsMachine) Step(in sim.Input) bool {
 
 func (m *bfsMachine) Result() any { return m.st.record() }
 
-// sender abstracts the two engines' send/link surface so one state
-// transition drives both forms.
-type sender interface {
-	send(link int, p sim.Payload)
-	degree() int
-	linkOf(edgeID int) int
-}
-
-type cSender struct{ c *sim.Ctx }
-
-func (s cSender) send(link int, p sim.Payload) { s.c.Send(link, p) }
-func (s cSender) degree() int                  { return s.c.Degree() }
-func (s cSender) linkOf(edgeID int) int        { return s.c.LinkOf(edgeID) }
-
-type scSender struct{ c *sim.StepCtx }
-
-func (s scSender) send(link int, p sim.Payload) { s.c.Send(link, p) }
-func (s scSender) degree() int                  { return s.c.Degree() }
-func (s scSender) linkOf(edgeID int) int        { return s.c.LinkOf(edgeID) }
-
-// bfsState is the per-node protocol state, identical across engine forms.
+// bfsState is the per-node protocol state.
 type bfsState struct {
 	root bool
 
@@ -134,29 +94,29 @@ func newBFSState(root bool) bfsState {
 // explore sends the wavefront on every link except those named by the skip
 // set — a bitmask over links < 64 plus a map for a high-degree hub's rest,
 // so the common case stays allocation-free.
-func (st *bfsState) explore(s sender, skipMask uint64, skipBig map[int]bool) {
-	for l := 0; l < s.degree(); l++ {
+func (st *bfsState) explore(c *sim.StepCtx, skipMask uint64, skipBig map[int]bool) {
+	for l := 0; l < c.Degree(); l++ {
 		if l < 64 && skipMask&(uint64(1)<<l) != 0 {
 			continue
 		}
 		if l >= 64 && skipBig[l] {
 			continue
 		}
-		s.send(l, fExplore{})
+		c.Send(l, fExplore{})
 		st.acksPending++
 	}
 	st.explored = true
 }
 
-func (st *bfsState) forward(s sender, v int) {
+func (st *bfsState) forward(c *sim.StepCtx, v int) {
 	for _, l := range st.childLinks {
-		s.send(l, fDone{N: v})
+		c.Send(l, fDone{N: v})
 	}
 	st.total, st.resultIn = v, true
 }
 
 // step consumes one round's input; true means the node is finished.
-func (st *bfsState) step(s sender, in sim.Input) (halt bool) {
+func (st *bfsState) step(c *sim.StepCtx, in sim.Input) (halt bool) {
 	// Adoption: among this round's explores pick the least sender; links
 	// that carried an explore lead to already-adopted nodes.
 	bestLink := -1
@@ -166,7 +126,7 @@ func (st *bfsState) step(s sender, in sim.Input) (halt bool) {
 	var skipBig map[int]bool
 	for _, msg := range in.Msgs {
 		if _, ok := msg.Payload.(fExplore); ok {
-			l := s.linkOf(msg.EdgeID)
+			l := c.LinkOf(msg.EdgeID)
 			if l < 64 {
 				skipMask |= uint64(1) << l
 			} else {
@@ -184,14 +144,14 @@ func (st *bfsState) step(s sender, in sim.Input) (halt bool) {
 	if bestLink != -1 && !st.adopted {
 		st.adopted, adoptedNow = true, true
 		st.parentLink, st.parentEdge, st.parent = bestLink, bestEdge, bestFrom
-		st.explore(s, skipMask, skipBig)
+		st.explore(c, skipMask, skipBig)
 	}
 	parentLinkBusy := false
 	for _, msg := range in.Msgs {
-		l := s.linkOf(msg.EdgeID)
+		l := c.LinkOf(msg.EdgeID)
 		switch p := msg.Payload.(type) {
 		case fExplore:
-			s.send(l, fAck{Child: adoptedNow && l == st.parentLink})
+			c.Send(l, fAck{Child: adoptedNow && l == st.parentLink})
 			if l == st.parentLink {
 				parentLinkBusy = true
 			}
@@ -204,7 +164,7 @@ func (st *bfsState) step(s sender, in sim.Input) (halt bool) {
 			st.size += p.N
 			st.reports++
 		case fDone:
-			st.forward(s, p.N)
+			st.forward(c, p.N)
 		}
 	}
 	// Convergecast once the child set is final and all children reported;
@@ -212,9 +172,9 @@ func (st *bfsState) step(s sender, in sim.Input) (halt bool) {
 	if st.upReady() && !parentLinkBusy {
 		st.sentUp = true
 		if st.root {
-			st.forward(s, st.size)
+			st.forward(c, st.size)
 		} else {
-			s.send(st.parentLink, fValue{N: st.size})
+			c.Send(st.parentLink, fValue{N: st.size})
 		}
 	}
 	return st.resultIn && st.acksPending == 0
@@ -225,8 +185,8 @@ func (st *bfsState) upReady() bool {
 		st.reports == len(st.childLinks)
 }
 
-// finishRound parks the native machine whenever only a message can change
-// its state (the goroutine form just blocks in Tick).
+// finishRound parks the machine whenever only a message can change its
+// state.
 func (st *bfsState) finishRound(c *sim.StepCtx) bool {
 	if !st.upReady() {
 		c.Sleep()
@@ -238,17 +198,10 @@ func (st *bfsState) record() any {
 	return bfsResult{Parent: st.parent, ParentEdge: st.parentEdge, Total: st.total}
 }
 
-// BFS grows the spanning forest of g from node 0 on sim.DefaultEngine and
-// validates it. Every node also learns n (the convergecast total), returned
+// BFS grows the spanning forest of g from node 0 and validates it. Every node also learns n (the convergecast total), returned
 // for cross-checking.
 func BFS(g graph.Topology, seed int64) (*Forest, int, sim.Metrics, error) {
-	var res *sim.Result
-	var err error
-	if sim.DefaultEngine == sim.EngineStep {
-		res, err = sim.RunStep(g, BFSStepProgram(), sim.WithSeed(seed))
-	} else {
-		res, err = sim.Run(g, BFSProgram(), sim.WithSeed(seed))
-	}
+	res, err := sim.RunStep(g, BFSStepProgram(), sim.WithSeed(seed))
 	if err != nil {
 		return nil, 0, sim.Metrics{}, fmt.Errorf("forest: bfs: %w", err)
 	}

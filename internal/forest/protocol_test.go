@@ -1,20 +1,10 @@
 package forest
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/sim"
 )
-
-func withEngine(t *testing.T, e sim.Engine, f func()) {
-	t.Helper()
-	old := sim.DefaultEngine
-	sim.DefaultEngine = e
-	defer func() { sim.DefaultEngine = old }()
-	f()
-}
 
 // TestBFSGrowsSpanningTree: the protocol must produce a single spanning
 // tree rooted at node 0, with every node learning n.
@@ -53,34 +43,36 @@ func TestBFSGrowsSpanningTree(t *testing.T) {
 	}
 }
 
-// TestBFSEngineEquivalence: both engine forms must produce identical
-// forests and metrics.
-func TestBFSEngineEquivalence(t *testing.T) {
+// TestBFSMatchesReference checks the protocol against sequential BFS (the
+// registry fixtures pin its exact transcripts): every node's depth is its
+// hop distance from node 0, and its parent is the least-id neighbor one hop
+// closer — the neighbor whose explore it adopted.
+func TestBFSMatchesReference(t *testing.T) {
 	g, err := graph.RandomConnected(80, 160, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type out struct {
-		parent []graph.NodeID
-		edges  []int
-		met    sim.Metrics
+	f, total, _, err := BFS(g, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var want, got out
-	withEngine(t, sim.EngineGoroutine, func() {
-		f, _, met, err := BFS(g, 1)
-		if err != nil {
-			t.Fatal(err)
+	if total != g.N() {
+		t.Errorf("total = %d, want %d", total, g.N())
+	}
+	ref := graph.NewBFS(g, 0)
+	for v := 1; v < g.N(); v++ {
+		id := graph.NodeID(v)
+		if f.Depth(id) != ref.Dist[v] {
+			t.Errorf("node %d: depth %d, hop distance %d", v, f.Depth(id), ref.Dist[v])
 		}
-		want = out{f.Parent, f.ParentEdge, met}
-	})
-	withEngine(t, sim.EngineStep, func() {
-		f, _, met, err := BFS(g, 1)
-		if err != nil {
-			t.Fatal(err)
+		want := graph.NodeID(-1)
+		for _, h := range g.Adj(id) {
+			if ref.Dist[h.To] == ref.Dist[v]-1 && (want == -1 || h.To < want) {
+				want = h.To
+			}
 		}
-		got = out{f.Parent, f.ParentEdge, met}
-	})
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("engines diverge:\n goroutine: %+v\n step:      %+v", want, got)
+		if f.Parent[v] != want {
+			t.Errorf("node %d: parent %d, want least-id closer neighbor %d", v, f.Parent[v], want)
+		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/forest"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/resolve"
 	"repro/internal/sim"
 )
 
@@ -73,15 +72,7 @@ func MultimediaFromForest(g graph.Topology, seed int64, f *forest.Forest, pm *si
 
 func finish(g graph.Topology, seed int64, f *forest.Forest, pm *sim.Metrics) (*Result, error) {
 	phases := 0
-	var res *sim.Result
-	var err error
-	if sim.DefaultEngine == sim.EngineStep {
-		// The native machine form of the merge (step.go): bit-identical
-		// transcript, but passive nodes sleep through the barrier phases.
-		res, err = sim.RunStep(g, mergeStepProgram(f, &phases), sim.WithSeed(seed+1))
-	} else {
-		res, err = sim.Run(g, mergeProgram(f, &phases), sim.WithSeed(seed+1))
-	}
+	res, err := sim.RunStep(g, mergeStepProgram(f, &phases), sim.WithSeed(seed+1))
 	if err != nil {
 		return nil, fmt.Errorf("mst: merge: %w", err)
 	}
@@ -125,153 +116,6 @@ func assemble(g graph.Topology, results []any) (*graph.MST, error) {
 		return nil, fmt.Errorf("mst: assembled %d edges, want %d", len(mst.EdgeIDs), g.N()-1)
 	}
 	return mst, nil
-}
-
-// mergeProgram runs stages 2 and 3 of §6 on every node.
-func mergeProgram(f *forest.Forest, phasesOut *int) sim.Program {
-	children := f.Children()
-	return func(c *sim.Ctx) error {
-		id := c.ID()
-		n := c.N()
-		isCore := f.Parent[id] == -1
-		initFrag := f.Root(id)
-		kids := children[id]
-
-		// Incident MST edges discovered so far: the initial fragment's tree
-		// edge to the parent is an MST edge (§3 property 1).
-		mstEdges := make(map[int]bool)
-		if f.ParentEdge[id] != -1 {
-			mstEdges[f.ParentEdge[id]] = true
-		}
-
-		// Stage 2: schedule the cores; everyone learns the ordered core list.
-		sched, in := resolve.Capetanakis(c, sim.Input{}, n, isCore, int(id), nil)
-		k := len(sched)
-		slotOf := -1
-		fragIndex := make(map[graph.NodeID]int, k)
-		for i, s := range sched {
-			fragIndex[graph.NodeID(s.ID)] = i
-			if graph.NodeID(s.ID) == id {
-				slotOf = i
-			}
-		}
-
-		// Stage 3 part 1: learn the initial fragment across every link.
-		for l := range c.Adj() {
-			c.Send(l, mFragExchange{Frag: initFrag})
-		}
-		in = c.Tick()
-		linkFrag := make(map[int]graph.NodeID, c.Degree()) // edge id -> init frag
-		for _, m := range in.Msgs {
-			linkFrag[m.EdgeID] = m.Payload.(mFragExchange).Frag
-		}
-
-		// Replicated union-find over initial fragments (by schedule index).
-		uf := graph.NewUnionFind(k)
-		curOf := func(fr graph.NodeID) int { return uf.Find(fragIndex[fr]) }
-
-		// Stage 3 part 2: merge phases.
-		phases := 0
-		for uf.Sets() > 1 {
-			phases++
-			// Step 1: convergecast the fragment's minimum link leaving the
-			// current fragment, under the channel barrier.
-			myCur := curOf(initFrag)
-			best := mMin{Valid: false, W: graph.Weight(int64(^uint64(0) >> 1))}
-			for _, h := range c.Adj() {
-				other, ok := linkFrag[int(h.EdgeID)]
-				if !ok || curOf(other) == myCur {
-					continue
-				}
-				if !best.Valid || h.Weight < best.W {
-					best = mMin{Valid: true, W: h.Weight, Edge: int(h.EdgeID), Target: other}
-				}
-			}
-			reports := 0
-			sentUp := false
-			in = sim.BarrierStep(c, in, func(step sim.Input) bool {
-				for _, m := range step.Msgs {
-					p, ok := m.Payload.(mMin)
-					if !ok {
-						continue // e.g. the part-1 exchange input replayed on entry
-					}
-					reports++
-					if p.Valid && (!best.Valid || p.W < best.W) {
-						best = p
-					}
-				}
-				if !sentUp && reports == len(kids) {
-					sentUp = true
-					if !isCore {
-						c.SendTo(f.Parent[id], best)
-					}
-				}
-				return false
-			})
-
-			// Step 2: cores broadcast in their assigned slots; everyone
-			// collects all k minima.
-			heard := make([]mSlot, 0, k)
-			for slot := 0; slot < k; slot++ {
-				if slot == slotOf {
-					s := mSlot{Valid: best.Valid, CurFrag: graph.NodeID(myCur)}
-					if best.Valid {
-						s.W, s.Edge, s.TargetCF = best.W, best.Edge, graph.NodeID(curOf(best.Target))
-					}
-					c.Broadcast(s)
-				}
-				in = c.Tick()
-				if in.Slot.State == sim.SlotSuccess {
-					if p, ok := in.Slot.Payload.(mSlot); ok && p.Valid {
-						heard = append(heard, p)
-					}
-				}
-			}
-
-			// Local: the minimum per current fragment is an MST edge; merge.
-			type pick struct {
-				w      graph.Weight
-				edge   int
-				target int
-			}
-			mins := make(map[int]pick)
-			for _, h := range heard {
-				cf := int(h.CurFrag)
-				if p, ok := mins[cf]; !ok || h.W < p.w {
-					mins[cf] = pick{w: h.W, edge: h.Edge, target: int(h.TargetCF)}
-				}
-			}
-			// Replay the merges in a canonical order: every node must end
-			// with identical union-find representatives.
-			cfs := make([]int, 0, len(mins))
-			for cf := range mins {
-				cfs = append(cfs, cf)
-			}
-			sort.Ints(cfs)
-			for _, cf := range cfs {
-				p := mins[cf]
-				uf.Union(cf, p.target)
-				e := c.Topo().Edge(p.edge)
-				if e.U == id || e.V == id {
-					mstEdges[p.edge] = true
-				}
-			}
-			if len(mins) == 0 && uf.Sets() > 1 {
-				return fmt.Errorf("no outgoing links heard with %d fragments left", uf.Sets())
-			}
-		}
-
-		if phasesOut != nil && id == 0 {
-			*phasesOut = phases
-		}
-		out := make([]int, 0, len(mstEdges))
-		for e := range mstEdges {
-			out = append(out, e)
-		}
-		sort.Ints(out)
-		c.SetResult(out)
-		return nil
-	}
 }
 
 // Boruvka wraps the pure point-to-point baseline (the §3 machinery run to

@@ -1,18 +1,12 @@
 package mst
 
-// step.go is the native step-machine form of stages 2–3 of the §6 MST
-// algorithm: a state-machine transcription of mergeProgram, slot-for-slot
-// and message-for-message identical to the goroutine form, so either engine
-// produces a bit-identical transcript. The native form is what makes the
-// merge run at million-node scale: during the per-phase convergecast
+// step.go is the step machine of stages 2–3 of the §6 MST algorithm. It
+// runs the merge at million-node scale: during the per-phase convergecast
 // barriers, passive nodes are parked with SleepUntilPulse, so a phase costs
 // O(n) machine steps instead of O(n · radius) — and the per-step work is
 // kept allocation-free (link-indexed fragment slices instead of maps, the
 // heard list grouped by an in-place stable sort instead of a per-phase map)
 // because every node runs it every slot round.
-//
-// finish() dispatches here whenever sim.DefaultEngine is the step engine,
-// which is how `mmnet -algo mst -engine step` retires the goroutine merge.
 
 import (
 	"cmp"
@@ -182,8 +176,8 @@ func (m *mergeMachine) enterConv() {
 	m.state = msConv
 }
 
-// convHandle is the barrier handler of stage 3 step 1, identical to the
-// goroutine form's closure.
+// convHandle is the barrier handler of stage 3 step 1: fold the children's
+// candidates and report the best one up once every child has.
 func (m *mergeMachine) convHandle(step sim.Input) bool {
 	for _, msg := range step.Msgs {
 		p, ok := msg.Payload.(mMin)
@@ -248,9 +242,9 @@ func (m *mergeMachine) stepSlots(in sim.Input) bool {
 	// Local: the minimum per current fragment is an MST edge; merge, in the
 	// same canonical order as every other node. The heard list is grouped
 	// in place: the stable sort keeps arrival order within each fragment,
-	// so the strict-less scan picks the same winner as the goroutine form's
-	// first-wins map, and the groups come out in the ascending fragment
-	// order the merges must replay in.
+	// so the strict-less scan picks the earliest-heard minimum, and the
+	// groups come out in the ascending fragment order the merges must
+	// replay in.
 	slices.SortStableFunc(m.heard, func(a, b mSlot) int { return cmp.Compare(a.CurFrag, b.CurFrag) })
 	id := m.c.ID()
 	merges := 0

@@ -8,7 +8,9 @@
 // Every protocol is a lock-step sub-routine embedded in a node program: all
 // nodes must enter it in the same round; all nodes exit it in the same round
 // and return identical results, because the only information used is the
-// globally-visible sequence of slot resolutions.
+// globally-visible sequence of slot resolutions. This file holds the
+// blocking forms the goroutine programs of internal/partition call; step.go
+// holds the per-round components native machines embed.
 package resolve
 
 import (
@@ -132,41 +134,4 @@ func MetcalfeBoggs(c *sim.Ctx, in sim.Input, estimate int, contending bool, myID
 		}
 	}
 	return sched, false, in
-}
-
-// Election runs the bit-by-bit deterministic leader election of §2 over the
-// id space [0, idSpace): in each slot the surviving contenders whose current
-// id bit is 1 transmit a busy tone; a non-idle slot eliminates the bit-0
-// survivors. After ⌈log idSpace⌉ slots the unique survivor is the contender
-// with the maximum id, and every node reconstructs that id from the public
-// slot outcomes. A leading liveness slot distinguishes "no contenders"
-// (returned as ok == false). Takes O(log idSpace) slots, the paper's
-// O(log n) deterministic election.
-func Election(c *sim.Ctx, in sim.Input, idSpace int, contending bool, myID int) (leader int, ok bool, out sim.Input) {
-	if contending {
-		c.Busy()
-	}
-	in = c.Tick()
-	if in.Slot.State == sim.SlotIdle {
-		return 0, false, in
-	}
-	bits := 0
-	for 1<<bits < idSpace {
-		bits++
-	}
-	leader = 0
-	surviving := contending
-	for b := bits - 1; b >= 0; b-- {
-		if surviving && myID&(1<<b) != 0 {
-			c.Busy()
-		}
-		in = c.Tick()
-		if in.Slot.State != sim.SlotIdle {
-			leader |= 1 << b
-			if surviving && myID&(1<<b) == 0 {
-				surviving = false
-			}
-		}
-	}
-	return leader, true, in
 }

@@ -203,6 +203,44 @@ func TestMetcalfeBoggsBounded(t *testing.T) {
 	}
 }
 
+// electTestMachine runs the election with the given contention and
+// records [leader, ok].
+type electTestMachine struct {
+	e   *ElectionStep
+	out any
+}
+
+func (m *electTestMachine) Step(in sim.Input) bool {
+	if in.Round == 0 {
+		m.e.Begin()
+		return false
+	}
+	if !m.e.Poll(in) {
+		return false
+	}
+	m.out = [2]int{m.e.Leader, b2i(m.e.OK)}
+	return true
+}
+
+func (m *electTestMachine) Result() any { return m.out }
+
+// runElection runs the election on a ring of n nodes.
+func runElection(t *testing.T, n int, contending func(id int) bool) *sim.Result {
+	t.Helper()
+	g, err := graph.Ring(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
+		id := int(c.ID())
+		return &electTestMachine{e: NewElectionStep(c, c.N(), contending(id), id)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestElection(t *testing.T) {
 	tests := []struct {
 		name       string
@@ -223,12 +261,7 @@ func TestElection(t *testing.T) {
 			for _, c := range tt.contenders {
 				isC[c] = true
 			}
-			res := runProtocol(t, 16, 1, func(ctx *sim.Ctx) error {
-				id := int(ctx.ID())
-				leader, ok, _ := Election(ctx, sim.Input{}, ctx.N(), isC[id], id)
-				ctx.SetResult([2]int{leader, b2i(ok)})
-				return nil
-			})
+			res := runElection(t, 16, func(id int) bool { return isC[id] })
 			for v, r := range res.Results {
 				got := r.([2]int)
 				if got[1] != b2i(tt.wantOK) {
@@ -244,19 +277,8 @@ func TestElection(t *testing.T) {
 
 func TestElectionSlotCount(t *testing.T) {
 	// 1 liveness slot + ⌈log2 n⌉ bit slots, plus the trailing round in
-	// which the programs halt.
-	n := 32
-	g, err := graph.Ring(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(g, func(ctx *sim.Ctx) error {
-		Election(ctx, sim.Input{}, ctx.N(), true, int(ctx.ID()))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// which the machines halt.
+	res := runElection(t, 32, func(int) bool { return true })
 	if res.Metrics.Rounds != 1+5+1 {
 		t.Errorf("rounds = %d, want 7", res.Metrics.Rounds)
 	}

@@ -1,7 +1,7 @@
 package resolve
 
-// run.go wires the election into a whole-network run on either engine —
-// the protocol behind `mmnet -algo elect`.
+// run.go wires the election into a whole-network run — the protocol behind
+// `mmnet -algo elect`.
 
 import (
 	"fmt"
@@ -36,25 +36,11 @@ func (m *electMachine) Result() any { return m.leader }
 
 // Elect runs the §2 deterministic election over the whole network, every
 // node contending with its own id; the winner is the maximum id, known to
-// every node. The run executes on sim.DefaultEngine: the goroutine engine
-// drives the blocking Election, the step engine the native ElectionStep
-// machine; both produce bit-identical transcripts.
+// every node.
 func Elect(g graph.Topology, seed int64) (leader int, met sim.Metrics, err error) {
-	var res *sim.Result
-	if sim.DefaultEngine == sim.EngineStep {
-		res, err = sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
-			return &electMachine{c: c, e: NewElectionStep(c, c.N(), true, int(c.ID()))}
-		}, sim.WithSeed(seed))
-	} else {
-		res, err = sim.Run(g, func(c *sim.Ctx) error {
-			l, ok, _ := Election(c, sim.Input{}, c.N(), true, int(c.ID()))
-			if !ok {
-				return fmt.Errorf("no contenders")
-			}
-			c.SetResult(l)
-			return nil
-		}, sim.WithSeed(seed))
-	}
+	res, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
+		return &electMachine{c: c, e: NewElectionStep(c, c.N(), true, int(c.ID()))}
+	}, sim.WithSeed(seed))
 	if err != nil {
 		return 0, sim.Metrics{}, err
 	}

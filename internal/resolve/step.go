@@ -1,8 +1,8 @@
 package resolve
 
-// step.go provides the native step-machine forms of the conflict-resolution
-// sub-protocols: the same slot-for-slot automata as the blocking versions in
-// resolve.go, restructured as per-round components a sim.Machine embeds.
+// step.go provides the conflict-resolution sub-protocols as per-round
+// components a sim.Machine embeds. Capetanakis and Metcalfe–Boggs are the
+// same slot-for-slot automata as the blocking versions in resolve.go.
 //
 // Usage pattern: the machine calls Begin once, in the round the protocol
 // starts (its broadcasts are staged in that round, exactly like the code a
@@ -12,7 +12,7 @@ package resolve
 // Step call with the same Input — the exact alignment of a goroutine
 // program continuing after the sub-routine returns. Because the only
 // information consumed is the public slot sequence, a component-driven run
-// is transcript-identical to its blocking counterpart.
+// is transcript-identical to its blocking counterpart where one exists.
 
 import (
 	"repro/internal/sim"
@@ -102,9 +102,15 @@ func (s *CapetanakisStep) Poll(in sim.Input) (done bool) {
 	return s.transmit()
 }
 
-// ElectionStep is the per-round form of Election: the bit-by-bit
-// deterministic leader election of §2. After Poll reports done, Leader and
-// OK hold the result.
+// ElectionStep is the bit-by-bit deterministic leader election of §2 over
+// the id space [0, idSpace): in each slot the surviving contenders whose
+// current id bit is 1 transmit a busy tone; a non-idle slot eliminates the
+// bit-0 survivors. After ⌈log idSpace⌉ slots the unique survivor is the
+// contender with the maximum id, and every node reconstructs that id from
+// the public slot outcomes. A leading liveness slot distinguishes "no
+// contenders" (OK false). Takes O(log idSpace) slots, the paper's O(log n)
+// deterministic election. After Poll reports done, Leader and OK hold the
+// result.
 type ElectionStep struct {
 	c *sim.StepCtx
 

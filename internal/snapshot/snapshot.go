@@ -14,34 +14,12 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/resolve"
-	"repro/internal/sim"
 )
 
 // Cut describes one completed snapshot.
 type Cut struct {
 	Initiator graph.NodeID
 	Round     int // the common round at which every node recorded its state
-}
-
-// Take runs the snapshot sub-protocol. Every node must enter in the same
-// round; trigger marks this node as wanting a snapshot. When at least one
-// node triggers, all nodes invoke record exactly once, in the same round,
-// and return the identical Cut; otherwise ok is false. The record callback
-// receives the cut round.
-func Take(c *sim.Ctx, in sim.Input, trigger bool, record func(round int)) (cut Cut, ok bool, out sim.Input) {
-	leader, ok, out := resolve.Election(c, in, c.N(), trigger, int(c.ID()))
-	if !ok {
-		return Cut{}, false, out
-	}
-	// The election's final slot is observed by every node in the same
-	// round: that round is the cut. No point-to-point message can be in
-	// flight across the cut boundary for protocols that are quiescent while
-	// snapshotting; for running applications the cut is simply a common
-	// round index, which is all a synchronous consistent cut needs.
-	cut = Cut{Initiator: graph.NodeID(leader), Round: out.Round}
-	record(cut.Round)
-	return cut, true, out
 }
 
 // Consistent verifies that a set of per-node cuts agree (same initiator and

@@ -1,8 +1,12 @@
 package snapshot
 
-// step.go is the native step-machine form of the snapshot protocol: the §2
+// step.go is the snapshot protocol as a step-machine component: the §2
 // election component resolves contending initiators, and the round in which
-// its final slot is heard — the same round at every node — is the cut.
+// its final slot is heard — the same round at every node — is the cut. No
+// point-to-point message can be in flight across the cut boundary for
+// protocols that are quiescent while snapshotting; for running applications
+// the cut is simply a common round index, which is all a synchronous
+// consistent cut needs.
 
 import (
 	"fmt"
@@ -12,11 +16,12 @@ import (
 	"repro/internal/sim"
 )
 
-// TakeStep is the per-round form of Take, for embedding in a sim.Machine.
-// Begin starts the protocol in the current round; Poll consumes each
-// subsequent round until it reports done, after which Cut and OK hold the
-// result. The record callback fires exactly once, on the cut round, iff a
-// snapshot was taken.
+// TakeStep is the snapshot sub-protocol, for embedding in a sim.Machine.
+// Every node must Begin in the same round; Begin starts the protocol in the
+// current round, and Poll consumes each subsequent round until it reports
+// done, after which Cut and OK hold the result — identical at every node.
+// When at least one node triggers, the record callback fires exactly once
+// at every node, on the cut round; otherwise OK is false.
 type TakeStep struct {
 	Cut Cut
 	OK  bool
@@ -73,27 +78,11 @@ func (m *snapMachine) Step(in sim.Input) bool {
 func (m *snapMachine) Result() any { return m.cut }
 
 // Run takes one snapshot of the whole network with node 0 as the (sole)
-// trigger and returns the cut every node recorded. The run executes on
-// sim.DefaultEngine: the goroutine engine drives the blocking Take, the
-// step engine the native TakeStep machine; both produce bit-identical
-// transcripts.
+// trigger and returns the cut every node recorded.
 func Run(g graph.Topology, seed int64) (Cut, sim.Metrics, error) {
-	var res *sim.Result
-	var err error
-	if sim.DefaultEngine == sim.EngineStep {
-		res, err = sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
-			return &snapMachine{c: c, t: NewTakeStep(c, c.ID() == 0, func(int) {})}
-		}, sim.WithSeed(seed))
-	} else {
-		res, err = sim.Run(g, func(c *sim.Ctx) error {
-			cut, ok, _ := Take(c, sim.Input{}, c.ID() == 0, func(int) {})
-			if !ok {
-				return fmt.Errorf("snapshot not taken")
-			}
-			c.SetResult(cut)
-			return nil
-		}, sim.WithSeed(seed))
-	}
+	res, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
+		return &snapMachine{c: c, t: NewTakeStep(c, c.ID() == 0, func(int) {})}
+	}, sim.WithSeed(seed))
 	if err != nil {
 		return Cut{}, sim.Metrics{}, err
 	}

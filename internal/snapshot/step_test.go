@@ -1,37 +1,32 @@
 package snapshot
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/sim"
 )
 
-// TestRunEngineEquivalence: the native snapshot machine must record the same
-// cut with identical metrics as the blocking form.
-func TestRunEngineEquivalence(t *testing.T) {
+// TestRunCutRound checks Run against the election's slot arithmetic (the
+// registry fixtures pin its exact transcripts): the sole trigger, node 0,
+// initiates, and the cut is the round its last slot is heard — one
+// liveness slot plus ⌈log₂ n⌉ bit slots — with no point-to-point traffic.
+func TestRunCutRound(t *testing.T) {
 	g, err := graph.RandomConnected(40, 60, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := sim.DefaultEngine
-	defer func() { sim.DefaultEngine = old }()
-
-	sim.DefaultEngine = sim.EngineGoroutine
-	goCut, goMet, err := Run(g, 1)
+	cut, met, err := Run(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.DefaultEngine = sim.EngineStep
-	stCut, stMet, err := Run(g, 1)
-	if err != nil {
-		t.Fatal(err)
+	bits := 0
+	for 1<<bits < g.N() {
+		bits++
 	}
-	if goCut != stCut || !reflect.DeepEqual(goMet, stMet) {
-		t.Errorf("engines diverge: goroutine (%+v, %+v) step (%+v, %+v)", goCut, goMet, stCut, stMet)
+	if cut != (Cut{Initiator: 0, Round: 1 + bits}) {
+		t.Errorf("cut = %+v, want initiator 0 at round %d", cut, 1+bits)
 	}
-	if goCut.Initiator != 0 {
-		t.Errorf("initiator = %d, want 0", goCut.Initiator)
+	if met.Rounds != cut.Round+1 || met.Messages != 0 {
+		t.Errorf("metrics %+v, want %d rounds and no messages", met, cut.Round+1)
 	}
 }
