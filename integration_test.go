@@ -150,7 +150,7 @@ func TestFullPipelineStepEngine(t *testing.T) {
 	if census.N != n {
 		t.Errorf("native census = %d, want %d", census.N, n)
 	}
-	p2p, err := globalfunc.PointToPointStep(g, 1, graph5Sum(), in)
+	p2p, err := globalfunc.PointToPoint(g, 1, graph5Sum(), in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,15 @@
 // Package difftest is the differential-testing registry: one runner per
 // protocol of the module, each returning its full observable outcome as a
-// reflect.DeepEqual-comparable value. The engines-equivalence suite runs
-// every registry entry under both execution engines (and several worker
-// counts, and fault plans) and requires bit-identical outcomes; cmd/mmnet's
-// coverage test requires every -algo value to be claimed by some entry, so
-// an algorithm cannot be added to the CLI without a cross-engine
-// equivalence test.
+// reflect.DeepEqual-comparable value. The registry fixtures pin every
+// entry's transcript and outcome under two fault plans, and the
+// equivalence suites require bit-identical outcomes across engines, worker
+// counts, and topology forms; cmd/mmnet's coverage test requires every
+// -algo value to be claimed by some entry, so an algorithm cannot be added
+// to the CLI without that coverage.
 //
-// Runners honor sim.DefaultEngine (and sim.DefaultFaults etc.), so callers
-// select the engine by setting the process defaults, exactly as the
-// commands do.
+// Runners honor the process defaults (sim.DefaultFaults, DefaultWorkers,
+// and — for the goroutine programs of internal/partition —
+// DefaultEngine), so callers configure runs exactly as the commands do.
 package difftest
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/resolve"
 	"repro/internal/sim"
 )
 
@@ -25,10 +24,11 @@ type (
 // PointToPoint computes the function using only the point-to-point network:
 // build a BFS tree from the distinguished leader (node 0, as in the paper's
 // remark on the known-leader case), convergecast partials, broadcast the
-// result. Θ(d) time, O(m + n) messages; the channel is never used.
+// result. Θ(d) time, O(m + n) messages; the channel is never used. Extra
+// options (workers, transcript, checkpoints) pass through to the engine.
 func PointToPoint(g graph.Topology, seed int64, op Op, in Inputs, opts ...sim.Option) (*Result, error) {
 	opts = append([]sim.Option{sim.WithSeed(seed)}, opts...)
-	res, err := sim.Run(g, p2pProgram(op, in), opts...)
+	res, err := sim.RunStep(g, P2PStepProgram(op, in), opts...)
 	if err != nil {
 		return nil, fmt.Errorf("globalfunc: p2p baseline: %w", err)
 	}
@@ -42,134 +42,13 @@ func PointToPoint(g graph.Topology, seed int64, op Op, in Inputs, opts ...sim.Op
 	return &Result{Value: val, Trees: 1, Compute: res.Metrics, Total: res.Metrics}, nil
 }
 
-func p2pProgram(op Op, in Inputs) sim.Program {
-	return func(c *sim.Ctx) error {
-		id := c.ID()
-		deg := c.Degree()
-		adopted := id == 0
-		parentLink := -1
-		acksPending := 0 // explores we sent and still await replies for
-		childLinks := make([]int, 0, deg)
-		reports := 0
-		partial := in(id)
-		sentUp := false
-		explored := false
-
-		explore := func(skip map[int]bool) {
-			for l := 0; l < deg; l++ {
-				if !skip[l] {
-					c.Send(l, p2pExplore{})
-					acksPending++
-				}
-			}
-			explored = true
-		}
-		if id == 0 {
-			explore(nil)
-		}
-
-		var resultVal *int64
-		forward := func(v int64) {
-			for _, l := range childLinks {
-				c.Send(l, p2pResult{V: v})
-			}
-			resultVal = &v
-		}
-
-		for resultVal == nil || acksPending > 0 {
-			inp := c.Tick()
-			// Adoption: among this round's explores pick the least sender.
-			// Links that carried an explore this round lead to nodes that
-			// are already adopted, so exploring them is pointless and would
-			// collide with the mandatory ack on the same link.
-			bestLink := -1
-			var bestFrom graph.NodeID
-			var exploredLinks map[int]bool
-			for _, m := range inp.Msgs {
-				if _, ok := m.Payload.(p2pExplore); ok {
-					l := c.LinkOf(m.EdgeID)
-					if exploredLinks == nil {
-						exploredLinks = make(map[int]bool, 2)
-					}
-					exploredLinks[l] = true
-					if bestLink == -1 || m.From < bestFrom {
-						bestLink, bestFrom = l, m.From
-					}
-				}
-			}
-			adoptedNow := false
-			if bestLink != -1 && !adopted {
-				adopted = true
-				adoptedNow = true
-				parentLink = bestLink
-				explore(exploredLinks)
-			}
-			parentLinkBusy := false
-			for _, m := range inp.Msgs {
-				l := c.LinkOf(m.EdgeID)
-				switch p := m.Payload.(type) {
-				case p2pExplore:
-					c.Send(l, p2pAck{Child: adoptedNow && l == parentLink})
-					if l == parentLink {
-						parentLinkBusy = true
-					}
-				case p2pAck:
-					acksPending--
-					if p.Child {
-						childLinks = append(childLinks, l)
-					}
-				case p2pValue:
-					partial = op.Combine(partial, p.V)
-					reports++
-				case p2pResult:
-					forward(p.V)
-				}
-			}
-			// Convergecast once the child set is final and all children
-			// reported; wait a round if the ack already used the parent link.
-			if adopted && explored && acksPending == 0 && !sentUp &&
-				reports == len(childLinks) && !parentLinkBusy {
-				sentUp = true
-				if id == 0 {
-					forward(partial)
-				} else {
-					c.Send(parentLink, p2pValue{V: partial})
-				}
-			}
-		}
-		c.SetResult(*resultVal)
-		return nil
-	}
-}
-
 // BroadcastOnly computes the function using only the multiaccess channel:
 // every node is a contender and broadcasts its own input; all nodes combine
 // everything heard. Deterministic scheduling uses Capetanakis over the full
 // id space (Θ(n) slots); randomized uses Metcalfe–Boggs (Θ(n) expected).
 // The point-to-point network is never used.
 func BroadcastOnly(g graph.Topology, seed int64, op Op, in Inputs, stage Stage) (*Result, error) {
-	prog := func(c *sim.Ctx) error {
-		id := c.ID()
-		var sched []resolve.ScheduledItem
-		switch stage {
-		case StageCapetanakis:
-			sched, _ = resolve.Capetanakis(c, sim.Input{}, c.N(), true, int(id), in(id))
-		case StageMetcalfeBoggs:
-			sched, _, _ = resolve.MetcalfeBoggs(c, sim.Input{}, c.N(), true, int(id), in(id), 0)
-		default:
-			return fmt.Errorf("unknown stage %d", stage)
-		}
-		if len(sched) != c.N() {
-			return fmt.Errorf("node %d heard %d of %d inputs", id, len(sched), c.N())
-		}
-		acc := sched[0].Payload.(int64)
-		for _, s := range sched[1:] {
-			acc = op.Combine(acc, s.Payload.(int64))
-		}
-		c.SetResult(acc)
-		return nil
-	}
-	res, err := sim.Run(g, prog, sim.WithSeed(seed))
+	res, err := sim.RunStep(g, stageProgram(nil, op, in, stage, g.N()), sim.WithSeed(seed))
 	if err != nil {
 		return nil, fmt.Errorf("globalfunc: broadcast baseline: %w", err)
 	}

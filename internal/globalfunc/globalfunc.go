@@ -139,11 +139,11 @@ func Multimedia(g graph.Topology, seed int64, op Op, in Inputs, variant Variant,
 		return nil, fmt.Errorf("globalfunc: partition: %w", err)
 	}
 
-	knownRoots := 0
-	if info != nil {
-		knownRoots = len(info.RootOrder)
+	estimate := partition.SqrtN(n)
+	if info != nil && len(info.RootOrder) > 0 {
+		estimate = len(info.RootOrder)
 	}
-	res, err := sim.Run(g, stageProgram(f, op, in, stage, knownRoots), sim.WithSeed(seed+1))
+	res, err := sim.RunStep(g, stageProgram(f, op, in, stage, estimate), sim.WithSeed(seed+1))
 	if err != nil {
 		return nil, fmt.Errorf("globalfunc: compute: %w", err)
 	}
@@ -157,55 +157,127 @@ func Multimedia(g graph.Topology, seed int64, op Op, in Inputs, variant Variant,
 	return out, nil
 }
 
-// stageProgram runs the local stage (tree convergecast under the §7.1
-// barrier) followed by the global stage (channel scheduling of the roots).
-func stageProgram(f *forest.Forest, op Op, in Inputs, stage Stage, knownRoots int) sim.Program {
-	children := f.Children()
-	return func(c *sim.Ctx) error {
-		id := c.ID()
-		isRoot := f.Parent[id] == -1
-		partial := in(id)
-		reports := 0
-		sentUp := false
+// stageShared is the per-run state every stageMachine points at.
+type stageShared struct {
+	f        *forest.Forest // nil: no local stage, every node contends
+	kids     [][]graph.NodeID
+	op       Op
+	in       Inputs
+	stage    Stage
+	estimate int // Metcalfe–Boggs contender estimate
+	slab     sim.Slab[stageMachine]
+}
 
-		// Local stage: convergecast partials to the cores; the barrier's
-		// idle pulse tells every node the stage has globally ended.
-		pulse := sim.BarrierStep(c, sim.Input{}, func(step sim.Input) bool {
-			for _, m := range step.Msgs {
-				partial = op.Combine(partial, m.Payload.(int64))
-				reports++
-			}
-			if !sentUp && reports == len(children[id]) {
-				sentUp = true
-				if !isRoot {
-					c.SendTo(f.Parent[id], partial)
-				}
-			}
-			return false
-		})
-
-		// Global stage: roots broadcast partials on the channel.
-		var sched []resolve.ScheduledItem
-		switch stage {
-		case StageCapetanakis:
-			sched, _ = resolve.Capetanakis(c, pulse, c.N(), isRoot, int(id), partial)
-		case StageMetcalfeBoggs:
-			estimate := knownRoots
-			if estimate == 0 {
-				estimate = partition.SqrtN(c.N())
-			}
-			sched, _, _ = resolve.MetcalfeBoggs(c, pulse, estimate, isRoot, int(id), partial, 0)
-		default:
-			return fmt.Errorf("unknown stage %d", stage)
+// stageProgram runs the local stage — the trees of f convergecast their
+// partials to the roots under the §7.1 barrier — and, in the round of the
+// barrier's pulse, starts the global stage: the roots schedule their
+// partials on the channel and every node combines the schedule. With a nil
+// forest there is no local stage: every node contends with its own input
+// from round 0, the broadcast-only baseline.
+func stageProgram(f *forest.Forest, op Op, in Inputs, stage Stage, estimate int) sim.StepProgram {
+	sh := &stageShared{f: f, op: op, in: in, stage: stage, estimate: estimate}
+	if f != nil {
+		sh.kids = f.Children()
+	}
+	return func(c *sim.StepCtx) sim.Machine {
+		m := sh.slab.Alloc(c.N())
+		*m = stageMachine{c: c, sh: sh, partial: in(c.ID())}
+		if f != nil {
+			m.b = sim.NewStepBarrier(c)
 		}
-		acc := sched[0].Payload.(int64)
-		for _, s := range sched[1:] {
-			acc = op.Combine(acc, s.Payload.(int64))
-		}
-		c.SetResult(acc)
-		return nil
+		return m
 	}
 }
+
+// globalStage is the channel-scheduling component of the global stage.
+type globalStage interface {
+	Begin() (done bool)
+	Poll(in sim.Input) (done bool)
+}
+
+// stageMachine is one node of the §5 computation.
+type stageMachine struct {
+	c  *sim.StepCtx
+	sh *stageShared
+	b  *sim.StepBarrier
+
+	partial int64
+	reports int
+	sentUp  bool
+
+	global globalStage
+	sched  *[]resolve.ScheduledItem // the global stage's schedule
+	result any
+}
+
+func (m *stageMachine) Step(in sim.Input) bool {
+	switch {
+	case m.global != nil:
+		if !m.global.Poll(in) {
+			return false
+		}
+		return m.finish()
+	case m.sh.f == nil:
+		return m.beginGlobal(true)
+	case !m.b.Step(in, m.convergecast):
+		return false
+	default:
+		// The pulse: every partial has reached its root.
+		return m.beginGlobal(m.sh.f.Parent[m.c.ID()] == -1)
+	}
+}
+
+// convergecast is the local stage's barrier handler: fold the children's
+// partials and report up once every child has.
+func (m *stageMachine) convergecast(step sim.Input) bool {
+	for _, msg := range step.Msgs {
+		m.partial = m.sh.op.Combine(m.partial, msg.Payload.(int64))
+		m.reports++
+	}
+	id := m.c.ID()
+	if !m.sentUp && m.reports == len(m.sh.kids[id]) {
+		m.sentUp = true
+		if p := m.sh.f.Parent[id]; p != -1 {
+			m.c.SendTo(p, m.partial)
+		}
+	}
+	return false
+}
+
+// beginGlobal starts the channel schedule in the current round.
+func (m *stageMachine) beginGlobal(contending bool) bool {
+	id := int(m.c.ID())
+	switch m.sh.stage {
+	case StageCapetanakis:
+		s := resolve.NewCapetanakisStep(m.c, m.c.N(), contending, id, m.partial, 0)
+		m.global, m.sched = s, &s.Sched
+	case StageMetcalfeBoggs:
+		s := resolve.NewMetcalfeBoggsStep(m.c, m.sh.estimate, contending, id, m.partial, 0)
+		m.global, m.sched = s, &s.Sched
+	default:
+		m.c.Failf("unknown stage %d", m.sh.stage)
+	}
+	if m.global.Begin() {
+		return m.finish()
+	}
+	return false
+}
+
+// finish combines the scheduled partials into the node's result.
+func (m *stageMachine) finish() bool {
+	sched := *m.sched
+	if m.sh.f == nil && len(sched) != m.c.N() {
+		m.c.Failf("node %d heard %d of %d inputs", m.c.ID(), len(sched), m.c.N())
+	}
+	acc := sched[0].Payload.(int64)
+	for _, s := range sched[1:] {
+		acc = m.sh.op.Combine(acc, s.Payload.(int64))
+	}
+	m.result = acc
+	return true
+}
+
+func (m *stageMachine) Result() any { return m.result }
 
 // BalancedPhaseCount is the §5.1 balance: stop the deterministic partition
 // once fragments reach size √(n·log₂n / log*n), so the global stage's

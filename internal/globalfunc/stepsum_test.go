@@ -1,16 +1,16 @@
 package globalfunc
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 )
 
-// TestPointToPointStepMatchesGoroutineForm checks the native BFS-tree
-// aggregate against the goroutine program it was ported from: identical
-// value, results, and metrics on every topology.
-func TestPointToPointStepMatchesGoroutineForm(t *testing.T) {
+// TestPointToPointMatchesReference checks the BFS-tree aggregate against
+// the sequential fold (the registry fixtures pin its exact transcripts):
+// the reference value on every topology and operator, in Θ(eccentricity of
+// the leader) rounds, with the channel untouched.
+func TestPointToPointMatchesReference(t *testing.T) {
 	in := func(v graph.NodeID) int64 { return (int64(v)*97 + 5) % 1000 }
 	for _, tc := range []struct {
 		name string
@@ -28,23 +28,20 @@ func TestPointToPointStepMatchesGoroutineForm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ecc := graph.NewBFS(g, 0).Eccentricity()
 			for _, op := range []Op{Sum, Min, Xor} {
-				gor, err := PointToPoint(g, 1, op, in)
+				res, err := PointToPoint(g, 1, op, in)
 				if err != nil {
-					t.Fatalf("%s goroutine: %v", op.Name, err)
+					t.Fatalf("%s: %v", op.Name, err)
 				}
-				nat, err := PointToPointStep(g, 1, op, in)
-				if err != nil {
-					t.Fatalf("%s native: %v", op.Name, err)
+				if want := Reference(g, op, in); res.Value != want {
+					t.Errorf("%s: value %d, reference %d", op.Name, res.Value, want)
 				}
-				if gor.Value != nat.Value {
-					t.Errorf("%s: value %d vs %d", op.Name, gor.Value, nat.Value)
+				if r := res.Total.Rounds; r < 2*ecc || r > 5*ecc+10 {
+					t.Errorf("%s: %d rounds for leader eccentricity %d", op.Name, r, ecc)
 				}
-				if want := Reference(g, op, in); nat.Value != want {
-					t.Errorf("%s: value %d, reference %d", op.Name, nat.Value, want)
-				}
-				if !reflect.DeepEqual(gor.Total, nat.Total) {
-					t.Errorf("%s: metrics %+v vs %+v", op.Name, gor.Total, nat.Total)
+				if res.Total.Slots() != 0 {
+					t.Errorf("%s: %d channel slots", op.Name, res.Total.Slots())
 				}
 			}
 		})

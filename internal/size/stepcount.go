@@ -27,12 +27,23 @@ type CensusResult struct {
 // sleep/wake activation the cost is proportional to n + m node-steps, so a
 // million-node ring completes in seconds.
 func Census(g graph.Topology, seed int64, opts ...sim.Option) (*CensusResult, error) {
-	res, err := globalfunc.PointToPointStep(g, seed, globalfunc.Sum,
-		func(graph.NodeID) int64 { return 1 }, opts...)
+	opts = append([]sim.Option{sim.WithSeed(seed)}, opts...)
+	res, err := sim.RunStep(g, globalfunc.P2PStepProgram(globalfunc.Sum,
+		func(graph.NodeID) int64 { return 1 }), opts...)
 	if err != nil {
-		return nil, fmt.Errorf("size: census: %w", err)
+		// The registry fixtures pin this wording of census failures.
+		return nil, fmt.Errorf("size: census: globalfunc: p2p step baseline: %w", err)
 	}
-	return &CensusResult{N: int(res.Value), Metrics: res.Total}, nil
+	n, ok := res.Results[0].(int64)
+	if !ok {
+		return nil, fmt.Errorf("size: census: globalfunc: node 0 recorded %T, want int64", res.Results[0])
+	}
+	for v, r := range res.Results {
+		if r != n {
+			return nil, fmt.Errorf("size: census: %w: node %d has %v, node 0 has %v", globalfunc.ErrDisagreement, v, r, n)
+		}
+	}
+	return &CensusResult{N: int(n), Metrics: res.Metrics}, nil
 }
 
 // glMachine is one node of the Greenberg–Ladner estimator: in iteration i

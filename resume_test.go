@@ -5,11 +5,10 @@ package repro
 // native step run at rounds {1, mid, last-1}, resumes each checkpoint at
 // several worker counts, and requires the resumed transcript — stitched onto
 // the uninterrupted run's prefix — to be byte-identical to the uninterrupted
-// transcript. For the fault-free census it additionally requires the native
-// step transcript to be byte-identical to the goroutine-engine transcript of
-// the goroutine form of the same protocol, tying the checkpoint seam into
-// the cross-engine/cross-form determinism contract. The same driver doubles
-// as a fuzz target.
+// transcript. For the fault-free census it additionally requires the
+// checkpointed program's transcript to be byte-identical to size.Census's,
+// tying the checkpoint seam to the protocol the registry fixtures pin. The
+// same driver doubles as a fuzz target.
 
 import (
 	"bytes"
@@ -230,12 +229,14 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 	}
 }
 
-// TestResumeCensusMatchesGoroutineForm ties the checkpoint seam to the
-// cross-form contract: the native census transcript (the one the resume
-// tests stitch against) must be byte-identical to the goroutine engine
-// running the goroutine form of the same protocol.
-func TestResumeCensusMatchesGoroutineForm(t *testing.T) {
-	g, err := graph.Ring(26, 3)
+// TestResumeCensusIsRegistryCensus ties the checkpoint seam to the registry
+// fixtures: the program the resume suite checkpoints streams the same
+// transcript as size.Census, the entry point the fixtures pin, and counts
+// the ring exactly with the census's message bill — an explore and an ack
+// per link, a value and a result per tree edge.
+func TestResumeCensusIsRegistryCensus(t *testing.T) {
+	const n = 26
+	g, err := graph.Ring(n, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,15 +246,18 @@ func TestResumeCensusMatchesGoroutineForm(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	tw := sim.NewTranscriptWriter(&buf, false)
-	if _, err := globalfunc.PointToPoint(g, 9, globalfunc.Sum, onesInputs,
-		sim.WithEngine(sim.EngineGoroutine), sim.WithTranscript(tw)); err != nil {
+	res, err := size.Census(g, 9, sim.WithTranscript(tw))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(native, buf.Bytes()) {
-		t.Errorf("native census transcript differs from the goroutine form (%d vs %d bytes)", len(native), len(buf.Bytes()))
+		t.Errorf("resume-suite census transcript differs from size.Census (%d vs %d bytes)", len(native), buf.Len())
+	}
+	if want := int64(2*g.M() + 2*(n-1)); res.N != n || res.Metrics.Messages != want {
+		t.Errorf("census counted %d with %d messages, want %d with %d", res.N, res.Metrics.Messages, n, want)
 	}
 }
 
