@@ -27,9 +27,11 @@ lint:
 		echo "lint: govulncheck not installed; skipped (CI runs a pinned build)"; \
 	fi
 
-## test: full test suite, including the million-node census gate
+## test: full test suite, including the million-node census gate, plus the
+## benchmark command (its own module, so the root ./... never builds it)
 test:
 	$(GO) test ./...
+	cd cmd/mmperf && $(GO) vet ./... && $(GO) test ./...
 
 ## test-short: skip the scale gates (seconds instead of tens of seconds)
 test-short:

@@ -5,75 +5,14 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/globalfunc"
 	"repro/internal/graph"
-	"repro/internal/sim"
 	"repro/internal/size"
 )
 
-// runE9 characterizes the two execution engines. Part (a) runs the same
-// protocol — the point-to-point census — on the goroutine engine and as a
-// native step machine, asserting identical transcripts and reporting the
-// wall-clock ratio. Part (b) sweeps the native census alone up to 10⁶-node
-// rings and grids (full mode), the scale the goroutine engine cannot reach:
-// its cost is nodes × rounds channel handoffs, while the step engine's
-// sleep/wake activation makes the same run cost O(n + m) machine steps.
+// runE9 sweeps the native census up to 10⁶-node rings and grids (full
+// mode): the step engine's sleep/wake activation makes each run cost O(n + m)
+// machine steps, where a per-round engine would pay nodes × rounds.
 func runE9(w io.Writer, full bool) error {
-	ones := func(graph.NodeID) int64 { return 1 }
-
-	ta := &Table{
-		Title: "E9a — engine comparison: p2p census, identical protocol on both engines",
-		Header: []string{"graph", "n", "rounds", "messages", "goroutine ms",
-			"step ms", "speedup", "same transcript?"},
-	}
-	type shape struct {
-		name string
-		mk   func() (*graph.Graph, error)
-	}
-	cmp := []shape{
-		{"ring", func() (*graph.Graph, error) { return graph.Ring(1024, 1) }},
-		{"grid", func() (*graph.Graph, error) { return graph.Grid(48, 48, 1) }},
-	}
-	if full {
-		cmp = []shape{
-			{"ring", func() (*graph.Graph, error) { return graph.Ring(4096, 1) }},
-			{"grid", func() (*graph.Graph, error) { return graph.Grid(128, 128, 1) }},
-		}
-	}
-	for _, sh := range cmp {
-		g, err := sh.mk()
-		if err != nil {
-			return err
-		}
-		// Pin the baseline leg to the goroutine engine: mmexp -engine step
-		// retargets sim.DefaultEngine, and a baseline that silently ran on
-		// the step adapter would make this comparison measure nothing.
-		prevEngine := sim.DefaultEngine
-		sim.DefaultEngine = sim.EngineGoroutine
-		t0 := time.Now()
-		gor, err := globalfunc.PointToPoint(g, 1, globalfunc.Sum, ones)
-		sim.DefaultEngine = prevEngine
-		if err != nil {
-			return fmt.Errorf("E9a %s goroutine: %w", sh.name, err)
-		}
-		dg := time.Since(t0)
-		t0 = time.Now()
-		nat, err := globalfunc.PointToPointStep(g, 1, globalfunc.Sum, ones)
-		if err != nil {
-			return fmt.Errorf("E9a %s step: %w", sh.name, err)
-		}
-		ds := time.Since(t0)
-		same := "yes"
-		if gor.Value != nat.Value || gor.Total != nat.Total {
-			same = "NO"
-		}
-		ta.Add(sh.name, g.N(), nat.Total.Rounds, nat.Total.Messages,
-			float64(dg.Milliseconds()), float64(ds.Milliseconds()),
-			float64(dg.Nanoseconds())/float64(ds.Nanoseconds()), same)
-	}
-	ta.Fprint(w)
-	fmt.Fprintln(w)
-
 	tb := &Table{
 		Title: "E9b — native step engine scaling: census (network size) to 10^7 nodes",
 		Header: []string{"graph", "n", "rounds", "messages", "wall ms",

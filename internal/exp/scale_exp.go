@@ -29,10 +29,6 @@ import (
 // spanning-forest protocol (sleep/wake wavefront), then the O(log* n)-round
 // Cole–Vishkin/GPS/MIS coloring — and verifies the combinatorial spec.
 func runE11(w io.Writer, full bool) error {
-	prevEngine := sim.DefaultEngine
-	sim.DefaultEngine = sim.EngineStep
-	defer func() { sim.DefaultEngine = prevEngine }()
-
 	sizes := []int{10_000, 100_000}
 	if full {
 		sizes = []int{10_000, 100_000, 1_000_000}

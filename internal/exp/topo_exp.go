@@ -17,15 +17,10 @@ import (
 
 	"repro/internal/forest"
 	"repro/internal/graph"
-	"repro/internal/sim"
 	"repro/internal/size"
 )
 
 func runE12(w io.Writer, full bool) error {
-	prevEngine := sim.DefaultEngine
-	sim.DefaultEngine = sim.EngineStep
-	defer func() { sim.DefaultEngine = prevEngine }()
-
 	ta := &Table{
 		Title:  "E12a — implicit vs materialized ring: topology memory and census wall time",
 		Header: []string{"spec", "form", "topo bytes", "bytes/node", "census n", "rounds", "wall ms"},

@@ -40,10 +40,3 @@ func BarrierStep(c *Ctx, in Input, handle func(Input) bool) Input {
 		}
 	}
 }
-
-// BarrierWait is a barrier step in which this node has nothing to do: it
-// stays passive until the global pulse. Useful for nodes that do not
-// participate in the current step but must stay round-aligned.
-func BarrierWait(c *Ctx, in Input) Input {
-	return BarrierStep(c, in, func(Input) bool { return false })
-}

@@ -76,7 +76,7 @@ func TestBarrierAllPassive(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(g, func(ctx *Ctx) error {
-		in := BarrierWait(ctx, Input{})
+		in := BarrierStep(ctx, Input{}, func(Input) bool { return false })
 		if in.Round != 1 {
 			return fmt.Errorf("pulse at round %d, want 1", in.Round)
 		}
