@@ -10,8 +10,8 @@ package async
 // round costs at most three slots and Corollary 4's ≤2× message overhead is
 // visible directly in the metrics.
 //
-// Each node is a step machine around a syncState; passive nodes park with
-// the barrier's pulse-sleep.
+// Each node is a step machine; passive nodes park with the barrier's
+// pulse-sleep.
 
 import (
 	"fmt"
@@ -43,25 +43,25 @@ func (r *SyncResult) Overhead() float64 {
 	return float64(r.AlgMsgs+r.AckMsgs) / float64(r.AlgMsgs)
 }
 
-// syncPort adapts a sim node handle to the Port a RoundFunc drives.
+// syncPort is the Port a node's RoundFunc drives: algorithm sends go out
+// wrapped as sMsg and are counted until acknowledged.
 type syncPort struct {
-	id      graph.NodeID
+	c       *sim.StepCtx
 	g       graph.Topology
-	send    func(link int, p sim.Payload)
 	halted  bool
 	algSent int64
 	ackSent int64
 	pending int // staged sends awaiting acknowledgement
 }
 
-func (p *syncPort) ID() graph.NodeID  { return p.id }
+func (p *syncPort) ID() graph.NodeID  { return p.c.ID() }
 func (p *syncPort) N() int            { return p.g.N() }
-func (p *syncPort) Adj() []graph.Half { return p.g.Adj(p.id) }
-func (p *syncPort) Degree() int       { return p.g.Degree(p.id) }
+func (p *syncPort) Adj() []graph.Half { return p.g.Adj(p.c.ID()) }
+func (p *syncPort) Degree() int       { return p.g.Degree(p.c.ID()) }
 func (p *syncPort) Halt()             { p.halted = true }
 
 func (p *syncPort) Send(link int, payload any) {
-	p.send(link, sMsg{P: payload})
+	p.c.Send(link, sMsg{P: payload})
 	p.algSent++
 	p.pending++
 }
@@ -73,14 +73,16 @@ func (p *syncPort) SendTo(to graph.NodeID, payload any) {
 			return
 		}
 	}
-	panic(fmt.Sprintf("async: node %d is not adjacent to %d", p.id, to))
+	panic(fmt.Sprintf("async: node %d is not adjacent to %d", p.c.ID(), to))
 }
 
-// syncState is the per-node synchronizer state. One barrier step spans one simulated round: the round function
-// fires on the step's entry round, acknowledgements flow during it, and the
-// pulse that ends it starts the next simulated round.
-type syncState struct {
-	port        *syncPort
+// syncMachine is one node of the synchronizer-driven run. One barrier step
+// spans one simulated round: the round function fires on the step's entry
+// round, acknowledgements flow during it, and the pulse that ends it starts
+// the next simulated round.
+type syncMachine struct {
+	port        syncPort
+	b           *sim.StepBarrier
 	rf          RoundFunc
 	maxRounds   int
 	round       int
@@ -88,98 +90,70 @@ type syncState struct {
 	outstanding int
 	inbox       []Message
 	nextInbox   []Message
-}
-
-func newSyncState(port *syncPort, rf RoundFunc, maxRounds int) *syncState {
-	return &syncState{port: port, rf: rf, maxRounds: maxRounds}
-}
-
-// handle is the barrier handler: acknowledge arrivals, collect the
-// next round's inbox, fire the round function once per step, and stay busy
-// while any own message is unacknowledged.
-func (st *syncState) handle(linkOf func(edgeID int) int, step sim.Input) bool {
-	for _, m := range step.Msgs {
-		switch p := m.Payload.(type) {
-		case sMsg:
-			st.nextInbox = append(st.nextInbox, Message{From: m.From, EdgeID: m.EdgeID, Payload: p.P})
-			st.port.send(linkOf(m.EdgeID), sAck{})
-			st.port.ackSent++
-		case sAck:
-			st.outstanding--
-		}
-	}
-	if !st.invoked {
-		st.invoked = true
-		st.port.pending = 0
-		st.rf(st.port, st.round, st.inbox)
-		st.outstanding += st.port.pending
-	}
-	return st.outstanding > 0
-}
-
-// boundary advances the simulated clock at a pulse; done means the node
-// halted. It returns an error when the pulse budget is exhausted.
-func (st *syncState) boundary() (done bool, err error) {
-	st.round++
-	st.inbox, st.nextInbox = st.nextInbox, nil
-	if st.port.halted {
-		return true, nil
-	}
-	if st.round > st.maxRounds {
-		return false, fmt.Errorf("%w: %d", ErrRoundBudget, st.maxRounds)
-	}
-	st.invoked = false
-	return false, nil
-}
-
-func (st *syncState) record() any {
-	return [3]int64{st.port.algSent, st.port.ackSent, int64(st.round)}
-}
-
-// syncMachine is one node of the synchronizer-driven run.
-type syncMachine struct {
-	c      *sim.StepCtx
-	b      *sim.StepBarrier
-	st     *syncState
-	result any
+	result      any
 }
 
 func (m *syncMachine) Step(in sim.Input) bool {
-	handle := func(step sim.Input) bool { return m.st.handle(m.c.LinkOf, step) }
-	if !m.b.Step(in, handle) {
+	if !m.b.Step(in, m.handle) {
 		return false
 	}
-	done, err := m.st.boundary()
-	if err != nil {
-		m.c.Failf("%v", err)
-	}
-	if done {
-		m.result = m.st.record()
+	// The pulse: advance the simulated clock.
+	m.round++
+	m.inbox, m.nextInbox = m.nextInbox, nil
+	if m.port.halted {
+		m.result = [3]int64{m.port.algSent, m.port.ackSent, int64(m.round)}
 		return true
+	}
+	if m.round > m.maxRounds {
+		m.port.c.Failf("%w: %d", ErrRoundBudget, m.maxRounds)
 	}
 	// The next simulated round's function fires in the pulse round: the
 	// pulse that ends one barrier step opens the next.
-	m.b.Step(in, handle)
+	m.invoked = false
+	m.b.Step(in, m.handle)
 	return false
+}
+
+// handle is the barrier handler: acknowledge arrivals, collect the next
+// round's inbox, fire the round function once per step, and stay busy while
+// any own message is unacknowledged.
+func (m *syncMachine) handle(step sim.Input) bool {
+	for _, msg := range step.Msgs {
+		switch p := msg.Payload.(type) {
+		case sMsg:
+			m.nextInbox = append(m.nextInbox, Message{From: msg.From, EdgeID: msg.EdgeID, Payload: p.P})
+			m.port.c.Send(m.port.c.LinkOf(msg.EdgeID), sAck{})
+			m.port.ackSent++
+		case sAck:
+			m.outstanding--
+		}
+	}
+	if !m.invoked {
+		m.invoked = true
+		m.port.pending = 0
+		m.rf(&m.port, m.round, m.inbox)
+		m.outstanding += m.port.pending
+	}
+	return m.outstanding > 0
 }
 
 func (m *syncMachine) Result() any { return m.result }
 
 func syncStepProgram(g graph.Topology, maxRounds int, factory func(id graph.NodeID) RoundFunc) sim.StepProgram {
 	return func(c *sim.StepCtx) sim.Machine {
-		port := &syncPort{id: c.ID(), g: g, send: c.Send}
 		return &syncMachine{
-			c:  c,
-			b:  sim.NewStepBarrier(c),
-			st: newSyncState(port, factory(c.ID()), maxRounds),
+			port:      syncPort{c: c, g: g},
+			b:         sim.NewStepBarrier(c),
+			rf:        factory(c.ID()),
+			maxRounds: maxRounds,
 		}
 	}
 }
 
 // Sync executes the synchronous algorithm produced by factory, driven by
-// the §7.1 channel synchronizer. factory is
-// called once per node and returns that node's RoundFunc; maxRounds bounds
-// the number of simulated rounds.
+// the §7.1 channel synchronizer. factory is called once per node and
+// returns that node's RoundFunc; maxRounds bounds the number of simulated
+// rounds.
 func Sync(g graph.Topology, seed int64, maxRounds int, factory func(id graph.NodeID) RoundFunc) (*SyncResult, error) {
 	// WithSynchronizer unlocks skew: rules — clock skew is meaningful only
 	// at this layer, where a slot is a tick of the §7.1 clock.

@@ -34,41 +34,22 @@ type bfsResult struct {
 	Total      int
 }
 
-// BFSStepProgram returns the protocol's step program. Machines
-// come from a per-run slab — one allocation for the whole network, with the
-// protocol state embedded by value — so million-node forests cost one block
-// per node, not two heap objects.
+// BFSStepProgram returns the protocol's step program. Machines come from a
+// per-run slab — one allocation for the whole network — so million-node
+// forests cost one block per node.
 func BFSStepProgram() sim.StepProgram {
 	var slab sim.Slab[bfsMachine]
 	return func(c *sim.StepCtx) sim.Machine {
 		m := slab.Alloc(c.N())
-		*m = bfsMachine{c: c, st: newBFSState(c.ID() == 0)}
+		root := c.ID() == 0
+		*m = bfsMachine{c: c, root: root, adopted: root, parent: -1, parentEdge: -1, parentLink: -1, size: 1}
 		return m
 	}
 }
 
+// bfsMachine is one node of the protocol.
 type bfsMachine struct {
-	c  *sim.StepCtx
-	st bfsState
-}
-
-func (m *bfsMachine) Step(in sim.Input) bool {
-	if in.Round == 0 {
-		if m.st.root {
-			m.st.explore(m.c, 0, nil)
-		}
-		return m.st.finishRound(m.c)
-	}
-	if m.st.step(m.c, in) {
-		return true
-	}
-	return m.st.finishRound(m.c)
-}
-
-func (m *bfsMachine) Result() any { return m.st.record() }
-
-// bfsState is the per-node protocol state.
-type bfsState struct {
+	c    *sim.StepCtx
 	root bool
 
 	parent     graph.NodeID
@@ -87,36 +68,51 @@ type bfsState struct {
 	resultIn bool
 }
 
-func newBFSState(root bool) bfsState {
-	return bfsState{root: root, adopted: root, parent: -1, parentEdge: -1, parentLink: -1, size: 1}
+func (m *bfsMachine) Step(in sim.Input) bool {
+	if in.Round == 0 {
+		if m.root {
+			m.explore(0, nil)
+		}
+	} else if m.step(in) {
+		return true
+	}
+	// Park whenever only a message can change the node's state.
+	if !m.upReady() {
+		m.c.Sleep()
+	}
+	return false
+}
+
+func (m *bfsMachine) Result() any {
+	return bfsResult{Parent: m.parent, ParentEdge: m.parentEdge, Total: m.total}
 }
 
 // explore sends the wavefront on every link except those named by the skip
 // set — a bitmask over links < 64 plus a map for a high-degree hub's rest,
 // so the common case stays allocation-free.
-func (st *bfsState) explore(c *sim.StepCtx, skipMask uint64, skipBig map[int]bool) {
-	for l := 0; l < c.Degree(); l++ {
+func (m *bfsMachine) explore(skipMask uint64, skipBig map[int]bool) {
+	for l := 0; l < m.c.Degree(); l++ {
 		if l < 64 && skipMask&(uint64(1)<<l) != 0 {
 			continue
 		}
 		if l >= 64 && skipBig[l] {
 			continue
 		}
-		c.Send(l, fExplore{})
-		st.acksPending++
+		m.c.Send(l, fExplore{})
+		m.acksPending++
 	}
-	st.explored = true
+	m.explored = true
 }
 
-func (st *bfsState) forward(c *sim.StepCtx, v int) {
-	for _, l := range st.childLinks {
-		c.Send(l, fDone{N: v})
+func (m *bfsMachine) forward(v int) {
+	for _, l := range m.childLinks {
+		m.c.Send(l, fDone{N: v})
 	}
-	st.total, st.resultIn = v, true
+	m.total, m.resultIn = v, true
 }
 
 // step consumes one round's input; true means the node is finished.
-func (st *bfsState) step(c *sim.StepCtx, in sim.Input) (halt bool) {
+func (m *bfsMachine) step(in sim.Input) (halt bool) {
 	// Adoption: among this round's explores pick the least sender; links
 	// that carried an explore lead to already-adopted nodes.
 	bestLink := -1
@@ -126,7 +122,7 @@ func (st *bfsState) step(c *sim.StepCtx, in sim.Input) (halt bool) {
 	var skipBig map[int]bool
 	for _, msg := range in.Msgs {
 		if _, ok := msg.Payload.(fExplore); ok {
-			l := c.LinkOf(msg.EdgeID)
+			l := m.c.LinkOf(msg.EdgeID)
 			if l < 64 {
 				skipMask |= uint64(1) << l
 			} else {
@@ -141,61 +137,48 @@ func (st *bfsState) step(c *sim.StepCtx, in sim.Input) (halt bool) {
 		}
 	}
 	adoptedNow := false
-	if bestLink != -1 && !st.adopted {
-		st.adopted, adoptedNow = true, true
-		st.parentLink, st.parentEdge, st.parent = bestLink, bestEdge, bestFrom
-		st.explore(c, skipMask, skipBig)
+	if bestLink != -1 && !m.adopted {
+		m.adopted, adoptedNow = true, true
+		m.parentLink, m.parentEdge, m.parent = bestLink, bestEdge, bestFrom
+		m.explore(skipMask, skipBig)
 	}
 	parentLinkBusy := false
 	for _, msg := range in.Msgs {
-		l := c.LinkOf(msg.EdgeID)
+		l := m.c.LinkOf(msg.EdgeID)
 		switch p := msg.Payload.(type) {
 		case fExplore:
-			c.Send(l, fAck{Child: adoptedNow && l == st.parentLink})
-			if l == st.parentLink {
+			m.c.Send(l, fAck{Child: adoptedNow && l == m.parentLink})
+			if l == m.parentLink {
 				parentLinkBusy = true
 			}
 		case fAck:
-			st.acksPending--
+			m.acksPending--
 			if p.Child {
-				st.childLinks = append(st.childLinks, l)
+				m.childLinks = append(m.childLinks, l)
 			}
 		case fValue:
-			st.size += p.N
-			st.reports++
+			m.size += p.N
+			m.reports++
 		case fDone:
-			st.forward(c, p.N)
+			m.forward(p.N)
 		}
 	}
 	// Convergecast once the child set is final and all children reported;
 	// wait a round if the ack already used the parent link.
-	if st.upReady() && !parentLinkBusy {
-		st.sentUp = true
-		if st.root {
-			st.forward(c, st.size)
+	if m.upReady() && !parentLinkBusy {
+		m.sentUp = true
+		if m.root {
+			m.forward(m.size)
 		} else {
-			c.Send(st.parentLink, fValue{N: st.size})
+			m.c.Send(m.parentLink, fValue{N: m.size})
 		}
 	}
-	return st.resultIn && st.acksPending == 0
+	return m.resultIn && m.acksPending == 0
 }
 
-func (st *bfsState) upReady() bool {
-	return st.adopted && st.explored && st.acksPending == 0 && !st.sentUp &&
-		st.reports == len(st.childLinks)
-}
-
-// finishRound parks the machine whenever only a message can change its
-// state.
-func (st *bfsState) finishRound(c *sim.StepCtx) bool {
-	if !st.upReady() {
-		c.Sleep()
-	}
-	return false
-}
-
-func (st *bfsState) record() any {
-	return bfsResult{Parent: st.parent, ParentEdge: st.parentEdge, Total: st.total}
+func (m *bfsMachine) upReady() bool {
+	return m.adopted && m.explored && m.acksPending == 0 && !m.sentUp &&
+		m.reports == len(m.childLinks)
 }
 
 // BFS grows the spanning forest of g from node 0 and validates it. Every node also learns n (the convergecast total), returned
