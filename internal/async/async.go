@@ -39,7 +39,7 @@ type Message struct {
 // RoundFunc is a synchronous algorithm: invoked at every clock pulse with
 // the round number and the messages sent to this node in the previous
 // round. State lives in per-node closures created by the factory passed to
-// Run (or to the sim-engine forms in sync.go).
+// Run (or to Sync in sync.go).
 type RoundFunc func(api Port, round int, inbox []Message)
 
 // Port is the node handle a RoundFunc drives: implemented by this package's

@@ -181,8 +181,9 @@ func (m *bfsMachine) upReady() bool {
 		m.reports == len(m.childLinks)
 }
 
-// BFS grows the spanning forest of g from node 0 and validates it. Every node also learns n (the convergecast total), returned
-// for cross-checking.
+// BFS grows the spanning forest of g from node 0 and validates it. Every
+// node also learns n (the convergecast total), returned for
+// cross-checking.
 func BFS(g graph.Topology, seed int64) (*Forest, int, sim.Metrics, error) {
 	res, err := sim.RunStep(g, BFSStepProgram(), sim.WithSeed(seed))
 	if err != nil {

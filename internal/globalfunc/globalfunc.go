@@ -162,7 +162,6 @@ type stageShared struct {
 	f        *forest.Forest // nil: no local stage, every node contends
 	kids     [][]graph.NodeID
 	op       Op
-	in       Inputs
 	stage    Stage
 	estimate int // Metcalfe–Boggs contender estimate
 	slab     sim.Slab[stageMachine]
@@ -175,7 +174,7 @@ type stageShared struct {
 // forest there is no local stage: every node contends with its own input
 // from round 0, the broadcast-only baseline.
 func stageProgram(f *forest.Forest, op Op, in Inputs, stage Stage, estimate int) sim.StepProgram {
-	sh := &stageShared{f: f, op: op, in: in, stage: stage, estimate: estimate}
+	sh := &stageShared{f: f, op: op, stage: stage, estimate: estimate}
 	if f != nil {
 		sh.kids = f.Children()
 	}

@@ -55,10 +55,11 @@ const (
 )
 
 // p2pMachine is one node's state in the BFS-tree aggregate, stepped once
-// per round. The layout is compact (64 bytes) because at census scale the machines are the
-// engine's dominant per-node cost: child links are a bitmask over local
-// link indices — with a rare overflow list for links ≥ 64, allocated behind
-// a pointer only on nodes that need it — and the booleans pack into flags.
+// per round. The layout is compact (64 bytes) because at census scale the
+// machines are the engine's dominant per-node cost: child links are a
+// bitmask over local link indices — with a rare overflow list for links
+// ≥ 64, allocated behind a pointer only on nodes that need it — and the
+// booleans pack into flags.
 type p2pMachine struct {
 	c  *sim.StepCtx
 	sh *p2pShared

@@ -109,8 +109,7 @@ func (m *mergeMachine) Step(in sim.Input) bool {
 	case msExch:
 		// Record each neighbor's initial fragment by local link, resolved
 		// to its schedule index once. Links whose exchange never arrived
-		// (lost to faults) stay -1 and are skipped forever, exactly as a
-		// missing map entry was.
+		// (lost to faults) stay -1 and are skipped forever.
 		m.linkIdx = make([]int32, m.c.Degree())
 		m.linkFrag = make([]graph.NodeID, m.c.Degree())
 		for i := range m.linkIdx {

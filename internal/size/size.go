@@ -53,12 +53,7 @@ func Estimate(g graph.Topology, seed int64, opts ...sim.Option) (*EstimateResult
 	if err != nil {
 		return nil, fmt.Errorf("size: estimate: %w", err)
 	}
-	return estimateResult(res)
-}
-
-// estimateResult applies the survivors-agree rule: crash-stopped nodes
-// record nothing, and every node that finished must hold the same 2^k.
-func estimateResult(res *sim.Result) (*EstimateResult, error) {
+	// Crash-stopped nodes record nothing; the survivors must agree.
 	var est int64
 	found := false
 	for v, r := range res.Results {
