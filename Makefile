@@ -132,13 +132,12 @@ resume-smoke:
 ## touching the two in-flight wavefront messages, and any drop would wedge
 ## the run, so completing at all proves the heal), with transcripts required
 ## byte-identical at workers 1 and 4 (census is a native step protocol; the
-## worker axis is its concurrency surface — goroutine-vs-step equivalence
-## for the v2 rules is difftest's job). Leg 2: the randomized global sum
-## under a partition that really cuts (95 partitioned drops) and under a
-## crash-restart, on both engines, with all output after the engine-naming
-## header line required identical — same sum, same rounds, same fault
-## counters (the plan is re-applied beneath each stage of the multi-stage
-## sum, so the crash-restart fires twice — hence restarted=2).
+## worker axis is its concurrency surface). Leg 2: the randomized global sum
+## under a partition that really cuts (103 partitioned drops) and under a
+## crash-restart, at workers 1 and 4, with all output after the header line
+## required identical — same sum, same rounds, same fault counters (the plan
+## is re-applied beneath each stage of the multi-stage sum, so the
+## crash-restart fires twice — hence restarted=2).
 CHAOS2_SMOKE_DIR := /tmp/mmnet-chaos2-smoke
 CHAOS2_CENSUS_ARGS := -graph ring:100000 -algo census -seed 9 \
 	-faults 'seed:13;partition:2@70000;crash:50000@100;restart:50000@120'
@@ -152,18 +151,18 @@ chaos2-smoke:
 	$(CHAOS2_SMOKE_DIR)/mmnet $(CHAOS2_CENSUS_ARGS) -workers 4 \
 		-transcript $(CHAOS2_SMOKE_DIR)/w4.mmtr
 	cmp $(CHAOS2_SMOKE_DIR)/w1.mmtr $(CHAOS2_SMOKE_DIR)/w4.mmtr
-	set -e; for eng in goroutine step; do \
-		$(CHAOS2_SMOKE_DIR)/mmnet $(CHAOS2_SUM_ARGS) -engine $$eng \
+	set -e; for w in 1 4; do \
+		$(CHAOS2_SMOKE_DIR)/mmnet $(CHAOS2_SUM_ARGS) -workers $$w \
 			-faults 'seed:7;partition:2@3-6' 2>&1 \
-			| grep -v '^graph=' > $(CHAOS2_SMOKE_DIR)/part-$$eng.txt; \
-		$(CHAOS2_SMOKE_DIR)/mmnet $(CHAOS2_SUM_ARGS) -engine $$eng \
-			-faults 'seed:7;crash:5@2;restart:5@4' 2>&1 \
-			| grep -v '^graph=' > $(CHAOS2_SMOKE_DIR)/rest-$$eng.txt; \
+			| grep -v '^graph=' > $(CHAOS2_SMOKE_DIR)/part-w$$w.txt; \
+		$(CHAOS2_SMOKE_DIR)/mmnet $(CHAOS2_SUM_ARGS) -workers $$w \
+			-faults 'seed:7;crash:5@1;restart:5@2' 2>&1 \
+			| grep -v '^graph=' > $(CHAOS2_SMOKE_DIR)/rest-w$$w.txt; \
 	done
-	cmp $(CHAOS2_SMOKE_DIR)/part-goroutine.txt $(CHAOS2_SMOKE_DIR)/part-step.txt
-	cmp $(CHAOS2_SMOKE_DIR)/rest-goroutine.txt $(CHAOS2_SMOKE_DIR)/rest-step.txt
-	grep -q 'partitioned=95' $(CHAOS2_SMOKE_DIR)/part-goroutine.txt
-	grep -q 'restarted=2' $(CHAOS2_SMOKE_DIR)/rest-goroutine.txt
+	cmp $(CHAOS2_SMOKE_DIR)/part-w1.txt $(CHAOS2_SMOKE_DIR)/part-w4.txt
+	cmp $(CHAOS2_SMOKE_DIR)/rest-w1.txt $(CHAOS2_SMOKE_DIR)/rest-w4.txt
+	grep -q 'partitioned=103' $(CHAOS2_SMOKE_DIR)/part-w1.txt
+	grep -q 'restarted=2' $(CHAOS2_SMOKE_DIR)/rest-w1.txt
 
 ## ci: the gates .github/workflows/ci.yml runs (its race job re-runs the
 ## short suite, differential seeds, and example smokes under -race)

@@ -9,8 +9,7 @@
 //	mmexp -only E3       # a single experiment
 //	mmexp -only E9       # step-engine scaling table (10⁶ nodes with -full)
 //	mmexp -only E10      # chaos: degradation under crash/jam fault plans
-//	mmexp -engine step   # run the goroutine programs on the step engine
-//	mmexp -jam 0.2       # ... under a 20% channel-jamming plan
+//	mmexp -jam 0.2       # every experiment under a 20% channel-jamming plan
 //	mmexp -list          # list the registry
 package main
 
@@ -42,7 +41,7 @@ func run(args []string, w io.Writer) error {
 		full      = fs.Bool("full", false, "run the full parameter sweep (slow)")
 		only      = fs.String("only", "", "run a single experiment by id (e.g. E3)")
 		list      = fs.Bool("list", false, "list experiments and exit")
-		engine    = fs.String("engine", "goroutine", "execution engine for the goroutine programs — the partitions, mst-boruvka, count, the partition stage of mst|sum|min, and the A3 table: goroutine|step (every other protocol is a native step machine)")
+		engine    = fs.String("engine", "goroutine", "execution engine for goroutine programs: goroutine|step; no experiment runs one any more — every protocol is a native step machine, identical on either value")
 		workers   = fs.Int("workers", 0, "step-engine worker count (0 = GOMAXPROCS)")
 		faults    = fs.String("faults", "", "fault plan DSL applied to every experiment (E10 installs its own plans)")
 		crashFrac = fs.Float64("crash", 0, "crash-stop this fraction of nodes at round 1 in every run")

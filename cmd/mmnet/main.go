@@ -102,7 +102,7 @@ func run(args []string, w io.Writer) error {
 		algo      = fs.String("algo", "partition-det", strings.Join(algoNames, "|"))
 		variant   = fs.String("variant", "det", "multimedia function variant: det|balanced|rand")
 		stage     = fs.String("stage", "cap", "global stage: cap|mb")
-		engine    = fs.String("engine", "goroutine", "execution engine: goroutine|step; affects only the goroutine programs of partition-det|partition-rand|partition-lv|mst-boruvka|count and the partition stage of mst|sum|min (every other protocol is a native step machine)")
+		engine    = fs.String("engine", "goroutine", "execution engine for goroutine programs: goroutine|step; no -algo runs one any more — every protocol is a native step machine, identical on either value")
 		workers   = fs.Int("workers", 0, "step-engine worker count (0 = GOMAXPROCS)")
 		jsonOut   = fs.Bool("json", false, "emit the run as one machine-readable JSON object on stdout")
 		faults    = fs.String("faults", "", "fault plan DSL, e.g. 'crash:7@10;jam:4-12/p0.5;drop:3@5-' (see README, Fault model)")

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/difftest"
@@ -111,6 +112,52 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// engineRecorder records the engine every run announces at RunStart.
+type engineRecorder struct {
+	mu      sync.Mutex
+	engines []sim.Engine
+}
+
+func (r *engineRecorder) RunStart(_ int, e sim.Engine, _, _ int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.engines = append(r.engines, e)
+}
+func (r *engineRecorder) BeginPhase(sim.Phase, int) int64                { return 0 }
+func (r *engineRecorder) EndPhase(sim.Phase, int, int, int64)            {}
+func (r *engineRecorder) FastForward(int, int)                           {}
+func (r *engineRecorder) RoundEnd(int, int, sim.SlotState, *sim.Metrics) {}
+func (r *engineRecorder) RunEnd(*sim.Metrics)                            {}
+
+// TestRegistryRunsNative checks that no protocol rides the goroutine
+// adapter: with the goroutine engine as the process default, every run of
+// every registry entry must still announce the native step engine.
+func TestRegistryRunsNative(t *testing.T) {
+	g, err := graph.Ring(48, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := sim.DefaultRecorder
+	defer func() { sim.DefaultRecorder = old }()
+	for _, proto := range difftest.Protocols() {
+		rec := &engineRecorder{}
+		sim.DefaultRecorder = rec
+		withEngine(t, sim.EngineGoroutine, func() {
+			if _, err := proto.Run(g, 1); err != nil {
+				t.Fatalf("%s: %v", proto.Name, err)
+			}
+		})
+		if len(rec.engines) == 0 {
+			t.Errorf("%s: no run observed", proto.Name)
+		}
+		for i, e := range rec.engines {
+			if e != sim.EngineStep {
+				t.Errorf("%s: run %d used the %v engine", proto.Name, i, e)
+			}
 		}
 	}
 }

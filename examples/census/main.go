@@ -3,12 +3,10 @@
 // partition with channel probes and computes n exactly; the Greenberg–Ladner
 // protocol estimates n within a constant factor in O(log n) slots.
 //
-// This example runs on the step engine end to end: the §7.3 count's
-// partition programs execute through the engine's goroutine adapter (set as
-// the process default below), the §7.4 estimator is a native step machine,
-// and the finale runs the native census on a network three orders of
-// magnitude larger than the goroutine engine could schedule — the
-// million-node regime the engine was built for.
+// Every protocol here is a native step machine: the §7.3 count's partition
+// phases and channel probes, the §7.4 estimator, and the finale's census on
+// a network three orders of magnitude larger than the goroutine engine
+// could schedule — the million-node regime the step engine was built for.
 package main
 
 import (
@@ -27,16 +25,13 @@ func main() {
 	bigFlag := flag.Int("big", 200_000, "stations in the native-census ring finale")
 	flag.Parse()
 
-	// Route every protocol below through the step engine.
-	sim.DefaultEngine = sim.EngineStep
-
 	n := *nFlag
 	g, err := graph.RandomConnected(n, 2*n, 11)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("network of (secretly) %d stations, simulated on the %s engine\n",
-		n, sim.DefaultEngine)
+		n, sim.EngineStep)
 
 	exact, err := size.Exact(g, 1, 0)
 	if err != nil {

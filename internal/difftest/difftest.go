@@ -8,8 +8,9 @@
 // to the CLI without that coverage.
 //
 // Runners honor the process defaults (sim.DefaultFaults, DefaultWorkers,
-// and — for the goroutine programs of internal/partition —
-// DefaultEngine), so callers configure runs exactly as the commands do.
+// DefaultTranscript, DefaultRecorder), so callers configure runs exactly as
+// the commands do. Every entry runs native step machines only, so
+// DefaultEngine changes nothing (TestRegistryRunsNative).
 package difftest
 
 import (

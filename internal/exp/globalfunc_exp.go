@@ -119,10 +119,9 @@ func runA3(w io.Writer, full bool) error {
 	}
 	for _, k := range ks {
 		contend := func(id int) bool { return id%(n/k) == 0 }
-		res, err := sim.Run(g, func(c *sim.Ctx) error {
+		res, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
 			id := int(c.ID())
-			resolve.Capetanakis(c, sim.Input{}, n, contend(id), id, nil)
-			return nil
+			return &schedMachine{resolve.NewCapetanakisStep(c, n, contend(id), id, nil, 0)}
 		})
 		if err != nil {
 			return err
@@ -131,10 +130,9 @@ func runA3(w io.Writer, full bool) error {
 		var mbTotal int
 		seeds := int64(5)
 		for s := int64(0); s < seeds; s++ {
-			res, err := sim.Run(g, func(c *sim.Ctx) error {
+			res, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
 				id := int(c.ID())
-				resolve.MetcalfeBoggs(c, sim.Input{}, k, contend(id), id, nil, 0)
-				return nil
+				return &schedMachine{resolve.NewMetcalfeBoggsStep(c, k, contend(id), id, nil, 0)}
 			}, sim.WithSeed(s))
 			if err != nil {
 				return err
@@ -147,3 +145,21 @@ func runA3(w io.Writer, full bool) error {
 	t.Fprint(w)
 	return nil
 }
+
+// schedMachine runs one channel-scheduling component from round 0 until it
+// reports done.
+type schedMachine struct {
+	s interface {
+		Begin() (done bool)
+		Poll(in sim.Input) (done bool)
+	}
+}
+
+func (m *schedMachine) Step(in sim.Input) bool {
+	if in.Round == 0 {
+		return m.s.Begin()
+	}
+	return m.s.Poll(in)
+}
+
+func (m *schedMachine) Result() any { return nil }

@@ -3,427 +3,462 @@ package partition
 import (
 	"math/bits"
 
-	"repro/internal/coloring"
-	"repro/internal/forest"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
 
-// mwoeStep runs Step 2: nodes of active fragments test their incident edges
-// in ascending weight order (GHS test/accept/reject — a rejected edge is
-// intra-fragment forever and never tested again), and the minimum accepted
-// edge is convergecast to the core, recording down-pointers for later
-// routing. Every node, active or not, answers tests against its current
-// fragment. One barrier step.
-func (nd *dnode) mwoeStep(in sim.Input) sim.Input {
-	c := nd.c
-	adj := c.Adj()
+// The per-round handlers of a phase's barrier steps. Each runs once per
+// round the node is awake in the step; a node that reports itself inactive
+// and stages nothing is parked until a message or the step's pulse wakes
+// it, so every state change below is driven by a message or by the step's
+// first round (which every node observes: it is a pulse round).
+
+// countRound is Step 1's broadcast-and-respond: every core learns its
+// fragment size. Leaves respond immediately; inner nodes respond once all
+// children have.
+func (nd *dNode) countRound(in sim.Input) {
+	for _, m := range in.Msgs {
+		switch p := m.Payload.(type) {
+		case dCount:
+			nd.started = true
+			nd.sendChildren(dCount{})
+		case dSize:
+			nd.reports++
+			nd.sum += p.N
+		}
+	}
+	if nd.isCore() && !nd.started {
+		nd.started = true
+		nd.sendChildren(dCount{})
+	}
+	if nd.started && !nd.replied && nd.reports == nd.children {
+		nd.replied = true
+		if nd.isCore() {
+			nd.size = nd.sum
+		} else {
+			nd.c.Send(nd.parentLink, dSize{N: nd.sum})
+		}
+	}
+}
+
+// bcastRound floods a payload from the core to its whole fragment: the
+// activity flags (opActive), the drop decision (opDrop) or the new fragment
+// name (opNewFrag). Other message types arriving in the same step (unhooks
+// crossing fragments) are merely observed.
+func (nd *dNode) bcastRound(in sim.Input, op stepOp) {
+	for _, m := range in.Msgs {
+		if nd.bcastOn(op, m) && !nd.started {
+			nd.started = true
+			nd.sendChildren(m.Payload)
+		}
+	}
+	if nd.isCore() && !nd.started {
+		nd.started = true
+		if p := nd.bcastStart(op); p != nil {
+			nd.bcastOn(op, sim.Message{From: nd.c.ID(), EdgeID: -1, Payload: p})
+			nd.sendChildren(p)
+		}
+	}
+}
+
+// bcastStart is the core's broadcast value (nil: stay silent).
+func (nd *dNode) bcastStart(op stepOp) sim.Payload {
+	switch op {
+	case opActive:
+		// Active iff ⌊log2 size⌋ == phase; done iff the fragment spans the
+		// whole network.
+		level := bits.Len(uint(nd.size)) - 1
+		return dActive{Active: level == nd.phase, Done: nd.size == nd.c.N()}
+	case opDrop:
+		return dDrop{Drop: nd.dropOut}
+	default:
+		if nd.inF {
+			return dNewFrag{Core: nd.newCore}
+		}
+		return nil
+	}
+}
+
+// bcastOn applies one received message and reports whether it is the
+// broadcast value to forward. The core sees its own value with EdgeID -1.
+func (nd *dNode) bcastOn(op stepOp, m sim.Message) bool {
+	switch p := m.Payload.(type) {
+	case dActive:
+		if op != opActive {
+			return false
+		}
+		nd.active = p.Active
+		nd.done = p.Done
+		return true
+	case dDrop:
+		if op != opDrop {
+			return false
+		}
+		// A dropping fragment's chosen node unhooks across.
+		nd.dropOut = p.Drop
+		if p.Drop && nd.chosen {
+			nd.c.Send(nd.c.LinkOf(nd.outEdge), dUnhook{})
+		}
+		return true
+	case dUnhook:
+		if op == opDrop {
+			if l := nd.c.LinkOf(m.EdgeID); nd.links[l]&linkHook != 0 {
+				nd.links[l] &^= linkHook
+				nd.hooks--
+			}
+		}
+		return false
+	case dNewFrag:
+		if op != opNewFrag {
+			return false
+		}
+		nd.frag = p.Core
+		return true
+	}
+	return false
+}
+
+// convUpRound aggregates a value from the leaves to the core: the chosen
+// node's mutuality report (opMutual, encoded as other-core-id + 1, first
+// nonzero wins) or whether any hooks survive (opHasKids, OR). A node's own
+// contribution is evaluated when it reports.
+func (nd *dNode) convUpRound(in sim.Input, op stepOp) {
+	for _, m := range in.Msgs {
+		var v int64
+		switch p := m.Payload.(type) {
+		case dInfo:
+			if op != opMutual {
+				continue
+			}
+			if p.Mutual {
+				v = int64(p.Other) + 1
+			}
+		case dHasKids:
+			if op != opHasKids {
+				continue
+			}
+			v = b2i64(p.Has)
+		default:
+			continue
+		}
+		nd.reports++
+		if !nd.accSet {
+			nd.acc, nd.accSet = v, true
+		} else {
+			nd.acc = convCombine(op, nd.acc, v)
+		}
+	}
+	if nd.replied || nd.reports != nd.children {
+		return
+	}
+	nd.replied = true
+	own := b2i64(nd.hooks > 0)
+	if op == opMutual {
+		// Mutual iff a hook arrived on the chosen node's own out-edge.
+		own = 0
+		if nd.chosen {
+			if l := nd.c.LinkOf(nd.outEdge); nd.links[l]&linkHook != 0 {
+				own = int64(nd.hookFrom[l]) + 1
+			}
+		}
+	}
+	if !nd.accSet {
+		nd.acc = own
+	} else {
+		nd.acc = convCombine(op, nd.acc, own)
+	}
+	switch {
+	case !nd.isCore() && op == opMutual:
+		nd.c.Send(nd.parentLink, dInfo{Mutual: nd.acc != 0, Other: graph.NodeID(nd.acc - 1)})
+	case !nd.isCore():
+		nd.c.Send(nd.parentLink, dHasKids{Has: nd.acc == 1})
+	case op == opMutual:
+		nd.mutual = nd.acc != 0
+		nd.mutualOth = graph.NodeID(nd.acc - 1)
+	default:
+		nd.hasKids = nd.acc == 1
+	}
+}
+
+func convCombine(op stepOp, a, b int64) int64 {
+	if op == opHasKids {
+		return a | b
+	}
+	if a != 0 {
+		return a
+	}
+	return b
+}
+
+// beginMWOE sets up Step 2: nodes of active fragments test their incident
+// edges in ascending weight order (GHS test/accept/reject — a rejected edge
+// is intra-fragment forever and never tested again), and the minimum
+// accepted edge is convergecast to the core, recording down-pointers for
+// later routing. Every node, active or not, answers tests against its
+// current fragment.
+func (nd *dNode) beginMWOE() {
 	nd.cand = dMin{Valid: false, W: noWeight}
 	nd.best = dMin{Valid: false, W: noWeight}
 	nd.downEdge = -1
-	nextLink := 0
-	awaiting := -1 // edge id of the outstanding test
-	wantTest := -1 // edge id of a test not yet sent (deferred if the link is busy)
-	testDone := !nd.active
-	reports := 0
-	replied := false
+	nd.adj = nd.c.Adj()
+	nd.nextLink = 0
+	nd.awaiting = -1
+	nd.wantTest = -1
+	nd.testDone = !nd.active
+	if nd.active {
+		nd.advance()
+	}
+}
 
-	// advance moves the sequential scan to the next untested, non-rejected,
-	// non-tree edge.
-	advance := func() {
-		for nextLink < len(adj) {
-			h := adj[nextLink]
-			nextLink++
-			if nd.rejected[int(h.EdgeID)] || int(h.EdgeID) == nd.parentEdge || nd.children[int(h.EdgeID)] {
+// advance moves the sequential scan to the next untested, non-rejected,
+// non-tree edge.
+func (nd *dNode) advance() {
+	for nd.nextLink < len(nd.adj) {
+		l := nd.nextLink
+		nd.nextLink++
+		if nd.links[l]&(linkRejected|linkChild) != 0 || l == nd.parentLink {
+			continue
+		}
+		nd.wantTest = int(nd.adj[l].EdgeID)
+		return
+	}
+	nd.testDone = true // exhausted: no outgoing candidate
+}
+
+func (nd *dNode) mwoeRound(in sim.Input) bool {
+	c := nd.c
+	for _, m := range in.Msgs {
+		switch p := m.Payload.(type) {
+		case dTest:
+			c.Send(c.LinkOf(m.EdgeID), dReply{Accept: p.Frag != nd.frag, Frag: nd.frag})
+		case dReply:
+			if m.EdgeID != nd.awaiting {
 				continue
 			}
-			wantTest = int(h.EdgeID)
-			return
+			nd.awaiting = -1
+			if p.Accept {
+				e := c.Topo().Edge(m.EdgeID)
+				nd.cand = dMin{Valid: true, W: e.Weight, Edge: m.EdgeID, Target: p.Frag}
+				nd.testDone = true
+			} else {
+				nd.links[c.LinkOf(m.EdgeID)] |= linkRejected
+				nd.advance()
+			}
+		case dMin:
+			nd.reports++
+			if p.Valid && p.W < nd.best.W {
+				nd.best = p
+				nd.downEdge = m.EdgeID
+			}
 		}
-		testDone = true // exhausted: no outgoing candidate
 	}
-	if nd.active {
-		advance()
+	// Flush a deferred test unless this round's reply already used the
+	// link (one message per link per round).
+	if nd.wantTest != -1 && !repliedOn(in.Msgs, nd.wantTest) {
+		c.Send(c.LinkOf(nd.wantTest), dTest{Frag: nd.frag})
+		nd.awaiting = nd.wantTest
+		nd.wantTest = -1
 	}
-	return sim.BarrierStep(c, in, func(in sim.Input) bool {
-		var repliedOn map[int]bool // edges that carried a reply this round
-		for _, m := range in.Msgs {
-			switch p := m.Payload.(type) {
-			case dTest:
-				c.Send(c.LinkOf(m.EdgeID), dReply{Accept: p.Frag != nd.frag, Frag: nd.frag})
-				if repliedOn == nil {
-					repliedOn = make(map[int]bool, 1)
-				}
-				repliedOn[m.EdgeID] = true
-			case dReply:
-				if m.EdgeID != awaiting {
-					continue
-				}
-				awaiting = -1
-				if p.Accept {
-					e := c.Topo().Edge(m.EdgeID)
-					nd.cand = dMin{Valid: true, W: e.Weight, Edge: m.EdgeID, Target: p.Frag}
-					testDone = true
-				} else {
-					nd.rejected[m.EdgeID] = true
-					advance()
-				}
-			case dMin:
-				reports++
-				if p.Valid && p.W < nd.best.W {
-					nd.best = p
-					nd.downEdge = m.EdgeID
-				}
-			}
-		}
-		// Flush a deferred test unless this round's reply already used the
-		// link (one message per link per round).
-		if wantTest != -1 && !repliedOn[wantTest] {
-			c.Send(c.LinkOf(wantTest), dTest{Frag: nd.frag})
-			awaiting = wantTest
-			wantTest = -1
-		}
-		if !replied && testDone && reports == len(nd.children) {
-			replied = true
-			if nd.cand.Valid && nd.cand.W < nd.best.W {
-				nd.best = nd.cand
-				nd.downEdge = -1
-			}
-			if !nd.isCore() {
-				c.Send(nd.parentLink(), nd.best)
-			}
-		}
-		return (nd.active && !replied) || wantTest != -1
-	})
+	nd.reportBest()
+	return (nd.active && !nd.replied) || nd.wantTest != -1
 }
 
-// chooseAndHookStep is Step 2b: route CHOSEN from the core along the
-// down-pointers to the MWOE endpoint, which hooks across the selected edge.
-// Hooks from other fragments arrive during the same barrier step and are
-// absorbed here.
-func (nd *dnode) chooseAndHookStep(in sim.Input) sim.Input {
-	c := nd.c
-	started := false
-	route := func() {
-		if nd.downEdge == -1 {
-			nd.chosen = true
-			nd.outEdge = nd.best.Edge
-			c.Send(c.LinkOf(nd.outEdge), dHook{Frag: nd.frag})
-		} else {
-			c.Send(c.LinkOf(nd.downEdge), dChosen{})
-		}
-	}
-	return sim.BarrierStep(c, in, func(in sim.Input) bool {
-		for _, m := range in.Msgs {
-			switch p := m.Payload.(type) {
-			case dChosen:
-				route()
-			case dHook:
-				nd.hooks[m.EdgeID] = true
-				nd.hookFrom[m.EdgeID] = p.Frag
-			}
-		}
-		if nd.isCore() && nd.hasOut && !started {
-			started = true
-			route()
-		}
-		return false
-	})
-}
-
-// phase runs one complete phase. phaseIdx is the paper's i; done reports
-// that a single fragment spans the whole network.
-func (nd *dnode) phase(in sim.Input, phaseIdx, cvIters int) (done bool, out sim.Input) {
-	n := nd.c.N()
-
-	// Reset per-phase state.
-	nd.active = false
-	nd.hooks = make(map[int]bool)
-	nd.hookFrom = make(map[int]graph.NodeID)
-	nd.chosen = false
-	nd.mutual = false
-	nd.mutualOth = -1
-	nd.hasKids = false
-	nd.hasOut = false
-	nd.dropOut = false
-	nd.inF = false
-	nd.isFRoot = false
-	nd.outEdge = -1
-	nd.newCore = -1
-
-	// Step 1: count sizes; broadcast activity (⌊log2 size⌋ == phase) and
-	// the early-exit flag (a fragment spanning the whole graph).
-	in = nd.countStep(in)
-	in = nd.bcastDown(in,
-		func() sim.Payload {
-			level := bits.Len(uint(nd.size)) - 1
-			return dActive{Active: level == phaseIdx, Done: nd.size == n}
-		},
-		func(m sim.Message) bool {
-			a, ok := m.Payload.(dActive)
-			if !ok {
-				return false
-			}
-			nd.active = a.Active
-			done = a.Done
+// repliedOn reports whether a test, and so this round's reply, came in on
+// edge e.
+func repliedOn(msgs []sim.Message, e int) bool {
+	for _, m := range msgs {
+		if _, ok := m.Payload.(dTest); ok && m.EdgeID == e {
 			return true
-		})
-	if done {
-		return true, in
+		}
 	}
+	return false
+}
 
-	// Step 2: minimum-weight outgoing edges.
-	if nd.parallelMWOE {
-		in = nd.mwoeStepParallel(in)
+// reportBest sends the subtree minimum up once this node's own test is
+// over and every child has reported.
+func (nd *dNode) reportBest() {
+	if nd.replied || !nd.testDone || nd.reports != nd.children {
+		return
+	}
+	nd.replied = true
+	if nd.cand.Valid && nd.cand.W < nd.best.W {
+		nd.best = nd.cand
+		nd.downEdge = -1
+	}
+	if !nd.isCore() {
+		nd.c.Send(nd.parentLink, nd.best)
+	}
+}
+
+// hookRound is Step 2b: route CHOSEN from the core along the down-pointers
+// to the MWOE endpoint, which hooks across the selected edge. Hooks from
+// other fragments arrive during the same barrier step and are absorbed here.
+func (nd *dNode) hookRound(in sim.Input) {
+	for _, m := range in.Msgs {
+		switch p := m.Payload.(type) {
+		case dChosen:
+			nd.routeChosen()
+		case dHook:
+			l := nd.c.LinkOf(m.EdgeID)
+			if nd.links[l]&linkHook == 0 {
+				nd.links[l] |= linkHook
+				nd.hooks++
+			}
+			if nd.hookFrom == nil {
+				nd.hookFrom = make([]graph.NodeID, len(nd.links))
+			}
+			nd.hookFrom[l] = p.Frag
+		}
+	}
+	if nd.isCore() && nd.hasOut && !nd.started {
+		nd.started = true
+		nd.routeChosen()
+	}
+}
+
+func (nd *dNode) routeChosen() {
+	if nd.downEdge == -1 {
+		nd.chosen = true
+		nd.outEdge = nd.best.Edge
+		nd.c.Send(nd.c.LinkOf(nd.outEdge), dHook{Frag: nd.frag})
 	} else {
-		in = nd.mwoeStep(in)
+		nd.c.Send(nd.c.LinkOf(nd.downEdge), dChosen{})
 	}
-	if nd.isCore() {
-		nd.hasOut = nd.active && nd.best.Valid
-	}
-
-	// Step 2b: route CHOSEN; the endpoint hooks across the MWOE.
-	in = nd.chooseAndHookStep(in)
-
-	// Step 2c: convergecast the chosen node's mutuality report (mutual iff
-	// a hook arrived on its own out-edge). Encoded as other-core-id + 1.
-	in = nd.convUp(in,
-		func() int64 {
-			if nd.chosen {
-				if other, ok := nd.hookFrom[nd.outEdge]; ok {
-					return int64(other) + 1
-				}
-			}
-			return 0
-		},
-		func(a, b int64) int64 {
-			if a != 0 {
-				return a
-			}
-			return b
-		},
-		func(v int64) sim.Payload { return dInfo{Mutual: v != 0, Other: graph.NodeID(v - 1)} },
-		func(p sim.Payload) (int64, bool) {
-			if i, ok := p.(dInfo); ok {
-				if i.Mutual {
-					return int64(i.Other) + 1, true
-				}
-				return 0, true
-			}
-			return 0, false
-		},
-		func(total int64) {
-			nd.mutual = total != 0
-			nd.mutualOth = graph.NodeID(total - 1)
-		})
-
-	// Step 2d: broadcast the drop decision (the higher core of a mutually
-	// selected edge roots the F-tree and drops its out-edge); a dropping
-	// fragment's chosen node unhooks across, absorbed in this same step.
-	if nd.isCore() {
-		nd.dropOut = nd.hasOut && nd.mutual && nd.frag > nd.mutualOth
-	}
-	in = nd.bcastDown(in,
-		func() sim.Payload { return dDrop{Drop: nd.dropOut} },
-		func(m sim.Message) bool {
-			switch d := m.Payload.(type) {
-			case dDrop:
-				nd.dropOut = d.Drop
-				if d.Drop && nd.chosen {
-					nd.c.Send(nd.c.LinkOf(nd.outEdge), dUnhook{})
-				}
-				return true
-			case dUnhook:
-				delete(nd.hooks, m.EdgeID)
-				delete(nd.hookFrom, m.EdgeID)
-				return false
-			}
-			return false
-		})
-
-	// Step 2e: convergecast whether any hooks survive (the fragment has
-	// F-children).
-	in = nd.convUp(in,
-		func() int64 { return b2i64(len(nd.hooks) > 0) },
-		func(a, b int64) int64 { return a | b },
-		func(v int64) sim.Payload { return dHasKids{Has: v == 1} },
-		func(p sim.Payload) (int64, bool) {
-			if h, ok := p.(dHasKids); ok {
-				return b2i64(h.Has), true
-			}
-			return 0, false
-		},
-		func(total int64) { nd.hasKids = total == 1 })
-	if nd.isCore() {
-		keepOut := nd.hasOut && !nd.dropOut
-		nd.inF = keepOut || nd.hasKids
-		nd.isFRoot = nd.inF && !keepOut
-	}
-
-	// Step 3: distributed GPS three-coloring of F. Initial colors are core
-	// ids; cvIters Cole–Vishkin rounds reduce them below six; three
-	// shift-down/recolor rounds eliminate colors 5, 4 and 3.
-	nd.color = int64(nd.frag)
-	for it := 0; it < cvIters; it++ {
-		pv, ok, next := nd.pushToChildren(in, pkColor, nd.color)
-		in = next
-		if nd.isCore() && nd.inF {
-			father := nd.color ^ 1 // F-roots pretend bit 0 differs
-			if ok {
-				father = pv
-			}
-			nd.color = cvColor(nd.color, father)
-		}
-	}
-	for drop := int64(5); drop >= 3; drop-- {
-		// Shift-down: take the F-parent's color; roots take the smallest
-		// color different from their own.
-		pv, ok, next := nd.pushToChildren(in, pkColor, nd.color)
-		in = next
-		if nd.isCore() && nd.inF {
-			if ok {
-				nd.color = pv
-			} else {
-				nd.color = smallestColorExcept(nd.color)
-			}
-		}
-		// Children push their (uniform) post-shift color up; parents push
-		// their post-shift color down; vertices colored `drop` pick the
-		// smallest free color in {0,1,2}.
-		kidC, hasKids, next2 := nd.pushToParent(in, pkChildC, nd.color, func(a, b int64) int64 { return a })
-		in = next2
-		pv3, hasParent, next3 := nd.pushToChildren(in, pkColor, nd.color)
-		in = next3
-		if nd.isCore() && nd.inF && nd.color == drop {
-			var forbidden [8]bool
-			if hasParent && pv3 >= 0 && pv3 < 8 {
-				forbidden[pv3] = true
-			}
-			if hasKids && kidC >= 0 && kidC < 8 {
-				forbidden[kidC] = true
-			}
-			for x := int64(0); x < 3; x++ {
-				if !forbidden[x] {
-					nd.color = x
-					break
-				}
-			}
-		}
-	}
-
-	// Step 4: make every F-root red while keeping the coloring legal
-	// (children need their parent's pre-step color and root status).
-	pv4, hasParent4, next4 := nd.pushToChildren(in, pkColor, encodeRootColor(nd.isFRoot, nd.color))
-	in = next4
-	if nd.isCore() && nd.inF {
-		if !hasParent4 {
-			nd.color = int64(coloring.Red) // F-root becomes (or stays) red
-		} else {
-			parentIsRoot, parentColor := decodeRootColor(pv4)
-			if parentIsRoot && parentColor == int64(coloring.Red) {
-				nd.color = thirdColor(int64(coloring.Red), nd.color)
-			} else {
-				nd.color = parentColor
-			}
-		}
-	}
-
-	// Step 5: promote blue then green vertices with no red neighbor.
-	for _, promote := range []int64{int64(coloring.Blue), int64(coloring.Green)} {
-		pv5, hasParent5, next5 := nd.pushToChildren(in, pkColor, nd.color)
-		in = next5
-		kidRed, hasKids5, next6 := nd.pushToParent(in, pkRed, b2i64(nd.color == int64(coloring.Red)),
-			func(a, b int64) int64 { return a | b })
-		in = next6
-		if nd.isCore() && nd.inF && nd.color == promote {
-			redNbr := (hasParent5 && pv5 == int64(coloring.Red)) || (hasKids5 && kidRed == 1)
-			if !redNbr {
-				nd.color = int64(coloring.Red)
-			}
-		}
-	}
-
-	// Step 6: red non-leaf vertices cut their out-edge and root new
-	// fragments; chase the new core name down surviving F-edges (subtree
-	// depth ≤ 4, so five pushes suffice).
-	if nd.isCore() && nd.inF {
-		redInternal := nd.color == int64(coloring.Red) && nd.hasKids
-		if nd.isFRoot || redInternal {
-			nd.newCore = nd.frag
-		}
-		if redInternal {
-			nd.dropOut = true // the out-edge (if any) is cut for merging
-		}
-	}
-	for hop := 0; hop < 5; hop++ {
-		pv6, ok6, next7 := nd.pushToChildren(in, pkChase, int64(nd.newCore))
-		in = next7
-		if nd.isCore() && nd.inF && nd.newCore == -1 && ok6 && pv6 != -1 {
-			nd.newCore = graph.NodeID(pv6)
-		}
-	}
-
-	// Step 7a: broadcast the new fragment identity.
-	in = nd.bcastDown(in,
-		func() sim.Payload {
-			if nd.inF {
-				return dNewFrag{Core: nd.newCore}
-			}
-			return nil
-		},
-		func(m sim.Message) bool {
-			nf, ok := m.Payload.(dNewFrag)
-			if !ok {
-				return false
-			}
-			nd.frag = nf.Core
-			return true
-		})
-
-	// Step 7b: merge physically.
-	in = nd.rerootStep(in)
-	return false, in
 }
 
-// rerootStep is Step 7b: each fragment that kept its out-edge re-roots at
+// pushToChildrenRound delivers each in-F core's value to the cores of all
+// its F-children: broadcast down the parent's tree, forward across every
+// surviving hook, then route up the child's tree to its core. Each core
+// receives the value from its F-parent (ok=false at F-roots and outside F).
+func (nd *dNode) pushToChildrenRound(in sim.Input, kind uint8) {
+	for _, m := range in.Msgs {
+		switch p := m.Payload.(type) {
+		case dPushD:
+			if p.Kind == kind && !nd.started {
+				nd.started = true
+				nd.relay(kind, p.V)
+			}
+		case dCross:
+			// Accept only on my fragment's live out-edge.
+			if p.Kind == kind && nd.chosen && !nd.dropOut && m.EdgeID == nd.outEdge {
+				nd.pushUp(kind, p.V)
+			}
+		case dPushU:
+			if p.Kind == kind {
+				nd.pushUp(kind, p.V)
+			}
+		}
+	}
+	if nd.isCore() && nd.inF && !nd.started {
+		nd.started = true
+		nd.relay(kind, nd.value)
+	}
+}
+
+// relay forwards a parent-value push down the tree and across the hooks.
+func (nd *dNode) relay(kind uint8, v int64) {
+	nd.sendChildren(dPushD{Kind: kind, V: v})
+	for l, f := range nd.links {
+		if f&linkHook != 0 {
+			nd.c.Send(l, dCross{Kind: kind, V: v})
+		}
+	}
+}
+
+// pushUp carries a value crossing into this fragment up to its core.
+func (nd *dNode) pushUp(kind uint8, v int64) {
+	if nd.isCore() {
+		nd.got, nd.ok = v, true
+	} else {
+		nd.c.Send(nd.parentLink, dPushU{Kind: kind, V: v})
+	}
+}
+
+// pushToParentRound delivers each non-root in-F core's value to its
+// F-parent's core: route down to the chosen node, across the MWOE, then
+// aggregate up the parent's tree with the associative combine. Each core
+// receives the aggregate over its F-children (ok=false if it has none).
+func (nd *dNode) pushToParentRound(in sim.Input, kind uint8, combine func(a, b int64) int64) {
+	var up int64 // aggregate to forward toward the core this round
+	hasUp := false
+	for _, m := range in.Msgs {
+		p, isChild := m.Payload.(dChildU)
+		if !isChild || p.Kind != kind {
+			continue
+		}
+		switch {
+		case m.EdgeID == nd.parentEdge:
+			// Traveling down my own fragment toward the chosen node.
+			nd.routeDown(kind, p.V)
+		case !hasUp:
+			// Arriving from a hook or a tree child: aggregate upward.
+			up, hasUp = p.V, true
+		default:
+			up = combine(up, p.V)
+		}
+	}
+	if nd.isCore() && nd.inF && !nd.isFRoot && nd.keepsOut() && !nd.started {
+		nd.started = true
+		if nd.downEdge == -1 && nd.chosen {
+			nd.c.Send(nd.c.LinkOf(nd.outEdge), dChildU{Kind: kind, V: nd.value})
+		} else {
+			nd.routeDown(kind, nd.value)
+		}
+	}
+	if !hasUp {
+		return
+	}
+	switch {
+	case !nd.isCore():
+		nd.c.Send(nd.parentLink, dChildU{Kind: kind, V: up})
+	case !nd.ok:
+		nd.got, nd.ok = up, true
+	default:
+		nd.got = combine(nd.got, up)
+	}
+}
+
+// routeDown forwards a child-value push toward the chosen node, and across
+// the MWOE from there.
+func (nd *dNode) routeDown(kind uint8, v int64) {
+	if nd.downEdge == -1 { // I am the chosen endpoint
+		nd.c.Send(nd.c.LinkOf(nd.outEdge), dChildU{Kind: kind, V: v})
+	} else {
+		nd.c.Send(nd.c.LinkOf(nd.downEdge), dChildU{Kind: kind, V: v})
+	}
+}
+
+// rerootRound is Step 7b: each fragment that kept its out-edge re-roots at
 // the chosen node (flipping parent pointers along the core→chosen path) and
 // attaches across the MWOE; hooked nodes add the cross edge as a child.
-func (nd *dnode) rerootStep(in sim.Input) sim.Input {
-	c := nd.c
-	started := false
-	keepOut := nd.isCore() && nd.hasOut && !nd.dropOut
-	flip := func() {
-		if nd.downEdge == -1 {
-			// I am the chosen node: attach across.
-			if nd.parentEdge != -1 {
-				nd.children[nd.parentEdge] = true
-			}
-			nd.parentEdge = nd.outEdge
-			c.Send(c.LinkOf(nd.outEdge), dAttach{})
-		} else {
-			c.Send(c.LinkOf(nd.downEdge), dReroot{})
-			if nd.parentEdge != -1 {
-				nd.children[nd.parentEdge] = true
-			}
-			nd.parentEdge = nd.downEdge
-			delete(nd.children, nd.downEdge)
+func (nd *dNode) rerootRound(in sim.Input) {
+	for _, m := range in.Msgs {
+		switch m.Payload.(type) {
+		case dReroot:
+			nd.flip()
+		case dAttach:
+			nd.setChild(nd.c.LinkOf(m.EdgeID), true)
 		}
 	}
-	return sim.BarrierStep(c, in, func(in sim.Input) bool {
-		for _, m := range in.Msgs {
-			switch m.Payload.(type) {
-			case dReroot:
-				flip()
-			case dAttach:
-				nd.children[m.EdgeID] = true
-			}
-		}
-		if keepOut && !started {
-			started = true
-			flip()
-		}
-		return false
-	})
+	if nd.keepOut && !nd.started {
+		nd.started = true
+		nd.flip()
+	}
+}
+
+func (nd *dNode) flip() {
+	if nd.parentEdge != -1 {
+		nd.setChild(nd.parentLink, true)
+	}
+	if nd.downEdge == -1 {
+		// I am the chosen node: attach across.
+		nd.parentEdge, nd.parentLink = nd.outEdge, nd.c.LinkOf(nd.outEdge)
+		nd.c.Send(nd.parentLink, dAttach{})
+	} else {
+		nd.c.Send(nd.c.LinkOf(nd.downEdge), dReroot{})
+		nd.parentEdge, nd.parentLink = nd.downEdge, nd.c.LinkOf(nd.downEdge)
+		nd.setChild(nd.parentLink, false)
+	}
 }
 
 func smallestColorExcept(c int64) int64 {
@@ -461,70 +496,4 @@ func b2i64(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// deterministicProgram runs `phases` phases of the deterministic partition.
-func deterministicProgram(phases int, infoSink func(DeterministicInfo)) sim.Program {
-	return func(c *sim.Ctx) error {
-		nd := newDNode(c)
-		cvIters := cvStepsFor(c.N())
-		info := DeterministicInfo{CVSteps: cvIters}
-		in := sim.Input{}
-		for i := 0; i < phases; i++ {
-			done, next := nd.phase(in, i, cvIters)
-			in = next
-			info.Phases = i + 1
-			if done {
-				break
-			}
-		}
-		info.Finished = true
-		parent := graph.NodeID(-1)
-		if nd.parentEdge != -1 {
-			parent = c.Topo().Edge(nd.parentEdge).Other(c.ID())
-		}
-		c.SetResult(NodeOutcome{Parent: parent, ParentEdge: nd.parentEdge, Root: nd.frag})
-		if infoSink != nil && c.ID() == 0 {
-			infoSink(info)
-		}
-		return nil
-	}
-}
-
-// DeterministicPhaseCount returns the paper's phase budget ⌈log2(n)/2⌉,
-// which yields fragments of size ≥ √n and radius O(√n).
-func DeterministicPhaseCount(n int) int {
-	p := (bits.Len(uint(n-1)) + 1) / 2
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
-// DeterministicPhases runs the §3 algorithm for the given number of phases
-// and returns the resulting spanning forest (every tree a subtree of the
-// MST), run metrics, and info.
-func DeterministicPhases(g graph.Topology, seed int64, phases int) (*forest.Forest, *sim.Metrics, *DeterministicInfo, error) {
-	var info DeterministicInfo
-	f, met, _, err := runAndBuild(g, deterministicProgram(phases, func(i DeterministicInfo) { info = i }),
-		sim.WithSeed(seed))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return f, met, &info, nil
-}
-
-// Deterministic runs the §3 partition with the paper's standard balance
-// point: ⌈log2(n)/2⌉ phases, giving O(√n) trees of radius O(√n).
-func Deterministic(g graph.Topology, seed int64) (*forest.Forest, *sim.Metrics, *DeterministicInfo, error) {
-	return DeterministicPhases(g, seed, DeterministicPhaseCount(g.N()))
-}
-
-// Boruvka runs the same fragment machinery to completion (⌈log2 n⌉ phases
-// plus early exit), producing the full MST as a single tree. This is the
-// pure point-to-point baseline for the §6 experiment: it uses the channel
-// only for the §7.1 barrier, never for data.
-func Boruvka(g graph.Topology, seed int64) (*forest.Forest, *sim.Metrics, *DeterministicInfo, error) {
-	phases := bits.Len(uint(g.N()-1)) + 1
-	return DeterministicPhases(g, seed, phases)
 }

@@ -12,97 +12,59 @@ import (
 // but re-tests accepted edges every phase, so its message complexity grows
 // to O(m·log n) instead of the paper's O(m + n·log n·log*n). The experiment
 // table quantifies the trade.
-func (nd *dnode) mwoeStepParallel(in sim.Input) sim.Input {
-	c := nd.c
+
+// beginParallelMWOE sets up the parallel Step 2: every active node sends
+// all its tests in the step's first round.
+func (nd *dNode) beginParallelMWOE() {
 	nd.cand = dMin{Valid: false, W: noWeight}
 	nd.best = dMin{Valid: false, W: noWeight}
 	nd.downEdge = -1
-	pending := 0
+	nd.pending = 0
 	if nd.active {
-		for _, h := range c.Adj() {
-			if nd.rejected[int(h.EdgeID)] || int(h.EdgeID) == nd.parentEdge || nd.children[int(h.EdgeID)] {
+		for l, f := range nd.links {
+			if f&(linkRejected|linkChild) != 0 || l == nd.parentLink {
 				continue
 			}
-			c.Send(c.LinkOf(int(h.EdgeID)), dTest{Frag: nd.frag})
-			pending++
+			nd.c.Send(l, dTest{Frag: nd.frag})
+			nd.pending++
 		}
 	}
-	testDone := !nd.active || pending == 0
-	reports := 0
-	replied := false
-	return sim.BarrierStep(c, in, func(in sim.Input) bool {
-		for _, m := range in.Msgs {
-			switch p := m.Payload.(type) {
-			case dTest:
-				c.Send(c.LinkOf(m.EdgeID), dReply{Accept: p.Frag != nd.frag, Frag: nd.frag})
-			case dReply:
-				pending--
-				if p.Accept {
-					e := c.Topo().Edge(m.EdgeID)
-					if !nd.cand.Valid || e.Weight < nd.cand.W {
-						nd.cand = dMin{Valid: true, W: e.Weight, Edge: m.EdgeID, Target: p.Frag}
-					}
-				} else {
-					nd.rejected[m.EdgeID] = true
+	nd.testDone = !nd.active || nd.pending == 0
+}
+
+func (nd *dNode) parallelMWOERound(in sim.Input) bool {
+	c := nd.c
+	for _, m := range in.Msgs {
+		switch p := m.Payload.(type) {
+		case dTest:
+			c.Send(c.LinkOf(m.EdgeID), dReply{Accept: p.Frag != nd.frag, Frag: nd.frag})
+		case dReply:
+			nd.pending--
+			if p.Accept {
+				e := c.Topo().Edge(m.EdgeID)
+				if !nd.cand.Valid || e.Weight < nd.cand.W {
+					nd.cand = dMin{Valid: true, W: e.Weight, Edge: m.EdgeID, Target: p.Frag}
 				}
-				if pending == 0 {
-					testDone = true
-				}
-			case dMin:
-				reports++
-				if p.Valid && p.W < nd.best.W {
-					nd.best = p
-					nd.downEdge = m.EdgeID
-				}
+			} else {
+				nd.links[c.LinkOf(m.EdgeID)] |= linkRejected
+			}
+			if nd.pending == 0 {
+				nd.testDone = true
+			}
+		case dMin:
+			nd.reports++
+			if p.Valid && p.W < nd.best.W {
+				nd.best = p
+				nd.downEdge = m.EdgeID
 			}
 		}
-		if !replied && testDone && reports == len(nd.children) {
-			replied = true
-			if nd.cand.Valid && nd.cand.W < nd.best.W {
-				nd.best = nd.cand
-				nd.downEdge = -1
-			}
-			if !nd.isCore() {
-				c.Send(nd.parentLink(), nd.best)
-			}
-		}
-		return nd.active && !replied
-	})
+	}
+	nd.reportBest()
+	return nd.active && !nd.replied
 }
 
 // DeterministicParallelMWOE runs the §3 partition with the A4 parallel
 // edge-testing variant (same output guarantees, different cost profile).
 func DeterministicParallelMWOE(g graph.Topology, seed int64) (*forest.Forest, *sim.Metrics, *DeterministicInfo, error) {
-	phases := DeterministicPhaseCount(g.N())
-	var info DeterministicInfo
-	prog := func(c *sim.Ctx) error {
-		nd := newDNode(c)
-		nd.parallelMWOE = true
-		cvIters := cvStepsFor(c.N())
-		localInfo := DeterministicInfo{CVSteps: cvIters}
-		in := sim.Input{}
-		for i := 0; i < phases; i++ {
-			done, next := nd.phase(in, i, cvIters)
-			in = next
-			localInfo.Phases = i + 1
-			if done {
-				break
-			}
-		}
-		localInfo.Finished = true
-		parent := graph.NodeID(-1)
-		if nd.parentEdge != -1 {
-			parent = c.Topo().Edge(nd.parentEdge).Other(c.ID())
-		}
-		c.SetResult(NodeOutcome{Parent: parent, ParentEdge: nd.parentEdge, Root: nd.frag})
-		if c.ID() == 0 {
-			info = localInfo
-		}
-		return nil
-	}
-	f, met, _, err := runAndBuild(g, prog, sim.WithSeed(seed))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return f, met, &info, nil
+	return runDeterministic(g, seed, DeterministicPhaseCount(g.N()), true)
 }

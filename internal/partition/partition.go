@@ -52,16 +52,16 @@ func buildForest(g graph.Topology, results []any) (*forest.Forest, error) {
 	return forest.New(g, parent, parentEdge)
 }
 
-// Run is the common driver: execute program on g and build the forest from
-// the per-node outcomes.
-func runAndBuild(g graph.Topology, program sim.Program, opts ...sim.Option) (*forest.Forest, *sim.Metrics, []any, error) {
-	res, err := sim.Run(g, program, opts...)
+// runAndBuild is the common driver: run the machines on g and build the
+// forest from the per-node outcomes.
+func runAndBuild(g graph.Topology, program sim.StepProgram, opts ...sim.Option) (*forest.Forest, *sim.Metrics, error) {
+	res, err := sim.RunStep(g, program, opts...)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	f, err := buildForest(g, res.Results)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return f, &res.Metrics, res.Results, nil
+	return f, &res.Metrics, nil
 }

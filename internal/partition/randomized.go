@@ -2,7 +2,6 @@ package partition
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/forest"
@@ -75,12 +74,31 @@ func iterationProbs(sqrtN int) []float64 {
 	}
 }
 
-// rnode is one node's state in the randomized partition.
-type rnode struct {
-	c     *sim.Ctx
-	sqrtN int
-	dmax  int // BFS depth bound 4√n
-	cut   int // unfree label threshold 2√n
+// randShared is the per-run state every rMachine points at.
+type randShared struct {
+	sqrtN       int
+	dmax        int // BFS depth bound 4√n
+	cut         int // unfree label threshold 2√n
+	iterLen     int // rounds per iteration, 3·dmax + 8
+	probs       []float64
+	lasVegas    bool
+	maxRestarts int
+	info        RandomizedInfo // node 0's report
+	slab        sim.Slab[rMachine]
+}
+
+// Per-link flags of an rMachine.
+const (
+	rLive  uint8 = 1 << iota // the link still carries the algorithm's messages
+	rChild                   // a child in the current iteration's tree
+)
+
+// rMachine is one node's state in the randomized partition. Iterations run
+// for a precomputed number of rounds, so the machine counts rounds and is
+// stepped every round: it never sleeps.
+type rMachine struct {
+	c  *sim.StepCtx
+	sh *randShared
 
 	free       bool
 	label      int
@@ -89,289 +107,348 @@ type rnode struct {
 
 	inTree          bool // labeled in the current iteration's BFS
 	pendingAnnounce bool
-	live            []bool // per local link index
-	childLinks      []int  // local link indices of current-iteration children
+	links           []uint8 // per-link flags
+	childLinks      []int   // local link indices of current-iteration children
 	outcome         NodeOutcome
 	finished        bool
+
+	attempt  int
+	restarts int
+	iter     int // index into probs
+	pos      int // rounds of the current iteration begun so far
+
+	or       bool // Phase D: subtree has a link to an unlabeled free node
+	reports  int
+	sentUp   bool
+	decided  bool
+	keepAll  bool
+	sentDown bool
+
+	verify *resolve.MetcalfeBoggsStep // Las Vegas: the channel schedule of the cores
+	result any
 }
 
-func newRNode(c *sim.Ctx) *rnode {
-	nd := &rnode{
-		c:     c,
-		sqrtN: SqrtN(c.N()),
-		live:  make([]bool, c.Degree()),
-	}
-	nd.dmax = 4 * nd.sqrtN
-	nd.cut = 2 * nd.sqrtN
-	nd.reset()
-	return nd
+func (sh *randShared) program(c *sim.StepCtx) sim.Machine {
+	m := sh.slab.Alloc(c.N())
+	*m = rMachine{c: c, sh: sh, links: make([]uint8, c.Degree())}
+	m.reset()
+	return m
 }
 
 // reset restores the initial all-free state (used on Las Vegas restarts).
-func (nd *rnode) reset() {
-	nd.free = true
-	nd.label = unlabeled
-	nd.root = -1
-	nd.parentEdge = -1
-	nd.inTree = false
-	nd.pendingAnnounce = false
-	nd.finished = false
-	for l := range nd.live {
-		nd.live[l] = true
+func (m *rMachine) reset() {
+	m.free = true
+	m.label = unlabeled
+	m.root = -1
+	m.parentEdge = -1
+	m.inTree = false
+	m.pendingAnnounce = false
+	m.finished = false
+	for l := range m.links {
+		m.links[l] = rLive
 	}
-	nd.childLinks = nil
-	nd.outcome = NodeOutcome{Parent: -1, ParentEdge: -1, Root: -1}
+	m.childLinks = m.childLinks[:0]
+	m.outcome = NodeOutcome{Parent: -1, ParentEdge: -1, Root: -1}
 }
 
 // sendLive sends p on every live link except the one with local index skip
 // (pass -1 to send on all live links).
-func (nd *rnode) sendLive(p sim.Payload, skip int) {
-	for l, ok := range nd.live {
-		if ok && l != skip {
-			nd.c.Send(l, p)
+func (m *rMachine) sendLive(p sim.Payload, skip int) {
+	for l, f := range m.links {
+		if f&rLive != 0 && l != skip {
+			m.c.Send(l, p)
 		}
 	}
 }
 
-func (nd *rnode) parentLinkIdx() int {
-	if nd.parentEdge == -1 {
+func (m *rMachine) parentLinkIdx() int {
+	if m.parentEdge == -1 {
 		return -1
 	}
-	return nd.c.LinkOf(nd.parentEdge)
+	return m.c.LinkOf(m.parentEdge)
 }
 
-// processDead marks links dead for every rpUnfree in the inbox (these arrive
-// in the round after an iteration ends).
-func (nd *rnode) processDead(msgs []sim.Message) {
-	for _, m := range msgs {
-		if _, ok := m.Payload.(rpUnfree); ok {
-			nd.live[nd.c.LinkOf(m.EdgeID)] = false
+func (m *rMachine) Step(in sim.Input) bool {
+	if m.verify != nil {
+		if !m.verify.Poll(in) {
+			return false
+		}
+		return m.verified()
+	}
+	if m.pos > 0 {
+		m.receive(m.pos-1, in)
+	}
+	if m.pos == m.sh.iterLen {
+		if m.iter+1 == len(m.sh.probs) {
+			return m.attemptDone()
+		}
+		m.iter, m.pos = m.iter+1, 0
+	}
+	m.send(m.pos)
+	m.pos++
+	return false
+}
+
+// An iteration with head probability p takes exactly 3·dmax + 8 rounds on
+// every node. By round offset within it:
+//
+//	0                   Phase A: coin flip
+//	1 … dmax+1          Phase B: synchronous multi-source BFS over free nodes
+//	dmax+2              Phase C: status exchange on live links
+//	dmax+3 … 2·dmax+4   Phase D: convergecast OR(hasOutgoing) to the root
+//	2·dmax+5 … 3·dmax+6 Phase E: the root broadcasts its verdict down the tree
+//	3·dmax+7            Phase F: newly unfree nodes announce, so links die
+//
+// send stages a round's transmissions; receive consumes the input the
+// round's sends produced, one round later.
+
+// send runs round pos of the iteration up to its transmissions.
+func (m *rMachine) send(pos int) {
+	c, d := m.c, m.sh.dmax
+	switch {
+	case pos == 0:
+		m.inTree = false
+		for _, l := range m.childLinks {
+			m.links[l] &^= rChild
+		}
+		m.childLinks = m.childLinks[:0]
+		if m.free && c.Rand().Float64() < m.sh.probs[m.iter] {
+			m.label = 0
+			m.root = c.ID()
+			m.parentEdge = -1
+			m.inTree = true
+			m.pendingAnnounce = true
+		}
+	case pos <= d+1:
+		if m.pendingAnnounce && m.label < d {
+			m.sendLive(rpUpdate{Root: m.root, Label: m.label}, m.parentLinkIdx())
+		}
+		m.pendingAnnounce = false
+	case pos == d+2:
+		if m.free {
+			pl := -1
+			if m.inTree {
+				pl = m.parentLinkIdx()
+			}
+			for l, f := range m.links {
+				if f&rLive != 0 {
+					c.Send(l, rpStatus{InTree: m.inTree, Root: m.root, ParentLink: m.inTree && l == pl})
+				}
+			}
+		}
+	case pos <= 2*d+4:
+		if m.inTree && !m.sentUp && m.reports == len(m.childLinks) {
+			if m.label > 0 {
+				c.Send(m.parentLinkIdx(), rpConv{HasOutgoing: m.or})
+			}
+			m.sentUp = true
+		}
+	case pos <= 3*d+6:
+		if pos == 2*d+5 {
+			m.keepAll = false
+			m.decided = m.inTree && m.label == 0
+			if m.decided {
+				m.keepAll = !m.or
+			}
+			m.sentDown = false
+		}
+		if m.decided && !m.sentDown {
+			for _, l := range m.childLinks {
+				c.Send(l, rpDecide{KeepAll: m.keepAll})
+			}
+			m.sentDown = true
+		}
+	default:
+		// Newly unfree nodes record their outcome and announce so incident
+		// links die.
+		if m.inTree && m.decided && (m.keepAll || m.label <= m.sh.cut) {
+			m.free = false
+			m.finished = true
+			m.outcome = NodeOutcome{Parent: -1, ParentEdge: -1, Root: m.root}
+			if m.label > 0 {
+				e := c.Topo().Edge(m.parentEdge)
+				m.outcome.Parent = e.Other(c.ID())
+				m.outcome.ParentEdge = m.parentEdge
+			}
+			m.sendLive(rpUnfree{}, -1)
 		}
 	}
 }
 
-// iteration runs one full synchronized iteration with head probability p.
-// It consumes exactly 3*dmax + 8 rounds on every node.
-func (nd *rnode) iteration(p float64) {
-	c := nd.c
-	nd.inTree = false
-	nd.childLinks = nd.childLinks[:0]
-
-	// Phase A (1 round): coin flip.
-	if nd.free && c.Rand().Float64() < p {
-		nd.label = 0
-		nd.root = c.ID()
-		nd.parentEdge = -1
-		nd.inTree = true
-		nd.pendingAnnounce = true
-	}
-	in := c.Tick()
-
-	// Phase B (dmax+1 rounds): synchronous multi-source BFS over free nodes.
-	for b := 1; b <= nd.dmax+1; b++ {
-		if nd.pendingAnnounce && nd.label < nd.dmax {
-			nd.sendLive(rpUpdate{Root: nd.root, Label: nd.label}, nd.parentLinkIdx())
-		}
-		nd.pendingAnnounce = false
-		in = c.Tick()
-		nd.adopt(in.Msgs)
-	}
-
-	// Phase C (1 round): status exchange on live links.
-	if nd.free {
-		pl := -1
-		if nd.inTree {
-			pl = nd.parentLinkIdx()
-		}
-		for l, ok := range nd.live {
-			if !ok {
-				continue
+// receive consumes the input that follows round pos of the iteration.
+func (m *rMachine) receive(pos int, in sim.Input) {
+	d := m.sh.dmax
+	switch {
+	case pos == 0:
+		// Nothing is sent in the coin round.
+	case pos <= d+1:
+		m.adopt(in.Msgs)
+	case pos == d+2:
+		m.or = m.processStatus(in.Msgs)
+		m.reports = 0
+		m.sentUp = false
+	case pos <= 2*d+4:
+		for _, msg := range in.Msgs {
+			if cm, ok := msg.Payload.(rpConv); ok {
+				m.or = m.or || cm.HasOutgoing
+				m.reports++
 			}
-			c.Send(l, rpStatus{InTree: nd.inTree, Root: nd.root, ParentLink: nd.inTree && l == pl})
 		}
-	}
-	in = c.Tick()
-	hasOutgoing, _ := nd.processStatus(in.Msgs)
-
-	// Phase D (dmax+2 rounds): convergecast OR(hasOutgoing) to the root.
-	or := hasOutgoing
-	reports := 0
-	sentUp := false
-	for k := 1; k <= nd.dmax+2; k++ {
-		if nd.inTree && !sentUp && reports == len(nd.childLinks) {
-			if nd.label > 0 {
-				c.Send(nd.parentLinkIdx(), rpConv{HasOutgoing: or})
+	case pos <= 3*d+6:
+		for _, msg := range in.Msgs {
+			if dm, ok := msg.Payload.(rpDecide); ok {
+				m.decided = true
+				m.keepAll = dm.KeepAll
 			}
-			sentUp = true
 		}
-		in = c.Tick()
-		for _, m := range in.Msgs {
-			if cm, ok := m.Payload.(rpConv); ok {
-				or = or || cm.HasOutgoing
-				reports++
+	default:
+		// The unfree announcements of Phase F.
+		for _, msg := range in.Msgs {
+			if _, ok := msg.Payload.(rpUnfree); ok {
+				m.links[m.c.LinkOf(msg.EdgeID)] &^= rLive
 			}
 		}
 	}
-
-	// Phase E (dmax+2 rounds): root broadcasts the verdict down the tree.
-	keepAll := false
-	decided := nd.inTree && nd.label == 0
-	if decided {
-		keepAll = !or
-	}
-	sentDown := false
-	for k := 1; k <= nd.dmax+2; k++ {
-		if decided && !sentDown {
-			for _, l := range nd.childLinks {
-				c.Send(l, rpDecide{KeepAll: keepAll})
-			}
-			sentDown = true
-		}
-		in = c.Tick()
-		for _, m := range in.Msgs {
-			if dm, ok := m.Payload.(rpDecide); ok {
-				decided = true
-				keepAll = dm.KeepAll
-			}
-		}
-	}
-
-	// Phase F (1 round): newly unfree nodes record their outcome and
-	// announce so incident links die. The announcements arrive in the input
-	// of this phase's tick and are absorbed immediately.
-	if nd.inTree && decided && (keepAll || nd.label <= nd.cut) {
-		nd.free = false
-		nd.finished = true
-		nd.outcome = NodeOutcome{Parent: -1, ParentEdge: -1, Root: nd.root}
-		if nd.label > 0 {
-			e := c.Topo().Edge(nd.parentEdge)
-			nd.outcome.Parent = e.Other(c.ID())
-			nd.outcome.ParentEdge = nd.parentEdge
-		}
-		nd.sendLive(rpUnfree{}, -1)
-	}
-	in = c.Tick()
-	nd.processDead(in.Msgs)
 }
 
 // adopt applies the BFS adoption rule to one round's updates: take the
 // minimum (label+1, root) candidate, switch only if it strictly reduces the
 // label (ties between simultaneous candidates break toward the least root).
-func (nd *rnode) adopt(msgs []sim.Message) {
-	if !nd.free {
+func (m *rMachine) adopt(msgs []sim.Message) {
+	if !m.free {
 		return
 	}
 	bestLabel, bestRoot, bestEdge := unlabeled, graph.NodeID(-1), -1
-	for _, m := range msgs {
-		u, ok := m.Payload.(rpUpdate)
+	for _, msg := range msgs {
+		u, ok := msg.Payload.(rpUpdate)
 		if !ok {
 			continue
 		}
 		cand := u.Label + 1
 		if cand < bestLabel || (cand == bestLabel && u.Root < bestRoot) {
-			bestLabel, bestRoot, bestEdge = cand, u.Root, m.EdgeID
+			bestLabel, bestRoot, bestEdge = cand, u.Root, msg.EdgeID
 		}
 	}
-	if bestEdge != -1 && bestLabel < nd.label {
-		nd.label = bestLabel
-		nd.root = bestRoot
-		nd.parentEdge = bestEdge
-		nd.inTree = true
-		nd.pendingAnnounce = true
+	if bestEdge != -1 && bestLabel < m.label {
+		m.label = bestLabel
+		m.root = bestRoot
+		m.parentEdge = bestEdge
+		m.inTree = true
+		m.pendingAnnounce = true
 	}
 }
 
 // processStatus digests the post-BFS exchange: learn children, detect
 // outgoing links to unlabeled free nodes, and remove links internal to the
 // tree that are not tree edges (the paper's message-saving rule).
-func (nd *rnode) processStatus(msgs []sim.Message) (hasOutgoing bool, removed int) {
+func (m *rMachine) processStatus(msgs []sim.Message) (hasOutgoing bool) {
 	pl := -1
-	if nd.inTree {
-		pl = nd.parentLinkIdx()
+	if m.inTree {
+		pl = m.parentLinkIdx()
 	}
-	childSet := make(map[int]bool)
-	for _, m := range msgs {
-		st, ok := m.Payload.(rpStatus)
+	for _, msg := range msgs {
+		st, ok := msg.Payload.(rpStatus)
+		if ok && m.inTree && st.ParentLink {
+			l := m.c.LinkOf(msg.EdgeID)
+			m.childLinks = append(m.childLinks, l)
+			m.links[l] |= rChild
+		}
+	}
+	for _, msg := range msgs {
+		st, ok := msg.Payload.(rpStatus)
 		if !ok {
 			continue
 		}
-		l := nd.c.LinkOf(m.EdgeID)
-		if nd.inTree && st.ParentLink {
-			nd.childLinks = append(nd.childLinks, l)
-			childSet[l] = true
-		}
-	}
-	for _, m := range msgs {
-		st, ok := m.Payload.(rpStatus)
-		if !ok {
-			continue
-		}
-		l := nd.c.LinkOf(m.EdgeID)
+		l := m.c.LinkOf(msg.EdgeID)
 		switch {
 		case !st.InTree:
-			if nd.inTree {
+			if m.inTree {
 				hasOutgoing = true
 			}
-		case nd.inTree && st.Root == nd.root && l != pl && !childSet[l]:
-			nd.live[l] = false
-			removed++
+		case m.inTree && st.Root == m.root && l != pl && m.links[l]&rChild == 0:
+			m.links[l] &^= rLive
 		}
 	}
-	return hasOutgoing, removed
+	return hasOutgoing
 }
 
-// randomizedProgram runs the Monte Carlo partition; if lasVegas is true it
-// appends the §4 verification (schedule the cores on the channel for 8√n
-// slots via Metcalfe–Boggs; restart unless all cores were scheduled and
-// there are at most 2√n of them).
-func randomizedProgram(lasVegas bool, maxRestarts int, infoSink func(RandomizedInfo)) sim.Program {
-	return func(c *sim.Ctx) error {
-		nd := newRNode(c)
-		probs := iterationProbs(nd.sqrtN)
-		info := RandomizedInfo{Iterations: len(probs)}
-		for attempt := 0; ; attempt++ {
-			for _, p := range probs {
-				nd.iteration(p)
-			}
-			if !nd.finished {
-				return fmt.Errorf("node %d still free after final iteration", c.ID())
-			}
-			if !lasVegas {
-				break
-			}
-			isRoot := nd.outcome.ParentEdge == -1
-			sched, done, _ := resolve.MetcalfeBoggs(c, sim.Input{}, nd.sqrtN, isRoot, int(c.ID()), nil, 4*nd.sqrtN)
-			if done && len(sched) <= 2*nd.sqrtN {
-				info.RootOrder = make([]graph.NodeID, len(sched))
-				for i, s := range sched {
-					info.RootOrder[i] = graph.NodeID(s.ID)
-				}
-				break
-			}
-			info.Restarts++
-			if attempt+1 >= maxRestarts {
-				return fmt.Errorf("%w after %d attempts", ErrLasVegasRestarts, maxRestarts)
-			}
-			nd.reset()
-		}
-		c.SetResult(nd.outcome)
-		if infoSink != nil && c.ID() == 0 {
-			infoSink(info)
-		}
-		return nil
+// attemptDone ends an attempt after its final iteration: the Monte Carlo
+// partition halts; the Las Vegas one verifies by scheduling the cores on
+// the channel for 8√n slots via Metcalfe–Boggs, from this round.
+func (m *rMachine) attemptDone() bool {
+	if !m.finished {
+		m.c.Failf("node %d still free after final iteration", m.c.ID())
 	}
+	if !m.sh.lasVegas {
+		return m.halt(nil)
+	}
+	sq := m.sh.sqrtN
+	m.verify = resolve.NewMetcalfeBoggsStep(m.c, sq, m.outcome.ParentEdge == -1, int(m.c.ID()), nil, 4*sq)
+	m.verify.Begin() // the pair budget is positive: never over at once
+	return false
+}
+
+// verified accepts the partition if all cores were scheduled and there are
+// at most 2√n of them, and restarts it (from this round) otherwise.
+func (m *rMachine) verified() bool {
+	if sched := m.verify.Sched; m.verify.Done && len(sched) <= 2*m.sh.sqrtN {
+		var order []graph.NodeID
+		if m.c.ID() == 0 {
+			order = make([]graph.NodeID, len(sched))
+			for i, s := range sched {
+				order[i] = graph.NodeID(s.ID)
+			}
+		}
+		return m.halt(order)
+	}
+	m.restarts++
+	if m.attempt+1 >= m.sh.maxRestarts {
+		m.c.Failf("%w after %d attempts", ErrLasVegasRestarts, m.sh.maxRestarts)
+	}
+	m.attempt++
+	m.reset()
+	m.verify = nil
+	m.iter, m.pos = 0, 1
+	m.send(0)
+	return false
+}
+
+// halt records the outcome (and, at node 0, the run's info).
+func (m *rMachine) halt(rootOrder []graph.NodeID) bool {
+	m.result = m.outcome
+	if m.c.ID() == 0 {
+		m.sh.info = RandomizedInfo{Iterations: len(m.sh.probs), Restarts: m.restarts, RootOrder: rootOrder}
+	}
+	return true
+}
+
+func (m *rMachine) Result() any { return m.result }
+
+// runRandomized runs the Monte Carlo partition, or with lasVegas the
+// verified one, restarting at most maxRestarts times.
+func runRandomized(g graph.Topology, seed int64, lasVegas bool, maxRestarts int) (*forest.Forest, *sim.Metrics, *RandomizedInfo, error) {
+	sq := SqrtN(g.N())
+	sh := &randShared{
+		sqrtN:       sq,
+		dmax:        4 * sq,
+		cut:         2 * sq,
+		iterLen:     3*4*sq + 8,
+		probs:       iterationProbs(sq),
+		lasVegas:    lasVegas,
+		maxRestarts: maxRestarts,
+	}
+	f, met, err := runAndBuild(g, sh.program, sim.WithSeed(seed))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	info := sh.info
+	return f, met, &info, nil
 }
 
 // Randomized runs the Monte Carlo randomized partition (§4) and returns the
 // spanning forest, the run's metrics, and auxiliary info.
 func Randomized(g graph.Topology, seed int64) (*forest.Forest, *sim.Metrics, *RandomizedInfo, error) {
-	var info RandomizedInfo
-	f, met, _, err := runAndBuild(g, randomizedProgram(false, 1, func(i RandomizedInfo) { info = i }),
-		sim.WithSeed(seed))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return f, met, &info, nil
+	return runRandomized(g, seed, false, 1)
 }
 
 // RandomizedLasVegas runs the Las Vegas variant: the partition is verified
@@ -379,11 +456,5 @@ func Randomized(g graph.Topology, seed int64) (*forest.Forest, *sim.Metrics, *Ra
 // trees were produced, so the returned forest always satisfies the balance
 // bound. The verified core schedule is returned in the info.
 func RandomizedLasVegas(g graph.Topology, seed int64) (*forest.Forest, *sim.Metrics, *RandomizedInfo, error) {
-	var info RandomizedInfo
-	f, met, _, err := runAndBuild(g, randomizedProgram(true, 50, func(i RandomizedInfo) { info = i }),
-		sim.WithSeed(seed))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return f, met, &info, nil
+	return runRandomized(g, seed, true, 50)
 }

@@ -34,7 +34,12 @@ func CountNodes(g graph.Topology, seed int64, idUniverse int) (*SizeCountResult,
 	if idUniverse < g.N() {
 		return nil, nil, fmt.Errorf("partition: id universe %d below node count %d", idUniverse, g.N())
 	}
-	res, err := sim.Run(g, sizeProgram(idUniverse), sim.WithSeed(seed))
+	sh := &sizeShared{
+		steps:      phaseSteps(cvStepsFor(idUniverse)),
+		idUniverse: idUniverse,
+		idBits:     bits.Len(uint(idUniverse - 1)),
+	}
+	res, err := sim.RunStep(g, sh.program, sim.WithSeed(seed))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -50,47 +55,98 @@ func CountNodes(g graph.Topology, seed int64, idUniverse int) (*SizeCountResult,
 	return &first, &res.Metrics, nil
 }
 
-func sizeProgram(idUniverse int) sim.Program {
-	return func(c *sim.Ctx) error {
-		nd := newDNode(c)
-		cvIters := cvStepsFor(idUniverse)
-		idBits := bits.Len(uint(idUniverse - 1))
-		in := sim.Input{}
-		for i := 0; i < maxSizePhases; i++ {
-			_, next := nd.phase(in, i, cvIters)
-			in = next
-			// Probe: can the cores be scheduled within the phase budget?
-			budget := 2*(1<<uint(min(i, 30)))*(idBits+2) + 4
-			sched, complete, next2 := resolve.CapetanakisBounded(
-				c, in, idUniverse, nd.isCore(), int(c.ID()), nil, budget)
-			in = next2
-			if !complete || len(sched) > 1<<uint(min(i, 30)) {
-				continue
-			}
-			// Success: re-count fragment sizes and broadcast them in
-			// schedule order; the sum is n.
-			in = nd.countStep(in)
-			total := 0
-			for _, s := range sched {
-				if graph.NodeID(s.ID) == c.ID() {
-					c.Broadcast(sizeSlot{Size: nd.size})
-				}
-				in = c.Tick()
-				if in.Slot.State != sim.SlotSuccess {
-					return fmt.Errorf("size slot for core %d was %v", s.ID, in.Slot.State)
-				}
-				total += in.Slot.Payload.(sizeSlot).Size
-			}
-			c.SetResult(SizeCountResult{N: total, Phases: i + 1})
-			return nil
-		}
-		return fmt.Errorf("size probe never succeeded within %d phases", maxSizePhases)
-	}
+// sizeShared is the per-run state every sizeMachine points at.
+type sizeShared struct {
+	steps      []phaseStep
+	idUniverse int
+	idBits     int
+	slab       sim.Slab[sizeMachine]
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// The stages of a sizeMachine after each partition phase.
+const (
+	szPartition = iota // a phase of the deterministic partition
+	szProbe            // Capetanakis: can the cores be scheduled in budget?
+	szRecount          // the fragment census, re-run
+	szSlots            // the cores broadcast their sizes in schedule order
+)
+
+// sizeMachine is one node of the §7.3 computation.
+type sizeMachine struct {
+	dNode
+	sh     *sizeShared
+	stage  int
+	probe  *resolve.CapetanakisStep
+	slot   int // schedule index of the size slot awaiting its outcome
+	total  int
+	result any
 }
+
+func (sh *sizeShared) program(c *sim.StepCtx) sim.Machine {
+	m := sh.slab.Alloc(c.N())
+	m.sh = sh
+	m.init(c, sh.steps, false)
+	m.beginPhase(0)
+	return m
+}
+
+func (m *sizeMachine) Step(in sim.Input) bool {
+	switch m.stage {
+	case szProbe:
+		if !m.probe.Poll(in) {
+			return false
+		}
+		if m.probe.Complete && len(m.probe.Sched) <= 1<<uint(min(m.phase, 30)) {
+			// Success: re-count the fragment sizes, from this round.
+			m.stage = szRecount
+			m.setup(0)
+		} else {
+			if m.phase+1 == maxSizePhases {
+				m.c.Failf("size probe never succeeded within %d phases", maxSizePhases)
+			}
+			m.stage = szPartition
+			m.beginPhase(m.phase + 1)
+		}
+	case szSlots:
+		s := m.probe.Sched[m.slot]
+		if in.Slot.State != sim.SlotSuccess {
+			m.c.Failf("size slot for core %d was %v", s.ID, in.Slot.State)
+		}
+		m.total += in.Slot.Payload.(sizeSlot).Size
+		m.slot++
+		return m.nextSlot()
+	}
+	for m.b.Step(in, m.handle) {
+		if m.stage == szRecount {
+			m.stage, m.slot = szSlots, 0
+			return m.nextSlot()
+		}
+		if !m.pulse() {
+			continue // the next step starts in this pulse round
+		}
+		// Probe: can the cores be scheduled within the phase budget? The
+		// budget is positive, so Begin never ends the probe at once.
+		budget := 2*(1<<uint(min(m.phase, 30)))*(m.sh.idBits+2) + 4
+		m.probe = resolve.NewCapetanakisStep(m.c, m.sh.idUniverse, m.isCore(), int(m.c.ID()), nil, budget)
+		m.probe.Begin()
+		m.stage = szProbe
+		return false
+	}
+	return false
+}
+
+// nextSlot stages this core's size in its scheduled slot, or records the
+// sum once every slot has been heard.
+func (m *sizeMachine) nextSlot() bool {
+	sched := m.probe.Sched
+	if m.slot == len(sched) {
+		m.result = SizeCountResult{N: m.total, Phases: m.phase + 1}
+		return true
+	}
+	if graph.NodeID(sched[m.slot].ID) == m.c.ID() {
+		m.c.Broadcast(sizeSlot{Size: m.size})
+	}
+	return false
+}
+
+func (m *sizeMachine) Result() any { return m.result }

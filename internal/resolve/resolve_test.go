@@ -10,15 +10,58 @@ import (
 	"repro/internal/sim"
 )
 
-// runProtocol executes one resolution protocol on a ring of n nodes with the
-// given contender set and returns per-node results plus metrics.
-func runProtocol(t *testing.T, n int, seed int64, prog sim.Program) *sim.Result {
+// scheduler is the Begin/Poll surface of the scheduling components.
+type scheduler interface {
+	Begin() (done bool)
+	Poll(in sim.Input) (done bool)
+}
+
+// schedMachine drives one scheduling component from round 0 and records
+// result() in the round it reports done.
+type schedMachine struct {
+	s      scheduler
+	result func() any
+	out    any
+}
+
+func (m *schedMachine) Step(in sim.Input) bool {
+	var done bool
+	if in.Round == 0 {
+		done = m.s.Begin()
+	} else {
+		done = m.s.Poll(in)
+	}
+	if done {
+		m.out = m.result()
+	}
+	return done
+}
+
+func (m *schedMachine) Result() any { return m.out }
+
+// capetanakis builds node c's machine for an unbounded Capetanakis run
+// that records result(schedule).
+func capetanakis(c *sim.StepCtx, contending bool, payload sim.Payload, result func([]ScheduledItem) any) sim.Machine {
+	s := NewCapetanakisStep(c, c.N(), contending, int(c.ID()), payload, 0)
+	return &schedMachine{s: s, result: func() any { return result(s.Sched) }}
+}
+
+// metcalfeBoggs builds node c's machine for a Metcalfe–Boggs run that
+// records result(schedule, done).
+func metcalfeBoggs(c *sim.StepCtx, estimate int, contending bool, payload sim.Payload, maxPairs int, result func([]ScheduledItem, bool) any) sim.Machine {
+	s := NewMetcalfeBoggsStep(c, estimate, contending, int(c.ID()), payload, maxPairs)
+	return &schedMachine{s: s, result: func() any { return result(s.Sched, s.Done) }}
+}
+
+// runProtocol executes one resolution protocol on a ring of n nodes and
+// returns per-node results plus metrics.
+func runProtocol(t *testing.T, n int, seed int64, prog sim.StepProgram) *sim.Result {
 	t.Helper()
 	g, err := graph.Ring(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(g, prog, sim.WithSeed(seed))
+	res, err := sim.RunStep(g, prog, sim.WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,52 +95,46 @@ func TestCapetanakisSchedulesAllContenders(t *testing.T) {
 			for _, c := range tt.contenders {
 				isC[c] = true
 			}
-			res := runProtocol(t, tt.n, 1, func(ctx *sim.Ctx) error {
-				id := int(ctx.ID())
-				sched, _ := Capetanakis(ctx, sim.Input{}, ctx.N(), isC[id], id, fmt.Sprintf("p%d", id))
-				ctx.SetResult(fmt.Sprint(schedIDs(sched)))
-				return nil
+			res := runProtocol(t, tt.n, 1, func(c *sim.StepCtx) sim.Machine {
+				id := int(c.ID())
+				return capetanakis(c, isC[id], fmt.Sprintf("p%d", id), func(s []ScheduledItem) any {
+					return fmt.Sprint(schedIDs(s))
+				})
 			})
-			want := append([]int(nil), tt.contenders...)
-			sort.Ints(want)
+			// The schedule order is protocol-determined but identical
+			// everywhere; it must contain exactly the contenders.
 			got := res.Results[0].(string)
-			ids := fmt.Sprint(want)
-			// The schedule must contain exactly the contenders; order is
-			// protocol-determined but identical everywhere. Sort-compare.
-			var parsed string = got
-			_ = parsed
 			for v := 1; v < tt.n; v++ {
 				if res.Results[v] != got {
 					t.Fatalf("node %d schedule %v != node 0 schedule %v", v, res.Results[v], got)
 				}
 			}
-			// Re-run capturing raw ids at node 0 for the sorted comparison.
-			res2 := runProtocol(t, tt.n, 1, func(ctx *sim.Ctx) error {
-				id := int(ctx.ID())
-				sched, _ := Capetanakis(ctx, sim.Input{}, ctx.N(), isC[id], id, nil)
-				s := schedIDs(sched)
-				sort.Ints(s)
-				ctx.SetResult(fmt.Sprint(s))
-				return nil
+			res2 := runProtocol(t, tt.n, 1, func(c *sim.StepCtx) sim.Machine {
+				return capetanakis(c, isC[int(c.ID())], nil, func(s []ScheduledItem) any {
+					ids := schedIDs(s)
+					sort.Ints(ids)
+					return fmt.Sprint(ids)
+				})
 			})
-			if res2.Results[0].(string) != ids {
-				t.Errorf("scheduled ids = %v, want %v", res2.Results[0], ids)
+			want := append([]int(nil), tt.contenders...)
+			sort.Ints(want)
+			if res2.Results[0].(string) != fmt.Sprint(want) {
+				t.Errorf("scheduled ids = %v, want %v", res2.Results[0], want)
 			}
 		})
 	}
 }
 
 func TestCapetanakisPayloadsDelivered(t *testing.T) {
-	res := runProtocol(t, 8, 1, func(ctx *sim.Ctx) error {
-		id := int(ctx.ID())
-		contend := id == 2 || id == 6
-		sched, _ := Capetanakis(ctx, sim.Input{}, ctx.N(), contend, id, id*100)
-		sum := 0
-		for _, it := range sched {
-			sum += it.Payload.(int)
-		}
-		ctx.SetResult(sum)
-		return nil
+	res := runProtocol(t, 8, 1, func(c *sim.StepCtx) sim.Machine {
+		id := int(c.ID())
+		return capetanakis(c, id == 2 || id == 6, id*100, func(s []ScheduledItem) any {
+			sum := 0
+			for _, it := range s {
+				sum += it.Payload.(int)
+			}
+			return sum
+		})
 	})
 	for v, r := range res.Results {
 		if r != 800 {
@@ -111,19 +148,9 @@ func TestCapetanakisSlotBound(t *testing.T) {
 	// O(k log(n/k) + k) slots; check a generous concrete bound.
 	n := 64
 	for _, k := range []int{1, 4, 16, 64} {
-		isC := func(id int) bool { return id%(n/k) == 0 }
-		g, err := graph.Ring(n, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run(g, func(ctx *sim.Ctx) error {
-			id := int(ctx.ID())
-			Capetanakis(ctx, sim.Input{}, ctx.N(), isC(id), id, nil)
-			return nil
+		res := runProtocol(t, n, 1, func(c *sim.StepCtx) sim.Machine {
+			return capetanakis(c, int(c.ID())%(n/k) == 0, nil, func([]ScheduledItem) any { return nil })
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		slots := res.Metrics.Rounds
 		bound := 4*k*(1+int(math.Log2(float64(n/k)+1))) + 8
 		if slots > bound {
@@ -135,18 +162,16 @@ func TestCapetanakisSlotBound(t *testing.T) {
 func TestMetcalfeBoggsSchedulesAll(t *testing.T) {
 	for _, k := range []int{0, 1, 3, 10} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			n := 16
-			res := runProtocol(t, n, 42, func(ctx *sim.Ctx) error {
-				id := int(ctx.ID())
-				contend := id < k
-				sched, done, _ := MetcalfeBoggs(ctx, sim.Input{}, k, contend, id, id, 0)
-				if !done {
-					return fmt.Errorf("unbounded MB reported not done")
-				}
-				s := schedIDs(sched)
-				sort.Ints(s)
-				ctx.SetResult(fmt.Sprint(s))
-				return nil
+			res := runProtocol(t, 16, 42, func(c *sim.StepCtx) sim.Machine {
+				id := int(c.ID())
+				return metcalfeBoggs(c, k, id < k, id, 0, func(s []ScheduledItem, done bool) any {
+					if !done {
+						return "unbounded MB reported not done"
+					}
+					ids := schedIDs(s)
+					sort.Ints(ids)
+					return fmt.Sprint(ids)
+				})
 			})
 			want := make([]int, k)
 			for i := range want {
@@ -164,21 +189,12 @@ func TestMetcalfeBoggsSchedulesAll(t *testing.T) {
 func TestMetcalfeBoggsExpectedLinear(t *testing.T) {
 	// Average slot pairs over seeds should be within a small constant of k.
 	n, k := 64, 32
-	g, err := graph.Ring(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	total := 0
 	const seeds = 10
 	for s := int64(0); s < seeds; s++ {
-		res, err := sim.Run(g, func(ctx *sim.Ctx) error {
-			id := int(ctx.ID())
-			MetcalfeBoggs(ctx, sim.Input{}, k, id < k, id, nil, 0)
-			return nil
-		}, sim.WithSeed(s))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runProtocol(t, n, s, func(c *sim.StepCtx) sim.Machine {
+			return metcalfeBoggs(c, k, int(c.ID()) < k, nil, 0, func([]ScheduledItem, bool) any { return nil })
+		})
 		total += res.Metrics.Rounds
 	}
 	avgPairs := float64(total) / seeds / 2
@@ -190,11 +206,8 @@ func TestMetcalfeBoggsExpectedLinear(t *testing.T) {
 func TestMetcalfeBoggsBounded(t *testing.T) {
 	// With a 1-pair budget and many contenders, done must be false (w.h.p.
 	// there is a collision, and certainly not all 8 can be scheduled).
-	res := runProtocol(t, 16, 7, func(ctx *sim.Ctx) error {
-		id := int(ctx.ID())
-		_, done, _ := MetcalfeBoggs(ctx, sim.Input{}, 8, id < 8, id, nil, 1)
-		ctx.SetResult(done)
-		return nil
+	res := runProtocol(t, 16, 7, func(c *sim.StepCtx) sim.Machine {
+		return metcalfeBoggs(c, 8, int(c.ID()) < 8, nil, 1, func(_ []ScheduledItem, done bool) any { return done })
 	})
 	for v, r := range res.Results {
 		if r != false {

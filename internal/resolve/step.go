@@ -1,18 +1,13 @@
 package resolve
 
 // step.go provides the conflict-resolution sub-protocols as per-round
-// components a sim.Machine embeds. Capetanakis and Metcalfe–Boggs are the
-// same slot-for-slot automata as the blocking versions in resolve.go.
+// components a sim.Machine embeds.
 //
 // Usage pattern: the machine calls Begin once, in the round the protocol
-// starts (its broadcasts are staged in that round, exactly like the code a
-// goroutine program runs before the sub-protocol's first Tick), then feeds
-// every subsequent round's Input through Poll until it reports done. When
-// Poll reports done the machine continues its own next stage in the same
-// Step call with the same Input — the exact alignment of a goroutine
-// program continuing after the sub-routine returns. Because the only
-// information consumed is the public slot sequence, a component-driven run
-// is transcript-identical to its blocking counterpart where one exists.
+// starts (its first transmission is staged in that round), then feeds every
+// subsequent round's Input through Poll until it reports done. When Poll
+// reports done the machine continues its own next stage in the same Step
+// call with the same Input.
 
 import (
 	"repro/internal/sim"
@@ -21,10 +16,21 @@ import (
 // interval is one id range on the Capetanakis splitting stack.
 type interval struct{ lo, hi int }
 
-// CapetanakisStep is the per-round form of CapetanakisBounded (and, with
-// MaxSlots 0, of Capetanakis). After Poll reports done, Sched holds the
-// schedule and Complete reports whether the resolution finished within the
-// slot budget.
+// CapetanakisStep is the deterministic tree-splitting resolution over the id
+// space [0, idSpace). A node participates as a contender iff contending is
+// true, with the given distinct id and payload. After Poll reports done,
+// Sched holds the schedule — every contender's id and payload, identical at
+// every node — and Complete reports whether the resolution finished within
+// the slot budget.
+//
+// The protocol maintains a stack of id intervals, initially {[0, idSpace)},
+// replicated at every node from the public slot outcomes: contenders in the
+// top interval transmit; idle pops, success records and pops, collision
+// splits the interval in two. With k contenders it uses O(k·log(idSpace/k))
+// slots, the bound the paper cites for scheduling fragment cores. A
+// positive slot budget makes it give up after that many slots; the §7.3
+// size computation uses it to probe whether at most 2^i fragments remain
+// after phase i.
 type CapetanakisStep struct {
 	c *sim.StepCtx
 
@@ -41,8 +47,8 @@ type CapetanakisStep struct {
 	slots int
 }
 
-// NewCapetanakisStep returns the component in its pre-Begin state. The
-// parameters mirror CapetanakisBounded; maxSlots <= 0 means no budget.
+// NewCapetanakisStep returns the component in its pre-Begin state;
+// maxSlots <= 0 means no budget.
 func NewCapetanakisStep(c *sim.StepCtx, idSpace int, contending bool, myID int, payload sim.Payload, maxSlots int) *CapetanakisStep {
 	if idSpace < 1 {
 		idSpace = 1
@@ -61,9 +67,8 @@ func (s *CapetanakisStep) Begin() (done bool) {
 	return s.transmit()
 }
 
-// transmit runs the pre-Tick half of one loop iteration of the blocking
-// form: give up if the budget is spent, finish if the stack is empty,
-// otherwise contend in the top interval.
+// transmit opens one slot: finish if the stack is empty, give up if the
+// budget is spent, otherwise contend in the top interval.
 func (s *CapetanakisStep) transmit() (done bool) {
 	if len(s.stack) == 0 {
 		s.Complete = true
@@ -169,10 +174,19 @@ func (s *ElectionStep) Poll(in sim.Input) (done bool) {
 	return false
 }
 
-// MetcalfeBoggsStep is the per-round form of MetcalfeBoggs: randomized
-// contention resolution with paired data/liveness slots. After Poll reports
-// done, Sched holds the schedule and Done whether every contender was
-// scheduled within the pair budget.
+// MetcalfeBoggsStep is randomized contention resolution with paired slots:
+// even slots carry data transmissions (each unscheduled contender transmits
+// with probability 1/k̂), odd slots carry a liveness busy tone from every
+// still-unscheduled contender. The first idle liveness slot ends the
+// protocol, so termination is exact without any shared knowledge beyond the
+// slot sequence. k̂ starts at max(1, estimate) and adapts multiplicatively
+// (collision ×2, idle ÷2, success −1), which recovers from bad estimates.
+// With an accurate estimate the expected number of pairs is O(k), matching
+// the O(1) expected slots per root the paper cites.
+//
+// After Poll reports done, Sched holds the schedule and Done whether every
+// contender was scheduled within the pair budget (maxPairs > 0; the Las
+// Vegas partition verifier of §4 uses it).
 type MetcalfeBoggsStep struct {
 	c *sim.StepCtx
 
@@ -189,8 +203,8 @@ type MetcalfeBoggsStep struct {
 	liveness bool // the outcome being awaited is a liveness slot
 }
 
-// NewMetcalfeBoggsStep returns the component in its pre-Begin state; the
-// parameters mirror MetcalfeBoggs.
+// NewMetcalfeBoggsStep returns the component in its pre-Begin state;
+// maxPairs <= 0 means no budget.
 func NewMetcalfeBoggsStep(c *sim.StepCtx, estimate int, contending bool, myID int, payload sim.Payload, maxPairs int) *MetcalfeBoggsStep {
 	khat := estimate
 	if khat < 1 {

@@ -1,6 +1,7 @@
 package resolve
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -33,111 +34,69 @@ func TestElectMaxID(t *testing.T) {
 	}
 }
 
-// capProbe runs Capetanakis with a subset of contenders on both engines and
-// compares schedule and metrics.
-func TestCapetanakisStepEquivalence(t *testing.T) {
+// TestCapetanakisStepPinned pins the tree-splitting schedule and slot bill
+// for every third node contending on a 24-node ring: contenders are heard
+// in id order, in 8 successes, 7 collisions and 1 idle slot, and the
+// machines halt in the last slot's round. The values were recorded from the
+// blocking form the component replaced.
+func TestCapetanakisStepPinned(t *testing.T) {
 	g, err := graph.Ring(24, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	contender := func(id graph.NodeID) bool { return id%3 == 0 }
-
-	goRes, err := sim.Run(g, func(c *sim.Ctx) error {
-		sched, _ := Capetanakis(c, sim.Input{}, c.N(), contender(c.ID()), int(c.ID()), int(c.ID())*10)
-		c.SetResult(sched)
-		return nil
-	}, sim.WithSeed(1), sim.WithEngine(sim.EngineGoroutine))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	stRes, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
-		return &capTestMachine{c: c, s: NewCapetanakisStep(c, c.N(), contender(c.ID()), int(c.ID()), int(c.ID())*10, 0)}
+	res, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
+		id := int(c.ID())
+		return capetanakis(c, id%3 == 0, id*10, func(s []ScheduledItem) any { return s })
 	}, sim.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if !reflect.DeepEqual(goRes.Results, stRes.Results) {
-		t.Errorf("schedules diverge:\n goroutine: %#v\n step:      %#v", goRes.Results, stRes.Results)
-	}
-	if !reflect.DeepEqual(goRes.Metrics, stRes.Metrics) {
-		t.Errorf("metrics diverge:\n goroutine: %+v\n step:      %+v", goRes.Metrics, stRes.Metrics)
-	}
-}
-
-type capTestMachine struct {
-	c     *sim.StepCtx
-	s     *CapetanakisStep
-	sched any
-}
-
-func (m *capTestMachine) Step(in sim.Input) bool {
-	if in.Round == 0 {
-		if m.s.Begin() {
-			m.sched = m.s.Sched
-			return true
+	want := []ScheduledItem{{0, 0}, {3, 30}, {6, 60}, {9, 90}, {12, 120}, {15, 150}, {18, 180}, {21, 210}}
+	for v, r := range res.Results {
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("node %d schedule %v, want %v", v, r, want)
 		}
-		return false
 	}
-	if !m.s.Poll(in) {
-		return false
+	wantM := sim.Metrics{Rounds: 16, SlotsIdle: 1, SlotsSuccess: 8, SlotsCollision: 7}
+	if res.Metrics != wantM {
+		t.Errorf("metrics %+v, want %+v", res.Metrics, wantM)
 	}
-	m.sched = m.s.Sched
-	return true
 }
 
-func (m *capTestMachine) Result() any { return m.sched }
-
-// TestMetcalfeBoggsStepEquivalence compares the randomized contention
-// component draw-for-draw with the blocking form.
-func TestMetcalfeBoggsStepEquivalence(t *testing.T) {
+// TestMetcalfeBoggsStepPinned pins the randomized contention component
+// draw for draw: the schedule order and slot bill of the even nodes of a
+// 16-node ring contending with estimate 4, at three seeds. The values were
+// recorded from the blocking form the component replaced.
+func TestMetcalfeBoggsStepPinned(t *testing.T) {
 	g, err := graph.Ring(16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seed := range []int64{1, 7, 99} {
-		goRes, err := sim.Run(g, func(c *sim.Ctx) error {
-			sched, done, _ := MetcalfeBoggs(c, sim.Input{}, 4, c.ID()%2 == 0, int(c.ID()), nil, 0)
-			c.SetResult([]any{sched, done})
-			return nil
-		}, sim.WithSeed(seed), sim.WithEngine(sim.EngineGoroutine))
+	for _, tc := range []struct {
+		seed  int64
+		order []int
+		m     sim.Metrics
+	}{
+		{1, []int{12, 2, 8, 14, 10, 4, 6, 0}, sim.Metrics{Rounds: 49, SlotsIdle: 9, SlotsSuccess: 10, SlotsCollision: 30}},
+		{7, []int{0, 10, 8, 2, 12, 6, 14, 4}, sim.Metrics{Rounds: 49, SlotsIdle: 9, SlotsSuccess: 9, SlotsCollision: 31}},
+		{99, []int{4, 6, 14, 0, 10, 12, 2, 8}, sim.Metrics{Rounds: 55, SlotsIdle: 10, SlotsSuccess: 9, SlotsCollision: 36}},
+	} {
+		res, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
+			return metcalfeBoggs(c, 4, c.ID()%2 == 0, nil, 0, func(s []ScheduledItem, done bool) any {
+				return fmt.Sprint(schedIDs(s), done)
+			})
+		}, sim.WithSeed(tc.seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		stRes, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine {
-			return &mbTestMachine{s: NewMetcalfeBoggsStep(c, 4, c.ID()%2 == 0, int(c.ID()), nil, 0)}
-		}, sim.WithSeed(seed))
-		if err != nil {
-			t.Fatal(err)
+		want := fmt.Sprint(tc.order, true)
+		for v, r := range res.Results {
+			if r != want {
+				t.Fatalf("seed %d: node %d schedule %v, want %v", tc.seed, v, r, want)
+			}
 		}
-		if !reflect.DeepEqual(goRes.Results, stRes.Results) {
-			t.Errorf("seed %d: schedules diverge", seed)
-		}
-		if !reflect.DeepEqual(goRes.Metrics, stRes.Metrics) {
-			t.Errorf("seed %d: metrics diverge:\n goroutine: %+v\n step:      %+v", seed, goRes.Metrics, stRes.Metrics)
+		if res.Metrics != tc.m {
+			t.Errorf("seed %d: metrics %+v, want %+v", tc.seed, res.Metrics, tc.m)
 		}
 	}
 }
-
-type mbTestMachine struct {
-	s   *MetcalfeBoggsStep
-	out any
-}
-
-func (m *mbTestMachine) Step(in sim.Input) bool {
-	if in.Round == 0 {
-		if m.s.Begin() {
-			m.out = []any{m.s.Sched, m.s.Done}
-			return true
-		}
-		return false
-	}
-	if !m.s.Poll(in) {
-		return false
-	}
-	m.out = []any{m.s.Sched, m.s.Done}
-	return true
-}
-
-func (m *mbTestMachine) Result() any { return m.out }

@@ -267,6 +267,9 @@ func (c *StepCtx) Rand() *rand.Rand {
 // fill, not one allocating topology query per message.
 func (c *StepCtx) LinkOf(edgeID int) int {
 	if la := c.eng.linkAt; la != nil {
+		if edgeID < 0 || edgeID >= len(la) {
+			panic(fmt.Sprintf("sim: node %d has no link with edge id %d", c.id, edgeID))
+		}
 		e := c.eng.mat.Edge(edgeID)
 		switch c.id {
 		case e.U:
