@@ -301,6 +301,38 @@ func (m *sleepDelayMachine) Step(in Input) bool {
 
 func (m *sleepDelayMachine) Result() any { return m.woke }
 
+// stressProgram is a randomized program drawing every fault kind's
+// attention: random sends on every link, random channel writes, and a
+// running digest of everything it observes.
+func stressProgram(c *Ctx) error {
+	sum := uint64(0)
+	mix := func(vals ...uint64) {
+		for _, v := range vals {
+			sum = sum*0x100000001b3 + v
+		}
+	}
+	for r := 1; r <= 12; r++ {
+		for l := 0; l < c.Degree(); l++ {
+			if c.Rand().Intn(3) == 0 {
+				c.Send(l, int(c.Rand().Intn(1000)))
+			}
+		}
+		if c.Rand().Intn(5) == 0 {
+			c.Broadcast(int(c.ID())*100 + c.Round())
+		}
+		in := c.Tick()
+		mix(uint64(in.Round), uint64(in.Slot.State), uint64(in.Slot.From))
+		if p, ok := in.Slot.Payload.(int); ok {
+			mix(uint64(p))
+		}
+		for _, m := range in.Msgs {
+			mix(uint64(m.From), uint64(m.EdgeID), uint64(m.Payload.(int)))
+		}
+	}
+	c.SetResult(sum)
+	return nil
+}
+
 // TestFaultStressEquivalence is the fault determinism gate at the sim
 // level: a randomized program under a plan combining every fault kind must
 // produce identical transcripts on both engines at any worker count.
@@ -314,35 +346,13 @@ func TestFaultStressEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
-		sum := uint64(0)
-		mix := func(vals ...uint64) {
-			for _, v := range vals {
-				sum = sum*0x100000001b3 + v
-			}
-		}
-		for r := 1; r <= 12; r++ {
-			for l := 0; l < c.Degree(); l++ {
-				if c.Rand().Intn(3) == 0 {
-					c.Send(l, int(c.Rand().Intn(1000)))
-				}
-			}
-			if c.Rand().Intn(5) == 0 {
-				c.Broadcast(int(c.ID())*100 + c.Round())
-			}
-			in := c.Tick()
-			mix(uint64(in.Round), uint64(in.Slot.State), uint64(in.Slot.From))
-			if p, ok := in.Slot.Payload.(int); ok {
-				mix(uint64(p))
-			}
-			for _, m := range in.Msgs {
-				mix(uint64(m.From), uint64(m.EdgeID), uint64(m.Payload.(int)))
-			}
-		}
-		c.SetResult(sum)
-		return nil
+	res := faultEngines(t, g, stressProgram, WithSeed(9), WithFaults(plan))
+	run := func(o ...Option) (*Result, error) { return Run(g, stressProgram, o...) }
+	checkPin(t, "fault-stress", "goroutine", pinCell(t, run, WithSeed(9), WithFaults(plan), WithEngine(EngineGoroutine)))
+	for _, w := range []int{1, 4} {
+		checkPin(t, "fault-stress", fmt.Sprintf("step-w%d", w),
+			pinCell(t, run, WithSeed(9), WithFaults(plan), WithEngine(EngineStep), WithWorkers(w)))
 	}
-	res := faultEngines(t, g, prog, WithSeed(9), WithFaults(plan))
 	if res.Metrics.Crashed != 2 {
 		t.Errorf("Crashed = %d, want 2", res.Metrics.Crashed)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -280,7 +281,11 @@ func TestAdapterMatchesGoroutineEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := func(o ...Option) (*Result, error) { return Run(g, chatterProgram(12), o...) }
+	checkPin(t, "chatter", "goroutine", pinCell(t, run, WithSeed(99), WithEngine(EngineGoroutine)))
 	for _, workers := range []int{1, 3, 8} {
+		checkPin(t, "chatter", fmt.Sprintf("step-w%d", workers),
+			pinCell(t, run, WithSeed(99), WithEngine(EngineStep), WithWorkers(workers)))
 		got, err := Run(g, chatterProgram(12), WithSeed(99), WithEngine(EngineStep), WithWorkers(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -320,6 +325,53 @@ func TestAdapterMaxRounds(t *testing.T) {
 	}
 }
 
+// floodProgram is one barrier-synchronized flood from node 0, written with
+// the blocking BarrierStep.
+func floodProgram(ctx *Ctx) error {
+	seen := ctx.ID() == 0
+	BarrierStep(ctx, Input{}, func(in Input) bool {
+		if !seen && len(in.Msgs) > 0 {
+			seen = true
+			for l := 0; l < ctx.Degree(); l++ {
+				ctx.Send(l, "wave")
+			}
+		}
+		if seen && in.Round == 0 && ctx.ID() == 0 {
+			for l := 0; l < ctx.Degree(); l++ {
+				ctx.Send(l, "wave")
+			}
+		}
+		return false
+	})
+	ctx.SetResult(seen)
+	return nil
+}
+
+// floodMachine is floodProgram as a native machine over StepBarrier.
+func floodMachine(c *StepCtx) Machine {
+	b := NewStepBarrier(c)
+	seen := c.ID() == 0
+	return &stepFuncs{
+		step: func(in Input) bool {
+			return b.Step(in, func(in Input) bool {
+				if !seen && len(in.Msgs) > 0 {
+					seen = true
+					for l := 0; l < c.Degree(); l++ {
+						c.Send(l, "wave")
+					}
+				}
+				if seen && in.Round == 0 && c.ID() == 0 {
+					for l := 0; l < c.Degree(); l++ {
+						c.Send(l, "wave")
+					}
+				}
+				return false
+			})
+		},
+		result: func() any { return seen },
+	}
+}
+
 func TestStepBarrierMatchesBarrierStep(t *testing.T) {
 	// One barrier-synchronized flood from node 0, written both ways; the
 	// transcripts must match exactly.
@@ -327,53 +379,20 @@ func TestStepBarrierMatchesBarrierStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gor, err := Run(g, func(ctx *Ctx) error {
-		seen := ctx.ID() == 0
-		BarrierStep(ctx, Input{}, func(in Input) bool {
-			if !seen && len(in.Msgs) > 0 {
-				seen = true
-				for l := 0; l < ctx.Degree(); l++ {
-					ctx.Send(l, "wave")
-				}
-			}
-			if seen && in.Round == 0 && ctx.ID() == 0 {
-				for l := 0; l < ctx.Degree(); l++ {
-					ctx.Send(l, "wave")
-				}
-			}
-			return false
-		})
-		ctx.SetResult(seen)
-		return nil
-	})
+	gor, err := Run(g, floodProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := RunStep(g, func(c *StepCtx) Machine {
-		b := NewStepBarrier(c)
-		seen := c.ID() == 0
-		return &stepFuncs{
-			step: func(in Input) bool {
-				return b.Step(in, func(in Input) bool {
-					if !seen && len(in.Msgs) > 0 {
-						seen = true
-						for l := 0; l < c.Degree(); l++ {
-							c.Send(l, "wave")
-						}
-					}
-					if seen && in.Round == 0 && c.ID() == 0 {
-						for l := 0; l < c.Degree(); l++ {
-							c.Send(l, "wave")
-						}
-					}
-					return false
-				})
-			},
-			result: func() any { return seen },
-		}
-	})
+	nat, err := RunStep(g, floodMachine)
 	if err != nil {
 		t.Fatal(err)
+	}
+	gorRun := func(o ...Option) (*Result, error) { return Run(g, floodProgram, o...) }
+	natRun := func(o ...Option) (*Result, error) { return RunStep(g, floodMachine, o...) }
+	checkPin(t, "barrier-flood", "goroutine", pinCell(t, gorRun, WithEngine(EngineGoroutine)))
+	for _, w := range []int{1, 4} {
+		checkPin(t, "barrier-flood", fmt.Sprintf("adapter-w%d", w), pinCell(t, gorRun, WithEngine(EngineStep), WithWorkers(w)))
+		checkPin(t, "barrier-flood", fmt.Sprintf("native-w%d", w), pinCell(t, natRun, WithWorkers(w)))
 	}
 	if !reflect.DeepEqual(gor.Results, nat.Results) {
 		t.Error("results differ between BarrierStep and StepBarrier")

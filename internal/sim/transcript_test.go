@@ -8,6 +8,7 @@ package sim
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -75,11 +76,15 @@ func TestTranscriptCrossEngineByteIdentity(t *testing.T) {
 			if len(ref) == 0 {
 				t.Fatal("empty transcript")
 			}
+			run := func(o ...Option) (*Result, error) { return Run(g, transcriptProgram, o...) }
+			checkPin(t, "transcript-"+tc.name, "goroutine", pinCell(t, run, append(opts, WithEngine(EngineGoroutine))...))
 			for _, w := range []int{1, 4} {
 				got := runTranscript(t, g, append(opts, WithEngine(EngineStep), WithWorkers(w))...)
 				if !bytes.Equal(got, ref) {
 					t.Errorf("step-w%d transcript differs from goroutine engine (%d vs %d bytes)", w, len(got), len(ref))
 				}
+				checkPin(t, "transcript-"+tc.name, fmt.Sprintf("step-w%d", w),
+					pinCell(t, run, append(opts, WithEngine(EngineStep), WithWorkers(w))...))
 			}
 		})
 	}
