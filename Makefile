@@ -58,12 +58,12 @@ bench:
 bench-check:
 	$(GO) run ./cmd/mmbench -compare BENCH_engines.json -out /tmp/bench-check.json
 
-## bench-quick: one pass of the engine-comparison benchmarks
+## bench-quick: one pass of the engine relay and census benchmarks
 bench-quick:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchtime 1x .
 
 ## fuzz: a bounded differential-fuzz session over (graph, algo, seed,
-## workers, faults) tuples; any divergence between engines is a bug
+## workers, faults) tuples; any divergence between worker counts is a bug
 fuzz:
 	$(GO) test -fuzz FuzzEngineEquivalence -fuzztime 60s -run '^$$' .
 

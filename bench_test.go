@@ -117,26 +117,14 @@ func BenchmarkMST256(b *testing.B) {
 	b.ReportMetric(float64(rounds), "rounds")
 }
 
-// Engine-comparison benchmarks (ISSUE 1 acceptance): round throughput of the
-// same fixed-round relay protocol — every node sends one message per round
-// for relayRounds rounds — on the goroutine engine, the step engine through
-// the goroutine adapter, and the step engine natively. At n = 10⁵ the native
-// step engine sustains well over 3× the goroutine engine's round throughput
-// (measured ~6× on one core; the gap widens with GOMAXPROCS since the
-// goroutine engine's scheduler loop is serial).
+// Engine benchmarks: round throughput of a fixed-round relay protocol —
+// every node sends one message per round for relayRounds rounds — and a
+// sleep/wake census wavefront, both on a 10⁵-node ring.
 
 const (
 	relayNodes  = 100_000
 	relayRounds = 20
 )
-
-func relayProgram(ctx *sim.Ctx) error {
-	for r := 0; r < relayRounds; r++ {
-		ctx.Send(0, r)
-		ctx.Tick()
-	}
-	return nil
-}
 
 type relayMachine struct{ c *sim.StepCtx }
 
@@ -150,13 +138,13 @@ func (m relayMachine) Step(in sim.Input) bool {
 
 func (m relayMachine) Result() any { return nil }
 
-func benchRelay(b *testing.B, run func(g *graph.Graph) (*sim.Result, error)) {
-	b.Helper()
+func BenchmarkEngineRelayStepNative100k(b *testing.B) {
 	g := ringGraph(b, relayNodes)
+	prog := func(c *sim.StepCtx) sim.Machine { return relayMachine{c: c} }
 	b.ResetTimer()
 	var rounds int
 	for i := 0; i < b.N; i++ {
-		res, err := run(g)
+		res, err := sim.RunStep(g, prog)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,28 +157,9 @@ func benchRelay(b *testing.B, run func(g *graph.Graph) (*sim.Result, error)) {
 	b.ReportMetric(float64(rounds)/b.Elapsed().Seconds(), "rounds/sec")
 }
 
-func BenchmarkEngineRelayGoroutine100k(b *testing.B) {
-	benchRelay(b, func(g *graph.Graph) (*sim.Result, error) {
-		return sim.Run(g, relayProgram, sim.WithEngine(sim.EngineGoroutine))
-	})
-}
-
-func BenchmarkEngineRelayStepAdapter100k(b *testing.B) {
-	benchRelay(b, func(g *graph.Graph) (*sim.Result, error) {
-		return sim.Run(g, relayProgram, sim.WithEngine(sim.EngineStep))
-	})
-}
-
-func BenchmarkEngineRelayStepNative100k(b *testing.B) {
-	benchRelay(b, func(g *graph.Graph) (*sim.Result, error) {
-		return sim.RunStep(g, func(c *sim.StepCtx) sim.Machine { return relayMachine{c: c} })
-	})
-}
-
-// BenchmarkEngineCensusStepNative100k measures the step engine where it has
-// no goroutine-engine counterpart: a sleep/wake wavefront census on a
-// 10⁵-node ring (the goroutine engine would schedule n·rounds ≈ 1.5·10¹⁰
-// handoffs for the same run).
+// BenchmarkEngineCensusStepNative100k measures a sleep/wake wavefront
+// census on a 10⁵-node ring: only the wavefront's nodes step each round,
+// where stepping every node would cost n·rounds ≈ 1.5·10¹⁰ node-rounds.
 func BenchmarkEngineCensusStepNative100k(b *testing.B) {
 	g := ringGraph(b, relayNodes)
 	b.ResetTimer()

@@ -4,9 +4,8 @@
 //
 // Two kinds of rows:
 //
-//   - testing.Benchmark rows (relay round-throughput on each engine — the
-//     step engine natively at several worker counts) with ns/op and
-//     allocs/op;
+//   - testing.Benchmark rows (relay round-throughput at several worker
+//     counts) with ns/op and allocs/op;
 //   - scale rows (the E11 configurations: native MST merge, BFS forest +
 //     coloring, census — each on a big ring) timed as single runs, with
 //     nodes/sec derived from the wall clock.
@@ -76,14 +75,6 @@ func main() {
 
 const relayRounds = 20
 
-func relayProgram(ctx *sim.Ctx) error {
-	for r := 0; r < relayRounds; r++ {
-		ctx.Send(0, r)
-		ctx.Tick()
-	}
-	return nil
-}
-
 type relayMachine struct{ c *sim.StepCtx }
 
 func (m relayMachine) Step(in sim.Input) bool {
@@ -134,11 +125,10 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	// Round-throughput rows: the same fixed-round relay protocol on the
-	// goroutine engine, the step engine through the adapter, and natively
-	// at several worker counts (the sense-reversing barrier is what makes
-	// workers >1 worthwhile; on a single-core host the extra rows measure
-	// its oversubscription overhead instead).
+	// Round-throughput rows: a fixed-round relay protocol at several worker
+	// counts (the sense-reversing barrier is what makes workers >1
+	// worthwhile; on a single-core host the extra rows measure its
+	// oversubscription overhead instead).
 	relay := func(name string, workers int, run func() (*sim.Result, error)) error {
 		var rounds int
 		r := testing.Benchmark(func(b *testing.B) {
@@ -159,21 +149,6 @@ func run(args []string, w io.Writer) error {
 		})
 		fmt.Fprintf(w, "%-32s %12d ns/op %10d allocs/op\n", name, r.NsPerOp(), r.AllocsPerOp())
 		return nil
-	}
-	if err := relay("relay/goroutine", 0, func() (*sim.Result, error) {
-		return sim.Run(ring, relayProgram, sim.WithEngine(sim.EngineGoroutine))
-	}); err != nil {
-		return err
-	}
-	if err := relay("relay/step-adapter", 1, func() (*sim.Result, error) {
-		return sim.Run(ring, relayProgram, sim.WithEngine(sim.EngineStep), sim.WithWorkers(1))
-	}); err != nil {
-		return err
-	}
-	if err := relay("relay/step-adapter-w4", 4, func() (*sim.Result, error) {
-		return sim.Run(ring, relayProgram, sim.WithEngine(sim.EngineStep), sim.WithWorkers(4))
-	}); err != nil {
-		return err
 	}
 	for _, workers := range []int{1, 4, 8} {
 		name := "relay/step-native"
@@ -472,10 +447,6 @@ func censusFootprint(spec string, n int) (uint64, error) {
 
 // scaleRows times the ported protocol suite on one big ring.
 func scaleRows(w io.Writer, rep *Report, n int) error {
-	prev := sim.DefaultEngine
-	sim.DefaultEngine = sim.EngineStep
-	defer func() { sim.DefaultEngine = prev }()
-
 	g, err := graph.Ring(n, 1)
 	if err != nil {
 		return err

@@ -35,9 +35,6 @@ func runTiny(t *testing.T, extra ...string) (*Report, string) {
 func TestBenchReportShape(t *testing.T) {
 	rep, _ := runTiny(t)
 	want := map[string]bool{
-		"relay/goroutine":               false,
-		"relay/step-adapter":            false,
-		"relay/step-adapter-w4":         false,
 		"relay/step-native":             false,
 		"relay/step-native-w4":          false,
 		"relay/step-native-w8":          false,

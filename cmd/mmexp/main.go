@@ -41,7 +41,6 @@ func run(args []string, w io.Writer) error {
 		full      = fs.Bool("full", false, "run the full parameter sweep (slow)")
 		only      = fs.String("only", "", "run a single experiment by id (e.g. E3)")
 		list      = fs.Bool("list", false, "list experiments and exit")
-		engine    = fs.String("engine", "goroutine", "execution engine for goroutine programs: goroutine|step; no experiment runs one any more — every protocol is a native step machine, identical on either value")
 		workers   = fs.Int("workers", 0, "step-engine worker count (0 = GOMAXPROCS)")
 		faults    = fs.String("faults", "", "fault plan DSL applied to every experiment (E10 installs its own plans)")
 		crashFrac = fs.Float64("crash", 0, "crash-stop this fraction of nodes at round 1 in every run")
@@ -59,10 +58,6 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
 	plan, err := fault.FromFlags(*faults, *crashFrac, *jamRate, *faultSeed)
 	if err != nil {
 		return err
@@ -87,10 +82,10 @@ func run(args []string, w io.Writer) error {
 		rec = o
 	}
 
-	oldE, oldW, oldF, oldM, oldR := sim.DefaultEngine, sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultMaxRounds, sim.DefaultRecorder
-	sim.DefaultEngine, sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultMaxRounds, sim.DefaultRecorder = eng, *workers, plan, *maxRounds, rec
+	oldW, oldF, oldM, oldR := sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultMaxRounds, sim.DefaultRecorder
+	sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultMaxRounds, sim.DefaultRecorder = *workers, plan, *maxRounds, rec
 	defer func() {
-		sim.DefaultEngine, sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultMaxRounds, sim.DefaultRecorder = oldE, oldW, oldF, oldM, oldR
+		sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultMaxRounds, sim.DefaultRecorder = oldW, oldF, oldM, oldR
 	}()
 
 	experiments := exp.All()

@@ -33,7 +33,6 @@ func TestRunOnly(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-only", "E999"},
-		{"-engine", "nope"},
 		{"-faults", "nope:1@2"},
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
@@ -43,7 +42,7 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestRunFaultedExperiment runs a cheap experiment under a global jam plan:
-// the fault flags must thread through to every internal sim.Run.
+// the fault flags must thread through to every internal run.
 func TestRunFaultedExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	// E8's protocols tolerate mild jamming (collision-resolution stages

@@ -9,10 +9,10 @@ import (
 
 // TestEveryAlgoHasEquivalenceCoverage is the CI gate of the differential
 // harness: every -algo value this command accepts must be claimed by a
-// runner in internal/difftest, whose outcomes the engines-equivalence suite
-// compares bit for bit across engines, worker counts, and fault plans. An
-// algorithm cannot be added to the CLI without a step-engine equivalence
-// test.
+// runner in internal/difftest, whose transcripts and outcomes the registry
+// fixtures pin and the differential suites compare bit for bit across worker
+// counts, topology forms, and fault plans. An algorithm cannot be added to
+// the CLI without that coverage.
 func TestEveryAlgoHasEquivalenceCoverage(t *testing.T) {
 	for _, algo := range algoNames {
 		if !difftest.Covers(algo) {

@@ -8,7 +8,7 @@
 //	mmnet -graph grid -n 400 -algo sum -variant rand -stage mb
 //	mmnet -graph ray -rays 16 -raylen 16 -algo p2p-sum
 //	mmnet -graph ring -n 100 -algo count
-//	mmnet -graph ring -n 256 -algo mst -engine step
+//	mmnet -graph ring -n 256 -algo mst -workers 4
 //	mmnet -graph ring -n 1000000 -algo census
 //	mmnet -graph ring -n 100000 -algo census -jam 1
 //	mmnet -graph random -n 256 -algo sum -faults 'jam:1-40/p0.5;drop:3@2-'
@@ -41,9 +41,9 @@ import (
 	"repro/internal/snapshot"
 )
 
-// algoNames is the canonical -algo registry. Every entry must run on both
-// engines and be claimed by a differential-test runner in
-// internal/difftest (enforced by TestEveryAlgoHasEquivalenceCoverage).
+// algoNames is the canonical -algo registry. Every entry must be claimed by
+// a differential-test runner in internal/difftest (enforced by
+// TestEveryAlgoHasEquivalenceCoverage).
 var algoNames = []string{
 	"partition-det", "partition-rand", "partition-lv",
 	"mst", "mst-boruvka",
@@ -81,11 +81,11 @@ func (r *report) set(key string, v any) {
 // describe and returns a restore function (keeps tests hermetic). The
 // recorder rides along so every inner run of a multi-stage algorithm is
 // observed, not just the outermost one.
-func setSimDefaults(eng sim.Engine, workers int, plan *fault.Plan, maxRounds int, rec sim.Recorder) func() {
-	oldE, oldW, oldF, oldM, oldR := sim.DefaultEngine, sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultMaxRounds, sim.DefaultRecorder
-	sim.DefaultEngine, sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultMaxRounds, sim.DefaultRecorder = eng, workers, plan, maxRounds, rec
+func setSimDefaults(workers int, plan *fault.Plan, maxRounds int, rec sim.Recorder) func() {
+	oldW, oldF, oldM, oldR := sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultMaxRounds, sim.DefaultRecorder
+	sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultMaxRounds, sim.DefaultRecorder = workers, plan, maxRounds, rec
 	return func() {
-		sim.DefaultEngine, sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultMaxRounds, sim.DefaultRecorder = oldE, oldW, oldF, oldM, oldR
+		sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultMaxRounds, sim.DefaultRecorder = oldW, oldF, oldM, oldR
 	}
 }
 
@@ -102,7 +102,6 @@ func run(args []string, w io.Writer) error {
 		algo      = fs.String("algo", "partition-det", strings.Join(algoNames, "|"))
 		variant   = fs.String("variant", "det", "multimedia function variant: det|balanced|rand")
 		stage     = fs.String("stage", "cap", "global stage: cap|mb")
-		engine    = fs.String("engine", "goroutine", "execution engine for goroutine programs: goroutine|step; no -algo runs one any more — every protocol is a native step machine, identical on either value")
 		workers   = fs.Int("workers", 0, "step-engine worker count (0 = GOMAXPROCS)")
 		jsonOut   = fs.Bool("json", false, "emit the run as one machine-readable JSON object on stdout")
 		faults    = fs.String("faults", "", "fault plan DSL, e.g. 'crash:7@10;jam:4-12/p0.5;drop:3@5-' (see README, Fault model)")
@@ -129,10 +128,6 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
 	plan, err := fault.FromFlags(*faults, *crashFrac, *jamRate, *faultSeed)
 	if err != nil {
 		return err
@@ -144,7 +139,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	engineLabel := eng.String()
+	engineLabel := sim.EngineStep.String()
 	if *algo == "census" {
 		engineLabel = "step (native protocol)"
 	}
@@ -198,7 +193,7 @@ func run(args []string, w io.Writer) error {
 	if o != nil {
 		rec = o
 	}
-	defer setSimDefaults(eng, *workers, plan, *maxRounds, rec)()
+	defer setSimDefaults(*workers, plan, *maxRounds, rec)()
 
 	var rep *report
 	if *resumePath != "" {

@@ -35,8 +35,7 @@ func TestRunAlgos(t *testing.T) {
 		{"forest", []string{"-graph", "ring", "-n", "12", "-algo", "forest"}, "counted n=12"},
 		{"coloring", []string{"-graph", "ring", "-n", "12", "-algo", "coloring"}, "MIS verified"},
 		{"sync-sum", []string{"-graph", "ring", "-n", "12", "-algo", "sync-sum"}, "synchronizer-driven sum = 78"},
-		{"step-engine", []string{"-graph", "ring", "-n", "12", "-algo", "mst", "-engine", "step"}, "engine=step"},
-		{"step-coloring", []string{"-graph", "ring", "-n", "12", "-algo", "coloring", "-engine", "step"}, "MIS verified"},
+		{"engine-label", []string{"-graph", "ring", "-n", "12", "-algo", "mst"}, "engine=step"},
 		{"other-graphs", []string{"-graph", "ray", "-rays", "3", "-raylen", "3", "-algo", "count"}, "n=10"},
 	}
 	for _, tc := range cases {
@@ -60,7 +59,6 @@ func TestRunErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-algo", "nope"},
 		{"-graph", "nope"},
-		{"-engine", "nope"},
 		{"-faults", "nope:1@2"},
 		{"-graph", "ring", "-n", "12", "-faults", "crash:99@1"}, // node outside graph
 	} {

@@ -3,12 +3,13 @@ package repro
 // crossform_test.go is the cross-form half of the differential harness: for
 // every topology family that exists in both the implicit O(1)-memory form
 // and the materialized *Graph form, the two forms must be indistinguishable
-// to every protocol — bit-identical outcomes on both engines at several
-// worker counts. Together with the cross-engine suite (engines_test.go)
-// this pins the full determinism contract: (spec, protocol, seed) fixes the
-// transcript regardless of topology form, engine, or parallelism.
+// to every protocol — bit-identical outcomes at several worker counts.
+// Together with the registry fixtures (registry_fixtures_test.go) this pins
+// the full determinism contract: (spec, protocol, seed) fixes the
+// transcript regardless of topology form or parallelism.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -19,8 +20,9 @@ import (
 )
 
 // crossFormSpecs lists every implicit-capable family once, at sizes small
-// enough for the goroutine engine but rich enough to exercise irregular
-// degrees (path endpoints, grid corners, the btree frontier, the star hub).
+// enough to run every protocol quickly but rich enough to exercise
+// irregular degrees (path endpoints, grid corners, the btree frontier, the
+// star hub).
 var crossFormSpecs = []string{
 	"ring:20",
 	"path:17",
@@ -49,35 +51,23 @@ func crossFormPair(t *testing.T, spec string) (imp graph.Topology, mat *graph.Gr
 }
 
 // TestCrossFormEquivalence runs every protocol in the differential registry
-// on the implicit and materialized forms of every shared topology, under
-// the goroutine engine and the step engine at workers 1 and 4, and requires
-// bit-identical outcomes form-for-form in each configuration.
+// on the implicit and materialized forms of every shared topology at
+// workers 1 and 4, and requires bit-identical outcomes form-for-form at
+// each worker count.
 func TestCrossFormEquivalence(t *testing.T) {
-	configs := []struct {
-		name    string
-		engine  sim.Engine
-		workers int
-	}{
-		{"goroutine", sim.EngineGoroutine, 0},
-		{"step-w1", sim.EngineStep, 1},
-		{"step-w4", sim.EngineStep, 4},
-	}
 	for _, spec := range crossFormSpecs {
 		imp, mat := crossFormPair(t, spec)
 		for _, proto := range difftest.Protocols() {
-			for _, cfg := range configs {
-				if testing.Short() && cfg.name == "step-w4" {
+			for _, workers := range []int{1, 4} {
+				if testing.Short() && workers == 4 {
 					continue
 				}
-				t.Run(spec+"/"+proto.Name+"/"+cfg.name, func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/step-w%d", spec, proto.Name, workers), func(t *testing.T) {
 					oldW := sim.DefaultWorkers
-					sim.DefaultWorkers = cfg.workers
+					sim.DefaultWorkers = workers
 					defer func() { sim.DefaultWorkers = oldW }()
-					var implicit, materialized outcome
-					withEngine(t, cfg.engine, func() {
-						implicit = capture(proto.Run, imp, 1)
-						materialized = capture(proto.Run, mat, 1)
-					})
+					implicit := capture(proto.Run, imp, 1)
+					materialized := capture(proto.Run, mat, 1)
 					if !reflect.DeepEqual(implicit, materialized) {
 						t.Errorf("forms diverge:\n implicit:     %#v\n materialized: %#v",
 							implicit, materialized)
@@ -107,16 +97,11 @@ func TestCrossFormEquivalenceUnderFaults(t *testing.T) {
 				oldPlan := sim.DefaultFaults
 				sim.DefaultFaults = parsed
 				defer func() { sim.DefaultFaults = oldPlan }()
-				var implicit, materialized outcome
-				for _, eng := range []sim.Engine{sim.EngineGoroutine, sim.EngineStep} {
-					withEngine(t, eng, func() {
-						implicit = capture(proto.Run, imp, 1)
-						materialized = capture(proto.Run, mat, 1)
-					})
-					if !reflect.DeepEqual(implicit, materialized) {
-						t.Errorf("faulted forms diverge on %v:\n implicit:     %#v\n materialized: %#v",
-							eng, implicit, materialized)
-					}
+				implicit := capture(proto.Run, imp, 1)
+				materialized := capture(proto.Run, mat, 1)
+				if !reflect.DeepEqual(implicit, materialized) {
+					t.Errorf("faulted forms diverge:\n implicit:     %#v\n materialized: %#v",
+						implicit, materialized)
 				}
 			})
 		}

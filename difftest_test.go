@@ -2,7 +2,7 @@ package repro
 
 // difftest_test.go is the randomized half of the differential harness: a
 // seeded generator draws (graph, algorithm, seed, worker count, fault plan)
-// tuples and asserts that the goroutine engine and the step engine produce
+// tuples and asserts that one worker and the tuple's worker count produce
 // bit-identical outcomes — value or error — for every tuple. The same
 // driver doubles as a fuzz target, so `go test -fuzz=FuzzEngineEquivalence`
 // explores the tuple space beyond the seeded table.
@@ -114,7 +114,18 @@ func (d diffTuple) makeGraph() (graph.Topology, error) {
 	}
 }
 
-// checkTuple runs one tuple on both engines and fails on any divergence.
+// pairedWorkers is the worker count checked against one worker: the
+// tuple's own, or 4 when that is 1. It is the pair reduceDivergence
+// bisects.
+func (d diffTuple) pairedWorkers() int {
+	if d.workers == 1 {
+		return 4
+	}
+	return d.workers
+}
+
+// checkTuple runs one tuple at 1 and at its paired worker count and fails
+// on any divergence.
 func checkTuple(t *testing.T, d diffTuple) {
 	t.Helper()
 	g, err := d.makeGraph()
@@ -133,36 +144,31 @@ func checkTuple(t *testing.T, d diffTuple) {
 		sim.DefaultFaults, sim.DefaultMaxRounds, sim.DefaultWorkers = oldPlan, oldMax, oldW
 	}()
 
-	var want, got outcome
-	withEngine(t, sim.EngineGoroutine, func() {
-		want = capture(d.proto.Run, g, d.seed)
-	})
-	sim.DefaultWorkers = d.workers
-	withEngine(t, sim.EngineStep, func() {
-		got = capture(d.proto.Run, g, d.seed)
-	})
+	sim.DefaultWorkers = 1
+	want := capture(d.proto.Run, g, d.seed)
+	sim.DefaultWorkers = d.pairedWorkers()
+	got := capture(d.proto.Run, g, d.seed)
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("%v: engines diverge:\n goroutine: %#v\n step:      %#v\n%s", d, want, got, reduceDivergence(d, g, plan))
+		t.Errorf("%v: worker counts diverge:\n w1:  %#v\n w%d: %#v\n%s",
+			d, want, d.pairedWorkers(), got, reduceDivergence(d, g, plan))
 	}
 }
 
 // reduceDivergence is the fuzz loop's `mmreplay -bisect` hookup: when a
 // tuple diverges, reduce it to the first round whose full checkpointed
-// engine state differs between worker counts 1 and the tuple's. Only the
-// re-runnable native step protocols can be state-bisected; for the rest,
-// print the search the developer would run by hand.
+// engine state differs between worker counts 1 and the tuple's paired
+// count. Only single-run protocols (replay.Program) can be state-bisected;
+// for the multi-run rest, print the single-run search the developer can
+// start from by hand.
 func reduceDivergence(d diffTuple, g graph.Topology, plan *fault.Plan) string {
 	var buf bytes.Buffer
+	wb := d.pairedWorkers()
 	prog, err := replay.Program(d.proto.Name)
 	if err != nil {
-		fmt.Fprintf(&buf, "auto-reduce: %s has no native step form to bisect; try:\n"+
+		fmt.Fprintf(&buf, "auto-reduce: %s is a multi-run protocol, and state bisection covers only the single-run census|estimate; try:\n"+
 			"  go run ./cmd/mmreplay -bisect -algo census -graph %s -n %d -seed %d -faults %q -workers-a 1 -workers-b %d\n",
-			d.proto.Name, d.graph, d.n, d.seed, d.plan, d.workers)
+			d.proto.Name, d.graph, d.n, d.seed, d.plan, wb)
 		return buf.String()
-	}
-	wb := d.workers
-	if wb == 1 {
-		wb = 4
 	}
 	fmt.Fprintf(&buf, "auto-reduce (state bisection, workers 1 vs %d):\n", wb)
 	if err := replay.BisectStates(&buf, g, prog, d.seed, plan, 1500, 1, wb); err != nil && !errors.Is(err, replay.ErrDiverged) {
@@ -190,7 +196,9 @@ func TestSeededRandomDifferential(t *testing.T) {
 }
 
 // FuzzEngineEquivalence lets the fuzzer explore the tuple space: any input
-// on which the engines diverge is a determinism bug.
+// on which the worker counts diverge is a determinism bug. (The name
+// predates the single engine; it is kept so the corpus under
+// testdata/fuzz/FuzzEngineEquivalence still loads.)
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(6), int64(1), int64(1), uint8(0), uint8(0))
 	f.Add(uint8(3), uint8(2), uint8(22), int64(7), int64(9), uint8(1), uint8(4))
@@ -205,7 +213,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(uint8(3), uint8(0), uint8(12), int64(4), int64(6), uint8(2), uint8(2))
 	// census on an *implicit* ring (topoSel 4) under delays: the engine's
 	// no-linkAt path — LinkOf resolved by weight-rank arithmetic — must be
-	// transcript-identical to the goroutine engine on the same topology.
+	// transcript-identical across worker counts on the same topology.
 	f.Add(uint8(10), uint8(4), uint8(20), int64(2), int64(3), uint8(1), uint8(5))
 	// mst on an implicit binary tree (topoSel 5), fault-free, workers 5.
 	f.Add(uint8(3), uint8(5), uint8(17), int64(8), int64(4), uint8(2), uint8(0))

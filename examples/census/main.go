@@ -3,10 +3,11 @@
 // partition with channel probes and computes n exactly; the Greenberg–Ladner
 // protocol estimates n within a constant factor in O(log n) slots.
 //
-// Every protocol here is a native step machine: the §7.3 count's partition
-// phases and channel probes, the §7.4 estimator, and the finale's census on
-// a network three orders of magnitude larger than the goroutine engine
-// could schedule — the million-node regime the step engine was built for.
+// Every protocol here is a step machine on the simulator's one engine: the
+// §7.3 count's partition phases and channel probes, the §7.4 estimator, and
+// the finale's census on a ring three orders of magnitude larger than the
+// small network — the regime the engine's sleep/wake scheduling is built
+// for, where only the wavefront's nodes step each round.
 package main
 
 import (

@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mst"
 	"repro/internal/partition"
-	"repro/internal/sim"
 	"repro/internal/size"
 )
 
@@ -93,71 +92,16 @@ func TestFullPipeline(t *testing.T) {
 	if est.Estimate < 1 {
 		t.Errorf("estimate = %d", est.Estimate)
 	}
-}
-
-func graph5Sum() globalfunc.Op { return globalfunc.Sum }
-
-// TestFullPipelineStepEngine reruns the pipeline's protocols with the step
-// engine as the process default, plus the native step protocols, so the new
-// execution path has an out-of-package, end-to-end consumer.
-func TestFullPipelineStepEngine(t *testing.T) {
-	old := sim.DefaultEngine
-	sim.DefaultEngine = sim.EngineStep
-	defer func() { sim.DefaultEngine = old }()
-
-	const n = 81
-	g, err := graph.RandomConnected(n, 2*n, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := func(v graph.NodeID) int64 { return (int64(v)*97 + 5) % 1000 }
-	want := globalfunc.Reference(g, graph5Sum(), in)
-
-	mm, err := globalfunc.Multimedia(g, 1, graph5Sum(), in,
-		globalfunc.VariantDeterministic, globalfunc.StageCapetanakis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mm.Value != want {
-		t.Errorf("multimedia sum on step engine = %d, want %d", mm.Value, want)
-	}
-
-	kr, err := graph.Kruskal(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := mst.Multimedia(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tree.MST.Equal(kr) {
-		t.Error("distributed MST on step engine differs from Kruskal")
-	}
-
-	ex, err := size.Exact(g, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.N != n {
-		t.Errorf("exact size on step engine = %d, want %d", ex.N, n)
-	}
-
-	// Native step protocols end to end.
 	census, err := size.Census(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if census.N != n {
-		t.Errorf("native census = %d, want %d", census.N, n)
-	}
-	p2p, err := globalfunc.PointToPoint(g, 1, graph5Sum(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2p.Value != want {
-		t.Errorf("native p2p sum = %d, want %d", p2p.Value, want)
+		t.Errorf("census = %d, want %d", census.N, n)
 	}
 }
+
+func graph5Sum() globalfunc.Op { return globalfunc.Sum }
 
 // TestEngineSlotConservation checks the simulator invariant that every
 // round resolves exactly one slot: idle + success + collision == rounds.

@@ -19,7 +19,7 @@
 //	            escaping closures, interface boxing, fmt.*, map/slice
 //	            literals, make/new, goroutine launches, and append forms
 //	            that grow fresh slices.
-//	ctxescape — *sim.StepCtx / *sim.Ctx values escaping their owning node:
+//	ctxescape — *sim.StepCtx values escaping their owning node:
 //	            globals, channel sends, goroutine captures, pointer
 //	            collections, and post-construction field aliasing.
 //	atomicmix — struct fields accessed both through sync/atomic pointer

@@ -1,11 +1,10 @@
 package analysis
 
-// ctxescape guards the ownership contract of the engines' per-node
-// contexts. A *sim.StepCtx (or goroutine-engine *sim.Ctx) is the engine's
-// handle for exactly one node: the sanctioned pattern is a StepProgram (or
-// Program) capturing its own c — typically into the machine it constructs
-// via a composite literal — and every method being called only from that
-// node's Step. The ROADMAP's state-compaction tier will turn StepCtx
+// ctxescape guards the ownership contract of the engine's per-node
+// contexts. A *sim.StepCtx is the engine's handle for exactly one node: the
+// sanctioned pattern is a StepProgram capturing its own c — typically into
+// the machine it constructs via a composite literal — and every method
+// being called only from that node's Step. The ROADMAP's state-compaction tier will turn StepCtx
 // storage into shard-local pooled arenas, after which any context reference
 // that outlives its round observes recycled state; this analyzer makes the
 // sharing patterns that would break illegal now:
@@ -20,9 +19,9 @@ package analysis
 // Composite-literal construction (&machine{c: c}) stays legal: the machine
 // is the node's own state and lives exactly as long as the node.
 //
-// Matching is by name — a pointer to a named type StepCtx or Ctx declared
-// in a package named "sim" — so the analyzer keeps working across the
-// planned refactors without importing the engine.
+// Matching is by name — a pointer to a named type StepCtx declared in a
+// package named "sim" — so the analyzer keeps working across the planned
+// refactors without importing the engine.
 
 import (
 	"go/ast"
@@ -32,11 +31,11 @@ import (
 // CtxEscape is the context-ownership analyzer.
 var CtxEscape = &Analyzer{
 	Name: "ctxescape",
-	Doc:  "flags *sim.StepCtx/*sim.Ctx values escaping their owning node: globals, channel sends, goroutine captures, pointer collections, field re-aliasing",
+	Doc:  "flags *sim.StepCtx values escaping their owning node: globals, channel sends, goroutine captures, pointer collections, field re-aliasing",
 	Run:  runCtxEscape,
 }
 
-// isCtxPtr reports whether t is *sim.StepCtx or *sim.Ctx.
+// isCtxPtr reports whether t is *sim.StepCtx.
 func isCtxPtr(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
@@ -50,7 +49,7 @@ func isCtxPtr(t types.Type) bool {
 	if obj.Pkg() == nil || obj.Pkg().Name() != "sim" {
 		return false
 	}
-	return obj.Name() == "StepCtx" || obj.Name() == "Ctx"
+	return obj.Name() == "StepCtx"
 }
 
 func (p *Pass) exprIsCtx(e ast.Expr) bool {
@@ -60,8 +59,8 @@ func (p *Pass) exprIsCtx(e ast.Expr) bool {
 
 func runCtxEscape(pass *Pass) error {
 	// The engine package itself is the contexts' owner: it allocates them,
-	// stores them in its per-node tables, and hands each program goroutine
-	// its own ctx — exactly the structural manipulation the analyzer bans
+	// stores them in its per-node tables, and hands each machine its own
+	// ctx — exactly the structural manipulation the analyzer bans
 	// for consumers. Ownership transfers are reviewed there, not linted.
 	if pass.Pkg.Path() == "repro/internal/sim" {
 		return nil

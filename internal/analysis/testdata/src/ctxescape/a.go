@@ -8,8 +8,7 @@ var leaked *sim.StepCtx // want "package-level leaked holds a .sim context"
 var ctxCh = make(chan *sim.StepCtx)
 
 type machine struct {
-	c     *sim.StepCtx
-	other *sim.Ctx
+	c *sim.StepCtx
 }
 
 type registry struct {
@@ -20,11 +19,10 @@ func construct(c *sim.StepCtx) *machine {
 	return &machine{c: c} // ok: composite-literal construction is the pattern
 }
 
-func escapes(c *sim.StepCtx, g *sim.Ctx, m *machine, r *registry) {
+func escapes(c *sim.StepCtx, m *machine, r *registry) {
 	leaked = c   // want "stored into package-level leaked"
 	ctxCh <- c   // want "sent over a channel"
 	m.c = c      // want "re-aliased into field c after construction"
-	m.other = g  // want "re-aliased into field other"
 	r.all[0] = c // want "stored into a collection element"
 	go func() {
 		c.Sleep() // want "captured by a goroutine"

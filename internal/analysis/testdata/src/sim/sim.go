@@ -3,13 +3,8 @@
 // this stand-in exercises exactly the code paths the real package would.
 package sim
 
-// StepCtx mimics the step engine's per-node context.
+// StepCtx mimics the engine's per-node context.
 type StepCtx struct {
-	ID int
-}
-
-// Ctx mimics the goroutine engine's per-node context.
-type Ctx struct {
 	ID int
 }
 

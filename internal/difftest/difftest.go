@@ -2,15 +2,14 @@
 // protocol of the module, each returning its full observable outcome as a
 // reflect.DeepEqual-comparable value. The registry fixtures pin every
 // entry's transcript and outcome under two fault plans, and the
-// equivalence suites require bit-identical outcomes across engines, worker
-// counts, and topology forms; cmd/mmnet's coverage test requires every
-// -algo value to be claimed by some entry, so an algorithm cannot be added
-// to the CLI without that coverage.
+// equivalence suites require bit-identical outcomes across worker counts
+// and topology forms; cmd/mmnet's coverage test requires every -algo value
+// to be claimed by some entry, so an algorithm cannot be added to the CLI
+// without that coverage.
 //
 // Runners honor the process defaults (sim.DefaultFaults, DefaultWorkers,
 // DefaultTranscript, DefaultRecorder), so callers configure runs exactly as
-// the commands do. Every entry runs native step machines only, so
-// DefaultEngine changes nothing (TestRegistryRunsNative).
+// the commands do.
 package difftest
 
 import (
@@ -36,8 +35,8 @@ type Protocol struct {
 }
 
 // Protocols returns the registry. Every entry's outcome must be
-// bit-identical across engines, worker counts, and — completed or failed —
-// fault plans.
+// bit-identical across worker counts and topology forms, under any fault
+// plan — whether the run completes or fails.
 func Protocols() []Protocol {
 	return []Protocol{
 		{Name: "partition-det", Algos: []string{"partition-det"}, Run: func(g graph.Topology, seed int64) (any, error) {

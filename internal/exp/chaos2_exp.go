@@ -6,8 +6,9 @@ package exp
 // combined. Where E10 probes i.i.d. loss and channel jamming, E13 probes
 // the structured adversary: scheduled partition windows (optionally
 // recurring) and revival storms. Every cell is deterministic — the same
-// plan produces the same outcome, drift, and fault counts on both engines
-// — so the table doubles as a regression surface for the v2 rule families.
+// plan produces the same outcome, drift, and fault counts at any worker
+// count — so the table doubles as a regression surface for the v2 rule
+// families.
 
 import (
 	"fmt"

@@ -57,8 +57,8 @@ func runE9(w io.Writer, full bool) error {
 			if res.N != g.N() {
 				ok = "NO"
 			}
-			// Node-rounds the goroutine engine would have scheduled for the
-			// same run; the step engine's sleep/wake activation skips almost
+			// Node-rounds an engine stepping every node every round would
+			// schedule for the same run; sleep/wake activation skips almost
 			// all of them, which is the scaling headroom being measured.
 			nodeRounds := float64(g.N()) * float64(res.Metrics.Rounds)
 			tb.Add(name, g.N(), res.Metrics.Rounds, res.Metrics.Messages,

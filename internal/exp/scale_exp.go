@@ -12,8 +12,8 @@ import (
 	"repro/internal/sim"
 )
 
-// runE11 scales the newly-ported protocol suite to 10⁶-node rings on the
-// native step engine — the sizes the goroutine engine cannot schedule.
+// runE11 scales the protocol suite to 10⁶-node rings — sizes where the
+// engine's sleep/wake scheduling, not per-node stepping, sets the cost.
 //
 // Part (a) runs stages 2–3 of the §6 MST (core scheduling on the channel,
 // then barrier-synchronized merge phases) as native machines over a

@@ -1,11 +1,11 @@
 package fault
 
 // compile.go turns a declarative Plan into an Injector: the compiled,
-// read-only lookup structure the sim engines consult at their per-round
+// read-only lookup structure the sim engine consults at its per-round
 // choke points. Compilation validates the plan against the concrete graph,
 // resolves CrashFrac rules into concrete (node, round) crashes, and indexes
-// message rules by edge. An Injector is immutable after Compile, so both
-// engines may query it from any number of workers without synchronization.
+// message rules by edge. An Injector is immutable after Compile, so the
+// engine may query it from any number of workers without synchronization.
 
 import (
 	"fmt"
@@ -438,7 +438,7 @@ func (inj *Injector) roll(index int, a, b, c uint64, prob float64) bool {
 // Mix64 combines three words with the splitmix64 finalizer. It is the
 // keyed mixing primitive behind every deterministic coin in the module:
 // the injector's probabilistic rules here, the implicit topologies' edge
-// weights, and — critically — the sim engines' per-node RNG seed
+// weights, and — critically — the sim engine's per-node RNG seed
 // derivation, where a full-width mix is what guarantees distinct streams
 // for distinct (master seed, node id) pairs at any network size (a linear
 // seed*K+id derivation collides as soon as n exceeds K).

@@ -2,10 +2,9 @@
 // declarative, seedable fault plan injected beneath unmodified workloads, in
 // the spirit of chaos-mesh's declarative chaos objects. A Plan is a list of
 // Rules — crash-stop a node, drop/delay/duplicate messages on a link, jam
-// the multiaccess channel — compiled by the sim engines into per-round
-// injection hooks applied at their single delivery and slot-resolution
-// choke points, so every existing Program and Machine runs under faults
-// unmodified.
+// the multiaccess channel — compiled by the sim engine into per-round
+// injection hooks applied at its single delivery and slot-resolution choke
+// points, so every existing Machine runs under faults unmodified.
 //
 // # Round convention
 //
@@ -24,9 +23,8 @@
 //
 // Probabilistic rules (Prob < 1) draw from a pure hash of (plan seed, rule
 // index, edge, sender, round), never from shared RNG state, so a fixed
-// (graph, program, seed, plan) yields a bit-identical transcript on both
-// execution engines and any worker count — the simulator's determinism
-// contract extends to faults.
+// (graph, program, seed, plan) yields a bit-identical transcript at any
+// worker count — the simulator's determinism contract extends to faults.
 package fault
 
 import (

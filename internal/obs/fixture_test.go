@@ -23,7 +23,7 @@ var updateTraceFixture = flag.Bool("update-trace-fixture", false, "regenerate te
 
 // exampleTraceBytes returns the fixture, regenerating it first when
 // -update-trace-fixture is set: a 64-node ring relay under the standard
-// fault plan on the step engine at 2 workers — small enough to commit,
+// fault plan at 2 workers — small enough to commit,
 // busy enough to show all three phase lanes and the fault window.
 func exampleTraceBytes(t *testing.T) []byte {
 	t.Helper()
@@ -31,9 +31,8 @@ func exampleTraceBytes(t *testing.T) []byte {
 	if *updateTraceFixture {
 		g, plan := testGraphAndPlan(t)
 		o := New(Options{Trace: true})
-		if _, err := sim.Run(g, relayProgram(40),
-			sim.WithSeed(7), sim.WithFaults(plan), sim.WithRecorder(o),
-			sim.WithEngine(sim.EngineStep), sim.WithWorkers(2)); err != nil {
+		if _, err := sim.RunStep(g, relayProgram(40),
+			sim.WithSeed(7), sim.WithFaults(plan), sim.WithRecorder(o), sim.WithWorkers(2)); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

@@ -3,9 +3,9 @@ package obs
 // The package's two contracts, tested from outside the engines:
 //
 //   - Exactness: summing any delta column of the NDJSON series over a run
-//     reproduces the final sim.Metrics total bit-for-bit, on both engines,
-//     at workers 1 and 4, at every decimation factor — even under a fault
-//     plan that exercises every counter (crash, drop, delay, dup, jam).
+//     reproduces the final sim.Metrics total bit-for-bit at workers 1 and
+//     4, at every decimation factor — even under a fault plan that
+//     exercises every counter (crash, drop, delay, dup, jam).
 //   - Transparency: a run observed by an Obs produces exactly the results
 //     and metrics of the same run unobserved.
 
@@ -30,38 +30,45 @@ import (
 // channel (success when they coincide, collision otherwise), and the fault
 // plan below crashes node 3, jams a window, and drops/delays/duplicates
 // probabilistically.
-func relayProgram(rounds int) sim.Program {
-	return func(c *sim.Ctx) error {
-		n := c.N()
-		next := graph.NodeID((int(c.ID()) + 1) % n)
-		sum := 0
-		for r := 1; r <= rounds; r++ {
-			c.SendTo(next, r)
-			if int(c.ID()) == r%n || int(c.ID()) == (3*r)%n {
-				c.Broadcast(r)
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				sum += m.Payload.(int)
-			}
-			if in.Slot.State == sim.SlotSuccess {
-				sum += 1000
-			}
-		}
-		c.SetResult(sum)
-		return nil
-	}
+func relayProgram(rounds int) sim.StepProgram {
+	return func(c *sim.StepCtx) sim.Machine { return &relayNode{c: c, rounds: rounds} }
 }
+
+// relayNode is one node of relayProgram; its result sums what it heard.
+type relayNode struct {
+	c      *sim.StepCtx
+	rounds int
+	sum    int
+}
+
+func (m *relayNode) Step(in sim.Input) bool {
+	for _, msg := range in.Msgs {
+		m.sum += msg.Payload.(int)
+	}
+	if in.Slot.State == sim.SlotSuccess {
+		m.sum += 1000
+	}
+	if in.Round == m.rounds {
+		return true
+	}
+	n, id, r := m.c.N(), int(m.c.ID()), in.Round+1
+	m.c.SendTo(graph.NodeID((id+1)%n), r)
+	if id == r%n || id == (3*r)%n {
+		m.c.Broadcast(r)
+	}
+	return false
+}
+
+func (m *relayNode) Result() any { return m.sum }
 
 const testPlan = "seed:5;crash:3@8;jam:2-20/p0.4;delay:*@3-30/p0.25/d2;dup:*@5-25/p0.2/d3;drop:*@6-18/p0.1"
 
-var engineConfigs = []struct {
+var workerConfigs = []struct {
 	name string
 	opts []sim.Option
 }{
-	{"goroutine", []sim.Option{sim.WithEngine(sim.EngineGoroutine)}},
-	{"step-w1", []sim.Option{sim.WithEngine(sim.EngineStep), sim.WithWorkers(1)}},
-	{"step-w4", []sim.Option{sim.WithEngine(sim.EngineStep), sim.WithWorkers(4)}},
+	{"step-w1", []sim.Option{sim.WithWorkers(1)}},
+	{"step-w4", []sim.Option{sim.WithWorkers(4)}},
 }
 
 func testGraphAndPlan(t *testing.T) (*graph.Graph, *fault.Plan) {
@@ -95,14 +102,14 @@ func metricsAsMap(t *testing.T, m sim.Metrics) map[string]int64 {
 }
 
 // TestSeriesSumsMatchMetricsUnderFaults is the exactness contract: per-row
-// deltas sum to the final totals for every metric, engine, worker count,
-// and decimation factor, under a plan exercising every fault counter.
+// deltas sum to the final totals for every metric, worker count, and
+// decimation factor, under a plan exercising every fault counter.
 func TestSeriesSumsMatchMetricsUnderFaults(t *testing.T) {
 	g, plan := testGraphAndPlan(t)
 	prog := relayProgram(40)
 
 	// Unobserved baseline: the transparency reference.
-	base, err := sim.Run(g, prog, sim.WithSeed(7), sim.WithFaults(plan))
+	base, err := sim.RunStep(g, prog, sim.WithSeed(7), sim.WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +126,13 @@ func TestSeriesSumsMatchMetricsUnderFaults(t *testing.T) {
 		}
 	}
 
-	for _, ec := range engineConfigs {
+	for _, ec := range workerConfigs {
 		for _, every := range []int{1, 7, 1000} {
 			t.Run(fmt.Sprintf("%s/every=%d", ec.name, every), func(t *testing.T) {
 				var buf bytes.Buffer
 				o := New(Options{Series: &buf, SeriesEvery: every, Trace: true, PprofLabels: true})
 				opts := append([]sim.Option{sim.WithSeed(7), sim.WithFaults(plan), sim.WithRecorder(o)}, ec.opts...)
-				res, err := sim.Run(g, prog, opts...)
+				res, err := sim.RunStep(g, prog, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -277,9 +284,8 @@ func validateChromeTrace(t *testing.T, r io.Reader, wantShards int) map[string]i
 func TestTraceChromeJSON(t *testing.T) {
 	g, plan := testGraphAndPlan(t)
 	o := New(Options{Trace: true})
-	_, err := sim.Run(g, relayProgram(40),
-		sim.WithSeed(7), sim.WithFaults(plan), sim.WithRecorder(o),
-		sim.WithEngine(sim.EngineStep), sim.WithWorkers(4))
+	_, err := sim.RunStep(g, relayProgram(40),
+		sim.WithSeed(7), sim.WithFaults(plan), sim.WithRecorder(o), sim.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +339,7 @@ func TestMetricsHTTP(t *testing.T) {
 	}
 	defer srv.Close()
 
-	res, err := sim.Run(g, relayProgram(40),
+	res, err := sim.RunStep(g, relayProgram(40),
 		sim.WithSeed(7), sim.WithFaults(plan), sim.WithRecorder(o))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 package sim
 
-// checkpoint.go is the step engine's checkpoint/restore seam: a versioned,
+// checkpoint.go is the engine's checkpoint/restore seam: a versioned,
 // self-describing binary snapshot of everything transcript-affecting at a
 // round boundary, from which Resume continues the run bit-identically — the
 // transcript of a checkpointed-and-resumed run stitches onto the original's
@@ -18,10 +18,9 @@ package sim
 // run checkpointed at the same round produces byte-identical checkpoints at
 // any worker count, which is what cmd/mmreplay's bisector compares.
 //
-// What cannot checkpoint: the goroutine engine and the goroutine-program
-// adapter (blocked goroutine stacks are not serializable — both return
-// ErrNotCheckpointable), and native machines that neither implement
-// Snapshotter nor gob-encode. Resume always runs the step engine.
+// What cannot checkpoint: machines that neither implement Snapshotter nor
+// gob-encode (closure-state machines); such a run fails at its first
+// capture with a diagnostic naming the node.
 //
 // # Wire format (version 1)
 //
@@ -35,7 +34,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -52,12 +50,6 @@ import (
 const CheckpointVersion = 1
 
 const checkpointMagic = "MMCP"
-
-// ErrNotCheckpointable is returned when checkpointing is requested of an
-// execution mode that cannot snapshot its nodes: the goroutine engine and
-// the goroutine-program adapter (their node state lives in goroutine
-// stacks). Run native step programs on the step engine to checkpoint.
-var ErrNotCheckpointable = errors.New("sim: goroutine programs cannot be checkpointed; use a native step program on the step engine")
 
 // Snapshotter is the optional interface a Machine implements to make its
 // runs checkpointable. SnapshotState returns an independent copy of the
@@ -85,10 +77,10 @@ type CheckpointSpec struct {
 	Sink func(*Checkpoint) error
 }
 
-// WithCheckpoints captures checkpoints during this run per the spec. Only
-// the step engine running native step programs supports capture; other
-// modes fail with ErrNotCheckpointable. Capture happens at round
-// boundaries, coordinator-side, and never alters the run's transcript.
+// WithCheckpoints captures checkpoints during this run per the spec. Every
+// machine must implement Snapshotter or gob-encode; otherwise the run fails
+// at its first capture. Capture happens at round boundaries,
+// coordinator-side, and never alters the run's transcript.
 func WithCheckpoints(spec *CheckpointSpec) Option {
 	return func(c *config) { c.ckpt = spec }
 }

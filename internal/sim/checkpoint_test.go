@@ -3,8 +3,8 @@ package sim
 // checkpoint_test.go verifies the checkpoint/restore contract: capture is a
 // pure observation (the checkpointed run's transcript is unchanged), resumed
 // runs stitch byte-identically onto the original's transcript prefix,
-// checkpoints are byte-portable across worker counts, and the modes that
-// cannot snapshot (goroutine engine, step adapter) refuse cleanly.
+// checkpoints are byte-portable across worker counts, and machines that
+// cannot snapshot refuse cleanly.
 
 import (
 	"bytes"
@@ -353,16 +353,6 @@ func (m *gobFallbackMachine) Result() any { return m.Acc }
 
 func TestCheckpointRejectedModes(t *testing.T) {
 	g := ring(t, 4)
-	spec := &CheckpointSpec{Every: 2, Sink: func(*Checkpoint) error { return nil }}
-	prog := func(c *Ctx) error {
-		c.Tick()
-		return nil
-	}
-	for _, eng := range []Engine{EngineGoroutine, EngineStep} {
-		if _, err := Run(g, prog, WithEngine(eng), WithCheckpoints(spec)); !errors.Is(err, ErrNotCheckpointable) {
-			t.Errorf("engine %v with checkpoints: err = %v, want ErrNotCheckpointable", eng, err)
-		}
-	}
 	// A closure-state machine can neither snapshot nor gob-encode: the run
 	// must fail with a diagnostic, not capture garbage.
 	_, err := RunStep(g, func(c *StepCtx) Machine {

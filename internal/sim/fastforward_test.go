@@ -217,18 +217,16 @@ func TestFastForwardWedgeHitsBudget(t *testing.T) {
 	}
 }
 
-func TestFastForwardMatchesGoroutineWedge(t *testing.T) {
-	// The goroutine form of a wedged protocol (spinning Tick instead of
-	// sleeping) must report the identical error.
+func TestFastForwardMatchesSpinningWedge(t *testing.T) {
+	// The spinning form of a wedged protocol (stepping every round instead
+	// of sleeping) must report the identical error.
 	g := ring(t, 4)
-	_, gerr := Run(g, func(ctx *Ctx) error {
-		for {
-			ctx.Tick()
-		}
-	}, WithMaxRounds(120), WithEngine(EngineGoroutine))
+	_, gerr := RunStep(g, func(c *StepCtx) Machine {
+		return &stepFuncs{step: func(Input) bool { return false }}
+	}, WithMaxRounds(120))
 	_, serr := RunStep(g, sleepForeverProg, WithMaxRounds(120))
 	if gerr == nil || serr == nil || gerr.Error() != serr.Error() {
-		t.Fatalf("wedge errors diverge: goroutine=%v step=%v", gerr, serr)
+		t.Fatalf("wedge errors diverge: spinning=%v sleeping=%v", gerr, serr)
 	}
 	if !strings.Contains(serr.Error(), "maximum round count") {
 		t.Fatalf("unexpected wedge error: %v", serr)

@@ -1,10 +1,9 @@
 package sim
 
-// fault_test.go verifies the fault-injection semantics of both engines: the
+// fault_test.go verifies the engine's fault-injection semantics: the
 // crash-stop boundary, drop/delay/duplicate message fates, channel jamming,
 // and the extension of the determinism contract to faulted runs (identical
-// transcripts on the goroutine engine and the step engine at any worker
-// count).
+// outcomes at any worker count, pinned bytes for the stress program).
 
 import (
 	"fmt"
@@ -15,38 +14,83 @@ import (
 	"repro/internal/graph"
 )
 
-// faultEngines runs the program on the goroutine engine and on the step
-// engine with 1 and 4 workers, asserts the three transcripts are identical,
-// and returns the common result.
-func faultEngines(t *testing.T, g *graph.Graph, program Program, opts ...Option) *Result {
+// faultWorkers runs the program with 1 and 4 workers, asserts the two
+// outcomes are identical, and returns the common result.
+func faultWorkers(t *testing.T, g *graph.Graph, program StepProgram, opts ...Option) *Result {
 	t.Helper()
-	type run struct {
-		name string
-		opt  []Option
-	}
-	runs := []run{
-		{"goroutine", []Option{WithEngine(EngineGoroutine)}},
-		{"step-w1", []Option{WithEngine(EngineStep), WithWorkers(1)}},
-		{"step-w4", []Option{WithEngine(EngineStep), WithWorkers(4)}},
-	}
 	var ref *Result
-	for _, r := range runs {
-		res, err := Run(g, program, append(append([]Option{}, opts...), r.opt...)...)
+	for _, w := range []int{1, 4} {
+		res, err := RunStep(g, program, append(append([]Option{}, opts...), WithWorkers(w))...)
 		if err != nil {
-			t.Fatalf("%s: %v", r.name, err)
+			t.Fatalf("step-w%d: %v", w, err)
 		}
 		if ref == nil {
 			ref = res
 			continue
 		}
 		if !reflect.DeepEqual(ref.Results, res.Results) {
-			t.Fatalf("%s results diverge:\n ref: %#v\n got: %#v", r.name, ref.Results, res.Results)
+			t.Fatalf("step-w%d results diverge:\n ref: %#v\n got: %#v", w, ref.Results, res.Results)
 		}
 		if ref.Metrics != res.Metrics {
-			t.Fatalf("%s metrics diverge:\n ref: %+v\n got: %+v", r.name, ref.Metrics, res.Metrics)
+			t.Fatalf("step-w%d metrics diverge:\n ref: %+v\n got: %+v", w, ref.Metrics, res.Metrics)
 		}
 	}
 	return ref
+}
+
+// resultAt returns v on node id and nil elsewhere: the result vector of a
+// program whose only recording node is id.
+func resultAt(c *StepCtx, id graph.NodeID, v any) any {
+	if c.ID() == id {
+		return v
+	}
+	return nil
+}
+
+// countTo1 has node 0 send its round number to node 1 in each of rounds
+// 0..rounds-1; node 1 records the payloads it receives.
+func countTo1(rounds int) StepProgram {
+	return func(c *StepCtx) Machine {
+		var got []int
+		return &stepFuncs{
+			step: func(in Input) bool {
+				for _, m := range in.Msgs {
+					got = append(got, m.Payload.(int))
+				}
+				if in.Round == rounds {
+					return true
+				}
+				if c.ID() == 0 {
+					c.SendTo(1, in.Round)
+				}
+				return false
+			},
+			result: func() any { return resultAt(c, 1, got) },
+		}
+	}
+}
+
+// arrivalsAt1 has node 0 send "m<r>" to node 1 in the rounds r < rounds
+// that sendAt selects; node 1 records each arrival as "m<r>@<round>".
+func arrivalsAt1(rounds int, sendAt func(r int) bool) StepProgram {
+	return func(c *StepCtx) Machine {
+		var got []string
+		return &stepFuncs{
+			step: func(in Input) bool {
+				for _, m := range in.Msgs {
+					got = append(got, fmt.Sprintf("%s@%d", m.Payload, in.Round))
+				}
+				if in.Round == rounds {
+					return true
+				}
+				if c.ID() == 0 && sendAt(in.Round) {
+					c.SendTo(1, fmt.Sprintf("m%d", in.Round))
+				}
+				return false
+			},
+			result: func() any { return resultAt(c, 1, got) },
+		}
+	}
 }
 
 // TestFaultCrashStop checks the crash boundary: the victim's sends from its
@@ -61,28 +105,30 @@ func TestFaultCrashStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
+	prog := func(c *StepCtx) Machine {
 		var got []int
-		for r := 1; r <= 8; r++ {
-			switch c.ID() {
-			case 2:
-				c.SendTo(1, c.Round())
-			case 1:
-				c.SendTo(2, c.Round())
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				if m.From == 2 {
-					got = append(got, m.Payload.(int))
+		return &stepFuncs{
+			step: func(in Input) bool {
+				for _, m := range in.Msgs {
+					if m.From == 2 {
+						got = append(got, m.Payload.(int))
+					}
 				}
-			}
+				if in.Round == 8 {
+					return true
+				}
+				switch c.ID() {
+				case 2:
+					c.SendTo(1, in.Round)
+				case 1:
+					c.SendTo(2, in.Round)
+				}
+				return false
+			},
+			result: func() any { return resultAt(c, 1, got) },
 		}
-		if c.ID() == 1 {
-			c.SetResult(got)
-		}
-		return nil
 	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	res := faultWorkers(t, g, prog, WithSeed(1), WithFaults(plan))
 	// Node 2's last compute round is 4: values 0..4 arrive at node 1.
 	if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(res.Results[1], want) {
 		t.Errorf("node 1 received %v, want %v", res.Results[1], want)
@@ -106,23 +152,8 @@ func TestFaultLinkDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
-		var got []int
-		for r := 1; r <= 8; r++ {
-			if c.ID() == 0 {
-				c.SendTo(1, c.Round())
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				got = append(got, m.Payload.(int))
-			}
-		}
-		if c.ID() == 1 {
-			c.SetResult(got)
-		}
-		return nil
-	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	prog := countTo1(8)
+	res := faultWorkers(t, g, prog, WithSeed(1), WithFaults(plan))
 	// Values 2, 3, 4 would arrive at rounds 3, 4, 5 — the drop window.
 	if want := []int{0, 1, 5, 6, 7}; !reflect.DeepEqual(res.Results[1], want) {
 		t.Errorf("node 1 received %v, want %v", res.Results[1], want)
@@ -145,23 +176,8 @@ func TestFaultDelayAndDup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
-		var got []string
-		for r := 1; r <= 8; r++ {
-			if c.ID() == 0 && c.Round() < 2 {
-				c.SendTo(1, fmt.Sprintf("m%d", c.Round()))
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				got = append(got, fmt.Sprintf("%s@%d", m.Payload, in.Round))
-			}
-		}
-		if c.ID() == 1 {
-			c.SetResult(got)
-		}
-		return nil
-	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	prog := arrivalsAt1(8, func(r int) bool { return r < 2 })
+	res := faultWorkers(t, g, prog, WithSeed(1), WithFaults(plan))
 	// m0 (normal arrival 1) is delayed 3 rounds to 4; m1 (arrival 2) is
 	// duplicated: delivered at 2 and again at 3.
 	if want := []string{"m1@2", "m1@3", "m0@4"}; !reflect.DeepEqual(res.Results[1], want) {
@@ -184,19 +200,25 @@ func TestFaultJam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
+	prog := func(c *StepCtx) Machine {
 		var states []SlotState
-		for r := 1; r <= 5; r++ {
-			if c.ID() == 0 {
-				c.Broadcast("x")
-			}
-			in := c.Tick()
-			states = append(states, in.Slot.State)
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if in.Round > 0 {
+					states = append(states, in.Slot.State)
+				}
+				if in.Round == 5 {
+					return true
+				}
+				if c.ID() == 0 {
+					c.Broadcast("x")
+				}
+				return false
+			},
+			result: func() any { return states },
 		}
-		c.SetResult(states)
-		return nil
 	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	res := faultWorkers(t, g, prog, WithSeed(1), WithFaults(plan))
 	want := []SlotState{SlotSuccess, SlotSuccess, SlotCollision, SlotSuccess, SlotSuccess}
 	for v, r := range res.Results {
 		if !reflect.DeepEqual(r, want) {
@@ -220,24 +242,32 @@ func TestFaultDefaultFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
-		c.SendTo(1-c.ID(), "hi")
-		in := c.Tick()
-		c.SetResult(len(in.Msgs))
-		return nil
+	prog := func(c *StepCtx) Machine {
+		got := 0
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if in.Round == 0 {
+					c.SendTo(1-c.ID(), "hi")
+					return false
+				}
+				got = len(in.Msgs)
+				return true
+			},
+			result: func() any { return got },
+		}
 	}
 	old := DefaultFaults
 	DefaultFaults = plan
 	defer func() { DefaultFaults = old }()
 
-	res, err := Run(g, prog, WithSeed(1))
+	res, err := RunStep(g, prog, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Results[0] != 0 || res.Results[1] != 0 || res.Metrics.DroppedFault != 2 {
 		t.Errorf("default plan not applied: %v, %+v", res.Results, res.Metrics)
 	}
-	res, err = Run(g, prog, WithSeed(1), WithFaults(nil))
+	res, err = RunStep(g, prog, WithSeed(1), WithFaults(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,42 +331,48 @@ func (m *sleepDelayMachine) Step(in Input) bool {
 
 func (m *sleepDelayMachine) Result() any { return m.woke }
 
-// stressProgram is a randomized program drawing every fault kind's
+// stressMachine is a randomized machine drawing every fault kind's
 // attention: random sends on every link, random channel writes, and a
-// running digest of everything it observes.
-func stressProgram(c *Ctx) error {
+// running digest of everything it observes over 12 rounds.
+func stressMachine(c *StepCtx) Machine {
 	sum := uint64(0)
 	mix := func(vals ...uint64) {
 		for _, v := range vals {
 			sum = sum*0x100000001b3 + v
 		}
 	}
-	for r := 1; r <= 12; r++ {
-		for l := 0; l < c.Degree(); l++ {
-			if c.Rand().Intn(3) == 0 {
-				c.Send(l, int(c.Rand().Intn(1000)))
+	return &stepFuncs{
+		step: func(in Input) bool {
+			if in.Round > 0 {
+				mix(uint64(in.Round), uint64(in.Slot.State), uint64(in.Slot.From))
+				if p, ok := in.Slot.Payload.(int); ok {
+					mix(uint64(p))
+				}
+				for _, m := range in.Msgs {
+					mix(uint64(m.From), uint64(m.EdgeID), uint64(m.Payload.(int)))
+				}
 			}
-		}
-		if c.Rand().Intn(5) == 0 {
-			c.Broadcast(int(c.ID())*100 + c.Round())
-		}
-		in := c.Tick()
-		mix(uint64(in.Round), uint64(in.Slot.State), uint64(in.Slot.From))
-		if p, ok := in.Slot.Payload.(int); ok {
-			mix(uint64(p))
-		}
-		for _, m := range in.Msgs {
-			mix(uint64(m.From), uint64(m.EdgeID), uint64(m.Payload.(int)))
-		}
+			if in.Round == 12 {
+				return true
+			}
+			for l := 0; l < c.Degree(); l++ {
+				if c.Rand().Intn(3) == 0 {
+					c.Send(l, int(c.Rand().Intn(1000)))
+				}
+			}
+			if c.Rand().Intn(5) == 0 {
+				c.Broadcast(int(c.ID())*100 + c.Round())
+			}
+			return false
+		},
+		result: func() any { return sum },
 	}
-	c.SetResult(sum)
-	return nil
 }
 
-// TestFaultStressEquivalence is the fault determinism gate at the sim
-// level: a randomized program under a plan combining every fault kind must
-// produce identical transcripts on both engines at any worker count.
-func TestFaultStressEquivalence(t *testing.T) {
+// TestFaultStressPinned is the fault determinism gate at the sim level: a
+// randomized machine under a plan combining every fault kind must
+// reproduce its committed fixture at 1 and 4 workers.
+func TestFaultStressPinned(t *testing.T) {
 	g, err := graph.RandomConnected(20, 30, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -346,12 +382,14 @@ func TestFaultStressEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := faultEngines(t, g, stressProgram, WithSeed(9), WithFaults(plan))
-	run := func(o ...Option) (*Result, error) { return Run(g, stressProgram, o...) }
-	checkPin(t, "fault-stress", "goroutine", pinCell(t, run, WithSeed(9), WithFaults(plan), WithEngine(EngineGoroutine)))
+	run := func(o ...Option) (*Result, error) { return RunStep(g, stressMachine, o...) }
 	for _, w := range []int{1, 4} {
 		checkPin(t, "fault-stress", fmt.Sprintf("step-w%d", w),
-			pinCell(t, run, WithSeed(9), WithFaults(plan), WithEngine(EngineStep), WithWorkers(w)))
+			pinCell(t, run, WithSeed(9), WithFaults(plan), WithWorkers(w)))
+	}
+	res, err := run(WithSeed(9), WithFaults(plan))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if res.Metrics.Crashed != 2 {
 		t.Errorf("Crashed = %d, want 2", res.Metrics.Crashed)
@@ -378,40 +416,44 @@ func TestFaultPartitionWindowHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
+	prog := func(c *StepCtx) Machine {
 		var from0, from2 []int
 		var heard []string
-		for r := 1; r <= 8; r++ {
-			switch c.ID() {
-			case 0, 2:
-				c.SendTo(1, c.Round())
-			case 1:
-				c.SendTo(0, c.Round())
-				if c.Round() == 3 { // mid-partition broadcast
-					c.Broadcast("cut?")
+		return &stepFuncs{
+			step: func(in Input) bool {
+				for _, m := range in.Msgs {
+					if m.From == 0 {
+						from0 = append(from0, m.Payload.(int))
+					} else {
+						from2 = append(from2, m.Payload.(int))
+					}
 				}
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				if m.From == 0 {
-					from0 = append(from0, m.Payload.(int))
-				} else {
-					from2 = append(from2, m.Payload.(int))
+				if s, ok := in.Slot.Payload.(string); ok && in.Slot.State == SlotSuccess {
+					heard = append(heard, fmt.Sprintf("%s@%d", s, in.Round))
 				}
-			}
-			if s, ok := in.Slot.Payload.(string); ok && in.Slot.State == SlotSuccess {
-				heard = append(heard, fmt.Sprintf("%s@%d", s, in.Round))
-			}
+				if in.Round == 8 {
+					return true
+				}
+				switch c.ID() {
+				case 0, 2:
+					c.SendTo(1, in.Round)
+				case 1:
+					c.SendTo(0, in.Round)
+					if in.Round == 3 { // mid-partition broadcast
+						c.Broadcast("cut?")
+					}
+				}
+				return false
+			},
+			result: func() any {
+				if c.ID() == 1 {
+					return fmt.Sprintf("%v %v", from0, from2)
+				}
+				return fmt.Sprintf("%v", heard)
+			},
 		}
-		switch c.ID() {
-		case 1:
-			c.SetResult(fmt.Sprintf("%v %v", from0, from2))
-		default:
-			c.SetResult(fmt.Sprintf("%v", heard))
-		}
-		return nil
 	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	res := faultWorkers(t, g, prog, WithSeed(1), WithFaults(plan))
 	// Sends of compute rounds 2..4 would arrive at 3..5 — the window.
 	if want := "[0 1 5 6 7] [0 1 5 6 7]"; res.Results[1] != want {
 		t.Errorf("node 1 received %q, want %q", res.Results[1], want)
@@ -445,44 +487,47 @@ func TestFaultRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
+	prog := func(c *StepCtx) Machine {
 		if c.ID() == 2 {
-			for r := 1; r <= 4; r++ {
-				if c.Round() == 0 {
-					c.SendTo(1, c.Rand().Int63()) // one stream probe per incarnation
-				} else {
-					c.SendTo(1, c.Round())
-				}
-				c.Tick()
+			return &stepFuncs{
+				step: func(in Input) bool {
+					switch {
+					case in.Round == 4:
+						return true
+					case in.Round == 0:
+						c.SendTo(1, c.Rand().Int63()) // one stream probe per incarnation
+					default:
+						c.SendTo(1, in.Round)
+					}
+					return false
+				},
+				result: func() any { return "done" },
 			}
-			c.SetResult("done")
-			return nil
 		}
 		var vals []string
 		var rngs []int64
-		for r := 1; r <= 12; r++ {
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				switch p := m.Payload.(type) {
-				case int64:
-					rngs = append(rngs, p)
-				case int:
-					vals = append(vals, fmt.Sprintf("%d@%d", p, in.Round))
+		return &stepFuncs{
+			step: func(in Input) bool {
+				for _, m := range in.Msgs {
+					switch p := m.Payload.(type) {
+					case int64:
+						rngs = append(rngs, p)
+					case int:
+						vals = append(vals, fmt.Sprintf("%d@%d", p, in.Round))
+					}
 				}
-			}
+				return in.Round == 12
+			},
+			result: func() any { return resultAt(c, 1, fmt.Sprintf("%v %v", vals, rngs)) },
 		}
-		if c.ID() == 1 {
-			c.SetResult(fmt.Sprintf("%v %v", vals, rngs))
-		}
-		return nil
 	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	res := faultWorkers(t, g, prog, WithSeed(1), WithFaults(plan))
 	// Incarnation 0 completes local rounds 0..2 (sends arrive at global
 	// rounds 1..3), then crashes. The restart at round 6 re-runs the
 	// program: local rounds 0..3 land at global 7..10. Each incarnation's
 	// round-0 probe draws the first value of its own derived stream.
-	rand0, _ := newNodeRand(nodeSeedAt(1, 2, 0), 0)
-	rand1, _ := newNodeRand(nodeSeedAt(1, 2, 1), 0)
+	rand0, _ := nodeRand(nodeSeedAt(1, 2, 0), 0)
+	rand1, _ := nodeRand(nodeSeedAt(1, 2, 1), 0)
 	probe0 := rand0.Int63()
 	probe1 := rand1.Int63()
 	if probe0 == probe1 {
@@ -513,23 +558,8 @@ func TestFaultRecurringWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
-		var got []int
-		for r := 1; r <= 12; r++ {
-			if c.ID() == 0 {
-				c.SendTo(1, c.Round())
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				got = append(got, m.Payload.(int))
-			}
-		}
-		if c.ID() == 1 {
-			c.SetResult(got)
-		}
-		return nil
-	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan))
+	prog := countTo1(12)
+	res := faultWorkers(t, g, prog, WithSeed(1), WithFaults(plan))
 	// Arrival rounds 2,3 then every 4: 2,3,6,7,10,11 dropped — the sends
 	// of compute rounds 1,2,5,6,9,10.
 	if want := []int{0, 3, 4, 7, 8, 11}; !reflect.DeepEqual(res.Results[1], want) {
@@ -552,8 +582,8 @@ func TestFaultSkewRequiresSynchronizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noop := func(c *Ctx) error { c.Tick(); return nil }
-	_, err = Run(g, noop, WithSeed(1), WithFaults(plan))
+	noop := func(c *StepCtx) Machine { return &stepFuncs{step: func(in Input) bool { return in.Round == 1 }} }
+	_, err = RunStep(g, noop, WithSeed(1), WithFaults(plan))
 	if err == nil {
 		t.Fatal("skew plan accepted without a synchronizer")
 	}
@@ -575,23 +605,8 @@ func TestFaultSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(c *Ctx) error {
-		var got []string
-		for r := 1; r <= 10; r++ {
-			if c.ID() == 0 && (c.Round() == 0 || c.Round() == 4) {
-				c.SendTo(1, fmt.Sprintf("m%d", c.Round()))
-			}
-			in := c.Tick()
-			for _, m := range in.Msgs {
-				got = append(got, fmt.Sprintf("%s@%d", m.Payload, in.Round))
-			}
-		}
-		if c.ID() == 1 {
-			c.SetResult(got)
-		}
-		return nil
-	}
-	res := faultEngines(t, g, prog, WithSeed(1), WithFaults(plan), WithSynchronizer())
+	prog := arrivalsAt1(10, func(r int) bool { return r == 0 || r == 4 })
+	res := faultWorkers(t, g, prog, WithSeed(1), WithFaults(plan), WithSynchronizer())
 	// m0 (normal arrival 1, inside the window) slips 3 rounds to 4; m4
 	// (arrival 5, after the window) is on time.
 	if want := []string{"m0@4", "m4@5"}; !reflect.DeepEqual(res.Results[1], want) {

@@ -1,7 +1,7 @@
 package sim
 
-// obs.go is the engines' observability seam: a Recorder interface the
-// engines invoke at their phase boundaries and round edges, implemented by
+// obs.go is the engine's observability seam: a Recorder interface the
+// engine invokes at its phase boundaries and round edges, implemented by
 // internal/obs (phase tracing, per-round time series, metrics exposition).
 //
 // The contract has two halves, both enforced by tests:
@@ -9,12 +9,12 @@ package sim
 //   - Zero cost when off. A nil Recorder — the default — is the off switch:
 //     every hook site is guarded by a single nil check, no timestamps are
 //     read, and nothing is allocated, so the steady-state zero-alloc
-//     guarantee of alloc_test.go is unchanged. The engines never read the
-//     wall clock themselves (detsource-enforced); all timing lives behind
-//     the interface.
+//     guarantee of alloc_test.go is unchanged. The engine never reads the
+//     wall clock itself (detsource-enforced); all timing lives behind the
+//     interface.
 //
 //   - Observation never alters transcripts. Recorders are write-only from
-//     the engines' point of view: nothing a Recorder returns feeds back
+//     the engine's point of view: nothing a Recorder returns feeds back
 //     into execution, so a run with any recorder installed is bit-identical
 //     to the same run without one (difftest-enforced, see the root
 //     obs_equiv_test.go).
@@ -27,11 +27,9 @@ package sim
 // by the engine's phase barrier. Per-shard state therefore needs no locks;
 // cross-shard aggregates must be atomic.
 
-// Phase identifies one engine execution phase for observability. The step
-// engine reports Step (compute), Deliver (slot resolution + message
-// delivery), and Barrier (time a participant spent waiting on the phase
-// gate); the goroutine engine maps its scheduler loop onto Step (waiting
-// for every node's tick) and Deliver (slot resolution + delivery).
+// Phase identifies one engine execution phase for observability: Step
+// (compute), Deliver (slot resolution + message delivery), and Barrier
+// (time a participant spent waiting on the phase gate).
 type Phase uint8
 
 // The phases, in reporting order.
@@ -65,9 +63,10 @@ func (p Phase) String() string {
 // (bit-identical transcripts for a fixed graph, program, seed, and plan)
 // holds with any recorder installed.
 type Recorder interface {
-	// RunStart announces a run before round 0: node count, engine, the
-	// resolved worker count, and the shard count (1 for the goroutine
-	// engine). Multi-stage algorithms produce one RunStart per internal run.
+	// RunStart announces a run before round 0: node count, engine (always
+	// EngineStep; the parameter is kept for implementations that label
+	// runs), the resolved worker count, and the shard count. Multi-stage
+	// algorithms produce one RunStart per internal run.
 	RunStart(n int, engine Engine, workers, shards int)
 	// BeginPhase marks the start of a phase on a shard and returns an
 	// opaque start token (a monotonic timestamp) handed back to EndPhase.

@@ -1,12 +1,12 @@
 package sim
 
-// rng.go holds the per-node RNG machinery shared by both engines: the seed
-// derivation that turns (master seed, node id) into a private stream, and a
-// draw-counting rand.Source64 that makes RNG positions checkpointable.
+// rng.go holds the per-node RNG machinery: the seed derivation that turns
+// (master seed, node id) into a private stream, and the SplitMix64 stream
+// arithmetic that makes RNG positions checkpointable.
 //
 // # Derivation
 //
-// Historically both engines derived per-node seeds as seed*1_000_003 + id —
+// Historically per-node seeds were derived as seed*1_000_003 + id —
 // a linear map that collides across runs as soon as n exceeds 1,000,003:
 // the run with master seed s shares node RNG streams with the run seeded
 // s+1, shifted by 1,000,003 node ids, exactly the n > 10⁶ regime the
@@ -15,12 +15,14 @@ package sim
 // injector's coins and the implicit topologies' weights), so distinct
 // (seed, id) pairs give independent streams at any network size.
 //
-// # Source
+// # Stream
 //
-// countedSource is a SplitMix64 generator: the whole stream state is one
-// 64-bit word that advances by a fixed odd gamma per draw, with a finalizer
-// mix on output. Two properties pay for the stream change (which moved the
-// RNG-drawing goldens once, like the nodeSeed derivation change before it):
+// Each node's stream is SplitMix64: the whole stream state is one 64-bit
+// word that advances by a fixed odd gamma per draw, with a finalizer mix on
+// output. The engine keeps the (state word, draw count) pair per node in
+// its shards and serves it through a shared rand.Rand (step.go's shardRNG).
+// Two properties pay for the stream change (which moved the RNG-drawing
+// goldens once, like the nodeSeed derivation change before it):
 //
 //   - Memory: the per-node RNG is two words (state + draw count) instead of
 //     math/rand's ~4.9 KB rngSource array — the difference between 10⁸
@@ -34,8 +36,6 @@ package sim
 // position — bit-identical continuation without serializing internals.
 
 import (
-	"math/rand"
-
 	"repro/internal/fault"
 	"repro/internal/graph"
 )
@@ -46,8 +46,7 @@ import (
 const rngSalt = 0x6e0de5eed
 
 // nodeSeed derives node id's private RNG seed from the master seed — the
-// single derivation both engines share (the determinism contract requires
-// them identical).
+// single derivation every run and resume shares.
 func nodeSeed(seed int64, id graph.NodeID) int64 {
 	return int64(fault.Mix64(uint64(seed), uint64(id), rngSalt))
 }
@@ -60,8 +59,8 @@ const restartSalt = 0x4e57a47
 // crash-restarted node draws from a fresh stream, never replaying or
 // continuing the dead incarnation's randomness. Incarnation 0 is exactly
 // nodeSeed — pre-restart behavior (and every committed golden) is
-// untouched. Part of the determinism contract: both engines, every worker
-// count, and every resume derive the same incarnation streams.
+// untouched. Part of the determinism contract: every worker count and every
+// resume derive the same incarnation streams.
 func nodeSeedAt(seed int64, id graph.NodeID, incarnation int) int64 {
 	if incarnation == 0 {
 		return nodeSeed(seed, id)
@@ -82,44 +81,8 @@ func splitmix64(z uint64) uint64 {
 }
 
 // rngWordAt returns the SplitMix64 state word of a stream seeded with seed
-// after draws outputs — the O(1) position arithmetic countedSource and the
-// step engine's compact per-node RNG slots share.
+// after draws outputs — the O(1) position arithmetic checkpoint resume uses
+// to reposition a node's RNG slot.
 func rngWordAt(seed int64, draws uint64) uint64 {
 	return uint64(seed) + draws*splitmixGamma
-}
-
-// countedSource is the node's SplitMix64 stream: word advances by one gamma
-// per draw, draws counts them for checkpointing. It implements
-// rand.Source64 so rand.Rand's distribution methods (Intn, Float64, Perm,
-// …) run unchanged on top.
-type countedSource struct {
-	word  uint64
-	draws uint64
-}
-
-func newCountedSource(seed int64) *countedSource {
-	return &countedSource{word: uint64(seed)}
-}
-
-func (s *countedSource) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
-func (s *countedSource) Uint64() uint64 {
-	s.word += splitmixGamma
-	s.draws++
-	return splitmix64(s.word)
-}
-
-func (s *countedSource) Seed(seed int64) {
-	s.word = uint64(seed)
-	s.draws = 0
-}
-
-// newNodeRand builds a node's private generator at a given position:
-// freshly derived for live runs (draws 0), jumped arithmetically for
-// resumes (state after k draws is seed + k·gamma).
-func newNodeRand(seed int64, draws uint64) (*rand.Rand, *countedSource) {
-	cs := &countedSource{word: rngWordAt(seed, draws), draws: draws}
-	return rand.New(cs), cs
 }

@@ -1,10 +1,22 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
 )
+
+// nodeRand returns the generator StepCtx.Rand hands a node — the shard's
+// rand.Rand over its (state word, draw count) slot — for a one-node shard
+// whose stream is seeded with seed and positioned after draws outputs. The
+// returned shard exposes the slot's draw count as rngDraws[0].
+func nodeRand(seed int64, draws uint64) (*rand.Rand, *stepShard) {
+	sd := &stepShard{hi: 1}
+	sd.ensureRNG()
+	sd.rngWord[0], sd.rngDraws[0] = rngWordAt(seed, draws), draws
+	return sd.rng, sd
+}
 
 // TestNodeSeedNoLinearCollision is the regression test for the historical
 // seed*1_000_003 + id derivation: under it, (s, id+1_000_003) and (s+1, id)
@@ -29,8 +41,8 @@ func TestNodeSeedNoLinearCollision(t *testing.T) {
 			t.Errorf("nodeSeed(%d,%d) == nodeSeed(%d,%d) == %d: linear collision survived",
 				c.s, c.id+1_000_003, c.s+1, c.id, a)
 		}
-		ra, _ := newNodeRand(a, 0)
-		rb, _ := newNodeRand(b, 0)
+		ra, _ := nodeRand(a, 0)
+		rb, _ := nodeRand(b, 0)
 		same := true
 		for i := 0; i < 8; i++ {
 			if ra.Uint64() != rb.Uint64() {
@@ -61,12 +73,12 @@ func TestNodeSeedDistinctPairs(t *testing.T) {
 	}
 }
 
-// TestCountedSourceCountsAndReplays verifies the two properties checkpointing
+// TestNodeRandCountsAndReplays verifies the two properties checkpointing
 // leans on: every generator call advances the draw counter, and a fresh
 // generator fast-forwarded by that count continues the stream bit-identically.
-func TestCountedSourceCountsAndReplays(t *testing.T) {
+func TestNodeRandCountsAndReplays(t *testing.T) {
 	const seed = 0x5eed
-	r, cs := newNodeRand(seed, 0)
+	r, sd := nodeRand(seed, 0)
 	// Mix method kinds: each consumes exactly one source draw per internal
 	// Uint64/Int63 call; Float64 and Intn may retry, which the counter must
 	// reflect too (that is the point of counting at the source).
@@ -82,38 +94,38 @@ func TestCountedSourceCountsAndReplays(t *testing.T) {
 			r.Intn(10)
 		}
 	}
-	if cs.draws == 0 {
+	if sd.rngDraws[0] == 0 {
 		t.Fatal("draw counter never advanced")
 	}
-	mark := cs.draws
+	mark := sd.rngDraws[0]
 
 	want := make([]uint64, 16)
 	for i := range want {
 		want[i] = r.Uint64()
 	}
 
-	r2, cs2 := newNodeRand(seed, mark)
-	if cs2.draws != mark {
-		t.Fatalf("resumed counter = %d, want %d", cs2.draws, mark)
+	r2, sd2 := nodeRand(seed, mark)
+	if sd2.rngDraws[0] != mark {
+		t.Fatalf("resumed counter = %d, want %d", sd2.rngDraws[0], mark)
 	}
 	for i := range want {
 		if got := r2.Uint64(); got != want[i] {
 			t.Fatalf("resumed stream diverged at draw %d: got %d want %d", i, got, want[i])
 		}
 	}
-	if cs2.draws != mark+16 {
-		t.Fatalf("resumed counter after 16 draws = %d, want %d", cs2.draws, mark+16)
+	if sd2.rngDraws[0] != mark+16 {
+		t.Fatalf("resumed counter after 16 draws = %d, want %d", sd2.rngDraws[0], mark+16)
 	}
 }
 
-// TestCountedSourceIsSplitMix64 pins the stream itself: the source must be
-// canonical SplitMix64 (gamma-stepped Weyl state through the 30/27/31
-// finalizer), because the step engine re-derives the same stream from a
-// bare (state word, draw count) pair without a countedSource in hand — any
-// drift between the two constructions would silently fork the engines.
-func TestCountedSourceIsSplitMix64(t *testing.T) {
+// TestNodeRandIsSplitMix64 pins the stream itself: the node generator must
+// be canonical SplitMix64 (gamma-stepped Weyl state through the 30/27/31
+// finalizer), because checkpoint resume re-derives a stream's position from
+// its seed and draw count alone — any drift from the canonical sequence
+// would silently fork resumed runs from uninterrupted ones.
+func TestNodeRandIsSplitMix64(t *testing.T) {
 	const seed = 12345
-	cs := newCountedSource(seed)
+	r, _ := nodeRand(seed, 0)
 	word := uint64(seed)
 	for i := 0; i < 64; i++ {
 		word += 0x9e3779b97f4a7c15
@@ -121,7 +133,7 @@ func TestCountedSourceIsSplitMix64(t *testing.T) {
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		want := z ^ (z >> 31)
-		if got := cs.Uint64(); got != want {
+		if got := r.Uint64(); got != want {
 			t.Fatalf("draw %d: got %#x, want canonical splitmix64 %#x", i, got, want)
 		}
 	}
@@ -131,19 +143,19 @@ func TestCountedSourceIsSplitMix64(t *testing.T) {
 	}
 }
 
-// TestCountedSourceInt63HalvesUint64 pins the Source64 coupling: Int63 is
+// TestNodeRandInt63HalvesUint64 pins the Source64 coupling: Int63 is
 // exactly one Uint64 draw shifted down, so either entry point advances the
 // stream identically and the draw counter stays the position's sole truth.
-func TestCountedSourceInt63HalvesUint64(t *testing.T) {
+func TestNodeRandInt63HalvesUint64(t *testing.T) {
 	const seed = 12345
-	a := newCountedSource(seed)
-	b := newCountedSource(seed)
+	a, sa := nodeRand(seed, 0)
+	b, sb := nodeRand(seed, 0)
 	for i := 0; i < 64; i++ {
 		if got, want := a.Int63(), int64(b.Uint64()>>1); got != want {
 			t.Fatalf("draw %d: Int63 %d, want Uint64>>1 %d", i, got, want)
 		}
 	}
-	if a.draws != b.draws {
-		t.Fatalf("Int63 advanced %d draws, Uint64 %d", a.draws, b.draws)
+	if sa.rngDraws[0] != sb.rngDraws[0] {
+		t.Fatalf("Int63 advanced %d draws, Uint64 %d", sa.rngDraws[0], sb.rngDraws[0])
 	}
 }

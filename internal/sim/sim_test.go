@@ -2,7 +2,7 @@ package sim
 
 import (
 	"errors"
-	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -26,44 +26,37 @@ func path(t *testing.T, n int) *graph.Graph {
 	return g
 }
 
-func TestRunImmediateHalt(t *testing.T) {
-	res, err := Run(ring(t, 5), func(ctx *Ctx) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.Rounds != 1 {
-		t.Errorf("Rounds = %d, want 1", res.Metrics.Rounds)
-	}
-	if res.Metrics.Messages != 0 {
-		t.Errorf("Messages = %d, want 0", res.Metrics.Messages)
-	}
-	if res.Metrics.SlotsIdle != 1 {
-		t.Errorf("SlotsIdle = %d, want 1", res.Metrics.SlotsIdle)
-	}
-}
-
 func TestMessageDelivery(t *testing.T) {
-	// Node 0 sends its id to every neighbor in round 0; neighbors check
+	// Node 1 sends its id to every neighbor in round 0; neighbors check
 	// receipt in round 1.
 	g := path(t, 3)
-	res, err := Run(g, func(ctx *Ctx) error {
-		if ctx.ID() == 1 {
-			for l := range ctx.Adj() {
-				ctx.Send(l, int(ctx.ID()))
-			}
-			ctx.Tick()
-			return nil
+	res, err := RunStep(g, func(c *StepCtx) Machine {
+		var got any
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if c.ID() == 1 {
+					if in.Round == 0 {
+						for l := range c.Adj() {
+							c.Send(l, int(c.ID()))
+						}
+					}
+					return in.Round == 1
+				}
+				if in.Round == 0 {
+					return false
+				}
+				if len(in.Msgs) != 1 {
+					c.Failf("node %d got %d msgs, want 1", c.ID(), len(in.Msgs))
+				}
+				m := in.Msgs[0]
+				if m.From != 1 || m.Payload.(int) != 1 {
+					c.Failf("node %d got %+v", c.ID(), m)
+				}
+				got = m.Payload
+				return true
+			},
+			result: func() any { return got },
 		}
-		in := ctx.Tick()
-		if len(in.Msgs) != 1 {
-			return fmt.Errorf("node %d got %d msgs, want 1", ctx.ID(), len(in.Msgs))
-		}
-		m := in.Msgs[0]
-		if m.From != 1 || m.Payload.(int) != 1 {
-			return fmt.Errorf("node %d got %+v", ctx.ID(), m)
-		}
-		ctx.SetResult(m.Payload)
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,95 +69,23 @@ func TestMessageDelivery(t *testing.T) {
 	}
 }
 
-func TestInboxSorted(t *testing.T) {
-	// All ring neighbors of node 0 send to it; inbox must be sorted by sender.
-	g := ring(t, 6)
-	_, err := Run(g, func(ctx *Ctx) error {
-		if ctx.ID() != 0 {
-			if l, ok := ctx.Link(0); ok {
-				ctx.Send(l, int(ctx.ID()))
-			}
-			ctx.Tick()
-			return nil
-		}
-		in := ctx.Tick()
-		if len(in.Msgs) != 2 {
-			return fmt.Errorf("got %d msgs, want 2", len(in.Msgs))
-		}
-		if in.Msgs[0].From >= in.Msgs[1].From {
-			return fmt.Errorf("inbox not sorted: %v, %v", in.Msgs[0].From, in.Msgs[1].From)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChannelResolution(t *testing.T) {
-	tests := []struct {
-		name    string
-		writers []graph.NodeID
-		want    SlotState
-	}{
-		{"idle", nil, SlotIdle},
-		{"success", []graph.NodeID{2}, SlotSuccess},
-		{"collision two", []graph.NodeID{1, 3}, SlotCollision},
-		{"collision all", []graph.NodeID{0, 1, 2, 3, 4}, SlotCollision},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			g := ring(t, 5)
-			writerSet := make(map[graph.NodeID]bool)
-			for _, w := range tt.writers {
-				writerSet[w] = true
-			}
-			res, err := Run(g, func(ctx *Ctx) error {
-				if writerSet[ctx.ID()] {
-					ctx.Broadcast(int(ctx.ID()) * 10)
-				}
-				in := ctx.Tick()
-				if in.Slot.State != tt.want {
-					return fmt.Errorf("node %d saw slot %v, want %v", ctx.ID(), in.Slot.State, tt.want)
-				}
-				if tt.want == SlotSuccess {
-					if in.Slot.From != tt.writers[0] || in.Slot.Payload.(int) != int(tt.writers[0])*10 {
-						return fmt.Errorf("slot = %+v", in.Slot)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := res.Metrics
-			switch tt.want {
-			case SlotIdle:
-				if m.SlotsIdle < 1 {
-					t.Error("no idle slot counted")
-				}
-			case SlotSuccess:
-				if m.SlotsSuccess != 1 {
-					t.Errorf("SlotsSuccess = %d", m.SlotsSuccess)
-				}
-			case SlotCollision:
-				if m.SlotsCollision != 1 {
-					t.Errorf("SlotsCollision = %d", m.SlotsCollision)
-				}
-			}
-		})
-	}
-}
-
 func TestBroadcastHeardByAll(t *testing.T) {
 	g := ring(t, 7)
-	res, err := Run(g, func(ctx *Ctx) error {
-		if ctx.ID() == 3 {
-			ctx.Broadcast("hello")
+	res, err := RunStep(g, func(c *StepCtx) Machine {
+		var heard Payload
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if in.Round == 0 {
+					if c.ID() == 3 {
+						c.Broadcast("hello")
+					}
+					return false
+				}
+				heard = in.Slot.Payload
+				return true
+			},
+			result: func() any { return heard },
 		}
-		in := ctx.Tick()
-		ctx.SetResult(in.Slot.Payload)
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,40 +99,19 @@ func TestBroadcastHeardByAll(t *testing.T) {
 
 func TestProgramErrorAborts(t *testing.T) {
 	wantErr := errors.New("boom")
-	_, err := Run(ring(t, 4), func(ctx *Ctx) error {
-		if ctx.ID() == 2 {
-			return wantErr
-		}
-		for {
-			ctx.Tick() // would run forever without the abort
-		}
+	_, err := RunStep(ring(t, 4), func(c *StepCtx) Machine {
+		return &stepFuncs{step: func(Input) bool {
+			if c.ID() == 2 {
+				c.Failf("%w", wantErr)
+			}
+			return false // would run forever without the abort
+		}}
 	})
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
-}
-
-func TestNodePanicIsReported(t *testing.T) {
-	_, err := Run(ring(t, 3), func(ctx *Ctx) error {
-		if ctx.ID() == 1 {
-			panic("kaboom")
-		}
-		ctx.Tick()
-		return nil
-	})
-	if err == nil || !errors.Is(err, err) {
-		t.Fatal("expected error from panic")
-	}
-}
-
-func TestMaxRounds(t *testing.T) {
-	_, err := Run(ring(t, 3), func(ctx *Ctx) error {
-		for {
-			ctx.Tick()
-		}
-	}, WithMaxRounds(10))
-	if !errors.Is(err, ErrMaxRounds) {
-		t.Fatalf("err = %v, want ErrMaxRounds", err)
+	if want := "sim: node 2: boom"; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
 	}
 }
 
@@ -221,18 +121,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(g, func(ctx *Ctx) error {
-			for r := 0; r < 10; r++ {
-				if ctx.Rand().Intn(3) == 0 {
-					ctx.Broadcast(int(ctx.ID()))
-				}
-				if ctx.Rand().Intn(2) == 0 && ctx.Degree() > 0 {
-					ctx.Send(ctx.Rand().Intn(ctx.Degree()), r)
-				}
-				ctx.Tick()
-			}
-			return nil
-		}, WithSeed(99))
+		res, err := RunStep(g, chatterMachine(10), WithSeed(99))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,9 +135,12 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestPerNodeRNGsDiffer(t *testing.T) {
-	res, err := Run(ring(t, 8), func(ctx *Ctx) error {
-		ctx.SetResult(ctx.Rand().Int63())
-		return nil
+	res, err := RunStep(ring(t, 8), func(c *StepCtx) Machine {
+		draw := c.Rand().Int63()
+		return &stepFuncs{
+			step:   func(Input) bool { return true },
+			result: func() any { return draw },
+		}
 	}, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
@@ -262,66 +154,43 @@ func TestPerNodeRNGsDiffer(t *testing.T) {
 	}
 }
 
-func TestRoundNumbering(t *testing.T) {
-	_, err := Run(ring(t, 3), func(ctx *Ctx) error {
-		if ctx.Round() != 0 {
-			return fmt.Errorf("initial round = %d", ctx.Round())
-		}
-		for want := 1; want <= 3; want++ {
-			in := ctx.Tick()
-			if in.Round != want || ctx.Round() != want {
-				return fmt.Errorf("round = %d/%d, want %d", in.Round, ctx.Round(), want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDoubleSendPanics(t *testing.T) {
-	_, err := Run(path(t, 2), func(ctx *Ctx) error {
-		ctx.Send(0, 1)
-		ctx.Send(0, 2)
-		return nil
-	})
-	if err == nil {
-		t.Fatal("double send must abort the run with an error")
-	}
-}
-
 func TestDoubleBroadcastPanics(t *testing.T) {
-	_, err := Run(path(t, 2), func(ctx *Ctx) error {
-		ctx.Broadcast(1)
-		ctx.Broadcast(2)
-		return nil
+	_, err := RunStep(path(t, 2), func(c *StepCtx) Machine {
+		return &stepFuncs{step: func(Input) bool {
+			c.Broadcast(1)
+			c.Broadcast(2)
+			return true
+		}}
 	})
-	if err == nil {
-		t.Fatal("double broadcast must abort the run with an error")
+	if err == nil || !strings.Contains(err.Error(), "wrote the channel twice") {
+		t.Fatalf("err = %v, want double-broadcast error", err)
 	}
 }
 
 func TestSendToAndLink(t *testing.T) {
-	_, err := Run(path(t, 3), func(ctx *Ctx) error {
-		if ctx.ID() == 0 {
-			if _, ok := ctx.Link(2); ok {
-				return errors.New("node 0 should not be adjacent to 2")
+	_, err := RunStep(path(t, 3), func(c *StepCtx) Machine {
+		return &stepFuncs{step: func(in Input) bool {
+			if in.Round == 0 {
+				if c.ID() == 0 {
+					if _, ok := c.Link(2); ok {
+						c.Failf("node 0 should not be adjacent to 2")
+					}
+					c.SendTo(1, "x")
+				}
+				return false
 			}
-			ctx.SendTo(1, "x")
-		}
-		in := ctx.Tick()
-		if ctx.ID() == 1 {
-			if len(in.Msgs) != 1 || in.Msgs[0].Payload != "x" {
-				return fmt.Errorf("node 1 inbox: %v", in.Msgs)
+			if c.ID() == 1 {
+				if len(in.Msgs) != 1 || in.Msgs[0].Payload != "x" {
+					c.Failf("node 1 inbox: %v", in.Msgs)
+				}
+				// LinkOf must give back the local index of the arrival edge.
+				l := c.LinkOf(in.Msgs[0].EdgeID)
+				if c.Adj()[l].To != 0 {
+					c.Failf("LinkOf points at wrong neighbor")
+				}
 			}
-			// LinkOf must give back the local index of the arrival edge.
-			l := ctx.LinkOf(in.Msgs[0].EdgeID)
-			if ctx.Adj()[l].To != 0 {
-				return errors.New("LinkOf points at wrong neighbor")
-			}
-		}
-		return nil
+			return true
+		}}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -329,37 +198,15 @@ func TestSendToAndLink(t *testing.T) {
 }
 
 func TestStaggeredHalting(t *testing.T) {
-	// Node v halts after v rounds; engine must keep running until the last.
-	res, err := Run(ring(t, 6), func(ctx *Ctx) error {
-		for r := 0; r < int(ctx.ID()); r++ {
-			ctx.Tick()
-		}
-		return nil
+	// Node v halts in round v; the engine must keep running until the last.
+	res, err := RunStep(ring(t, 6), func(c *StepCtx) Machine {
+		return &stepFuncs{step: func(in Input) bool { return in.Round == int(c.ID()) }}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Metrics.Rounds != 6 {
 		t.Errorf("Rounds = %d, want 6", res.Metrics.Rounds)
-	}
-}
-
-func TestDroppedToHalted(t *testing.T) {
-	// Node 0 halts immediately; node 1 sends to it afterwards.
-	res, err := Run(path(t, 2), func(ctx *Ctx) error {
-		if ctx.ID() == 0 {
-			return nil
-		}
-		ctx.Tick()
-		ctx.Send(0, "late")
-		ctx.Tick()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.DroppedHalted != 1 {
-		t.Errorf("DroppedHalted = %d, want 1", res.Metrics.DroppedHalted)
 	}
 }
 

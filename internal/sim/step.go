@@ -1,8 +1,8 @@
 package sim
 
-// step.go implements the step-machine engine: the same synchronous
-// multimedia-network model as the goroutine engine, executed as explicit
-// per-node state machines on a sharded worker pool.
+// step.go implements the engine: the synchronous multimedia-network model of
+// sim.go, executed as explicit per-node state machines on a sharded worker
+// pool.
 //
 // Nodes are partitioned into contiguous shards. Every round has two
 // barrier-separated phases:
@@ -52,13 +52,12 @@ package sim
 // analyzer polices StepCtx-derived state escaping a machine.
 //
 // Determinism: machines are constructed and stepped against per-node state
-// only, per-node RNGs are derived exactly as in the goroutine engine, and
-// inboxes are sorted to the same (sender, edge id) order, so a fixed seed
-// yields a bit-identical transcript for any worker count and either engine.
+// only, per-node RNGs are derived from (master seed, node id) alone, and
+// inboxes are sorted to one (sender, edge id) order, so a fixed seed yields
+// a bit-identical transcript for any worker count.
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -69,47 +68,24 @@ import (
 	"repro/internal/graph"
 )
 
-// Engine selects the execution model backing Run.
+// Engine names an execution model in Recorder.RunStart. EngineStep is the
+// only one: every run is a RunStep over Machines.
 type Engine int
 
-// The execution models.
-const (
-	// EngineGoroutine runs one blocking goroutine per node with a central
-	// scheduler — the historical engine.
-	EngineGoroutine Engine = iota + 1
-	// EngineStep runs the sharded step-machine engine; goroutine Programs
-	// are executed through a built-in adapter.
-	EngineStep
-)
+// EngineStep is the sharded step-machine engine.
+const EngineStep Engine = 1
 
-// String returns the flag spelling of the engine.
+// String returns the engine's label.
 func (e Engine) String() string {
-	switch e {
-	case EngineGoroutine:
-		return "goroutine"
-	case EngineStep:
+	if e == EngineStep {
 		return "step"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
 	}
+	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine maps a -engine flag value to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "goroutine", "go":
-		return EngineGoroutine, nil
-	case "step":
-		return EngineStep, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown engine %q (want goroutine|step)", s)
-	}
-}
-
-// DefaultEngine is the engine Run uses when no WithEngine option is given.
-// Commands set it from their -engine flag so every protocol in the process
-// routes through the selected engine.
-var DefaultEngine = EngineGoroutine
+// DefaultEngine has no effect: there is one engine. It is kept, with Engine
+// and EngineStep, only so code that still assigns it keeps compiling.
+var DefaultEngine = EngineStep
 
 // DefaultWorkers is the step engine's worker count when no WithWorkers
 // option is given; 0 means GOMAXPROCS.
@@ -119,8 +95,8 @@ var DefaultWorkers = 0
 // native step API.
 //
 // Step is called once per round with that round's input (round 0 carries no
-// messages and a zero slot, mirroring the code a goroutine Program runs
-// before its first Tick). Sends and channel writes staged during Step are
+// messages and a zero slot: the node's initial compute). Sends and channel
+// writes staged during Step are
 // committed when it returns; returning true halts the node, with any staged
 // sends still delivered. The Input and its Msgs are engine-owned and only
 // valid during the call.
@@ -128,8 +104,7 @@ var DefaultWorkers = 0
 // Result is the result hook: it is called once, when the node halts, and
 // its value lands in the run's Result.Results slot for the node. A node
 // crash-stopped by fault injection records a nil result instead — it never
-// reached its halt, mirroring a goroutine program that never called
-// SetResult.
+// reached its halt.
 type Machine interface {
 	Step(in Input) (halt bool)
 	Result() any
@@ -143,9 +118,8 @@ type Machine interface {
 type StepProgram func(c *StepCtx) Machine
 
 // stagedSend is one queued point-to-point message in a shard's staging
-// buffer. link is the sender-local link index (used to reset the duplicate-
-// send guard) or -1 for messages staged by the goroutine adapter, which has
-// already enforced the model's one-send-per-link rule in Ctx.
+// buffer. link is the sender-local link index, used to reset the duplicate-
+// send guard.
 type stagedSend struct {
 	to      graph.NodeID
 	edgeID  int32
@@ -177,9 +151,8 @@ const (
 	flagCrashed // fault-crashed (revivable by a restart rule), not a normal halt
 )
 
-// StepCtx is a node's handle to the network under the step engine: the same
-// API surface as Ctx minus Tick (the engine calls Machine.Step instead),
-// plus Sleep. It is a 16-byte (id, engine) pair — all per-node state lives
+// StepCtx is a node's handle to the network. It is a 16-byte (id, engine)
+// pair — all per-node state lives
 // in the engine's parallel arrays and the shard's scratch. All methods must
 // be called only from the node's Machine during Step (or from its
 // StepProgram during construction, for the read-only ones). Methods panic
@@ -239,7 +212,7 @@ func (c *StepCtx) Round() int {
 }
 
 // Rand returns this node's private deterministic RNG, derived from the
-// master seed exactly as in the goroutine engine. The generator is a shard-
+// master seed and the node id (rng.go). The generator is a shard-
 // shared rand.Rand over the node's (state word, draw count) slot in the
 // shard's RNG arrays — two words per node instead of a boxed generator —
 // so the returned value is positioned for this node only until Step
@@ -430,20 +403,15 @@ func (c *StepCtx) SleepUntilPulse() { c.eng.flags[c.id] |= flagAsleep | flagPuls
 // the engine records it verbatim instead of as a node panic.
 type failError struct{ err error }
 
-// Failf aborts the run with an error attributed to this node — the native
-// API's analog of a goroutine Program returning an error.
+// Failf aborts the run with an error attributed to this node, worded
+// "sim: node <id>: <message>".
 func (c *StepCtx) Failf(format string, args ...any) {
 	panic(failError{err: fmt.Errorf(format, args...)})
 }
 
-// aborter is implemented by machines that need unwinding when the engine
-// aborts a run with live nodes (the goroutine adapter's blocked programs).
-type aborter interface{ abortRun() }
-
 // shardRNG adapts one node's (word, draws) slot in the shard's RNG arrays
-// to rand.Source64; StepCtx.Rand points i at the calling node. The
-// arithmetic matches countedSource exactly (rng.go), which the determinism
-// contract and checkpoint resume both lean on.
+// to rand.Source64; StepCtx.Rand points i at the calling node. Each draw is
+// one canonical SplitMix64 step (rng.go), which checkpoint resume leans on.
 type shardRNG struct {
 	sd *stepShard
 	i  int
@@ -682,8 +650,7 @@ var disableFastForward bool
 
 // RunStep executes one Machine per node of g — any graph.Topology form —
 // until all machines halt, and returns aggregate metrics and per-node
-// results — the native entry point of the step engine. Options are shared
-// with Run; WithEngine is ignored. On an implicit topology the engine keeps
+// results. On an implicit topology the engine keeps
 // only per-node state: the topology itself contributes O(1) memory, which
 // is what makes 10⁷–10⁸-node runs fit.
 func RunStep(g graph.Topology, program StepProgram, opts ...Option) (*Result, error) {
@@ -836,7 +803,6 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 		e.startWorkers()
 		defer e.stopWorkers()
 	}
-	defer e.abortMachines() // no-op unless the run ends with live adapters
 
 	stepped := make([]int, 0, len(e.shards))
 	awakeTotal := 0
@@ -908,14 +874,8 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 			if e.flags[v]&flagHalted != 0 {
 				continue
 			}
-			// A crash-stopped node records no result — it never reached its
-			// halt — except through the goroutine adapter, whose program may
-			// have called SetResult before the crash (the goroutine engine
-			// keeps that partial value, so the adapter must too).
-			if ab, ok := e.machines[v].(aborter); ok {
-				ab.abortRun()
-				e.results[v] = e.machines[v].Result()
-			}
+			// A crash-stopped node records no result: it never reached its
+			// halt.
 			e.flags[v] |= flagHalted | flagCrashed
 			e.alive--
 			e.met.Crashed++
@@ -967,11 +927,10 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 			// rounds' writer-free slots arithmetically, so quiescent
 			// stretches — including a genuine wedge spinning to ErrMaxRounds
 			// — cost O(1) instead of O(shards) per round while keeping
-			// transcripts and Metrics bit-identical with the per-round path
-			// (and with the goroutine form of the protocol). With a
-			// transcript installed the traced variant synthesizes the skipped
-			// rounds' frames instead, so the stream stays byte-identical to a
-			// per-round engine's.
+			// transcripts and Metrics bit-identical with the per-round path.
+			// With a transcript installed the traced variant synthesizes the
+			// skipped rounds' frames instead, so the stream stays
+			// byte-identical to a per-round engine's.
 			if e.tw != nil {
 				round = e.fastForwardTraced(round)
 			} else {
@@ -980,7 +939,6 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 		}
 	}
 
-	e.abortMachines()
 	if rec := e.rec; rec != nil {
 		rec.RunEnd(&e.met)
 	}
@@ -1345,9 +1303,8 @@ func (e *stepEngine) stopWorkers() {
 // stepShard runs the compute phase for one shard: step every awake machine,
 // stage its sends into the per-destination buckets, and summarize channel
 // writes and halts. A machine panic is recorded against its node and halts
-// that node; the rest of the round still runs everywhere (as it does on the
-// goroutine engine), and the run aborts at the round's end with the
-// lowest-node error.
+// that node; the rest of the round still runs everywhere, and the run aborts
+// at the round's end with the lowest-node error.
 //
 //mmlint:noalloc
 func (e *stepEngine) stepShard(s *stepShard) {
@@ -1371,10 +1328,9 @@ func (e *stepEngine) stepShard(s *stepShard) {
 // stepNodes steps s.awake[start:] until the batch completes or a machine
 // panics: the happy path pays for one deferred recover per batch instead of
 // one per node step. On a panic the failing node's error is recorded, its
-// sends and channel write staged before the panic are still committed
-// (exactly as a goroutine program's are), the node leaves the run like an
-// errored program, and the index after it is returned so the caller resumes
-// the batch.
+// sends and channel write staged before the panic are still committed, the
+// node halts, and the index after it is returned so the caller resumes the
+// batch.
 //
 //mmlint:noalloc
 func (e *stepEngine) stepNodes(s *stepShard, start int) (next int) {
@@ -1382,9 +1338,7 @@ func (e *stepEngine) stepNodes(s *stepShard, start int) (next int) {
 	defer func() {
 		if r := recover(); r != nil {
 			v := s.awake[i]
-			if err := nodeFailure(graph.NodeID(v), r); err != nil {
-				e.recordErr(graph.NodeID(v), err)
-			}
+			e.recordErr(graph.NodeID(v), nodeFailure(graph.NodeID(v), r))
 			e.inboxLen[v] = 0
 			e.commitNode(s, graph.NodeID(v))
 			e.flags[v] |= flagHalted
@@ -1448,9 +1402,7 @@ func (e *stepEngine) commitNode(s *stepShard, id graph.NodeID) {
 		s.chPending, s.chWrite = false, nil
 	}
 	for _, o := range s.stage {
-		if o.link >= 0 {
-			s.sentBits[o.link>>6] &^= uint64(1) << (o.link & 63)
-		}
+		s.sentBits[o.link>>6] &^= uint64(1) << (o.link & 63)
 		d := int(o.to) / e.shardSize
 		s.out[d] = append(s.out[d], delivered{to: o.to, from: id, edgeID: o.edgeID, payload: o.payload})
 	}
@@ -1463,7 +1415,7 @@ func (e *stepEngine) commitNode(s *stepShard, id graph.NodeID) {
 // shard order — in the shard's inbox arena: survivors are gathered in
 // arrival order, counted per recipient, and laid out as one contiguous
 // window per recipient, all in buffers reused round after round (steady-
-// state delivery allocates nothing, adapter runs included). Multi-message
+// state delivery allocates nothing). Multi-message
 // inboxes are sorted by (sender, edge id) and sleeping recipients woken.
 //
 //mmlint:noalloc
@@ -1660,8 +1612,8 @@ func (sd *stepShard) recyclePending(late []delivered) {
 	sd.pendingFree = append(sd.pendingFree, late[:0])
 }
 
-// sortInbox orders one inbox by (sender, edge id) — the delivery order both
-// engines guarantee.
+// sortInbox orders one inbox by (sender, edge id) — the guaranteed delivery
+// order.
 //
 //mmlint:noalloc
 func sortInbox(box []Message) {
@@ -1673,23 +1625,10 @@ func sortInbox(box []Message) {
 	})
 }
 
-// abortMachines unwinds machines of nodes still live when the run ends —
-// with the goroutine adapter these hold blocked program goroutines.
-func (e *stepEngine) abortMachines() {
-	for v := range e.machines {
-		if e.flags[v]&flagHalted == 0 && e.machines[v] != nil {
-			if ab, ok := e.machines[v].(aborter); ok {
-				ab.abortRun()
-			}
-			e.flags[v] |= flagHalted
-		}
-	}
-}
-
 // recordErr keeps the lowest-node error of the failing round, so the
-// reported failure is independent of the worker count and identical to the
-// goroutine engine's — errors compete only within one round, because the
-// run aborts at its end. Engine-level errors record as node -1; per-shard
+// reported failure is independent of the worker count — errors compete only
+// within one round, because the run aborts at its end. Engine-level errors
+// record as node -1; per-shard
 // infrastructure failures as node MaxInt32 (never outranking a node).
 func (e *stepEngine) recordErr(node graph.NodeID, err error) {
 	e.errMu.Lock()
@@ -1705,14 +1644,12 @@ func (e *stepEngine) err() error {
 	return e.firstErr
 }
 
-// nodeFailure turns a recovered Step/init panic into the run's error,
-// mirroring the goroutine engine's wording for program errors and panics.
+// nodeFailure turns a recovered Step/init panic into the run's error: a
+// Failf as "sim: node <id>: <message>", anything else as "sim: node <id>
+// panicked: <value>".
 func nodeFailure(id graph.NodeID, r any) error {
 	if f, ok := r.(failError); ok {
 		return fmt.Errorf("sim: node %d: %w", id, f.err)
-	}
-	if err, ok := r.(error); ok && errors.Is(err, errAborted) {
-		return nil
 	}
 	return fmt.Errorf("sim: node %d panicked: %v", id, r)
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -78,6 +77,7 @@ func TestStepChannelResolution(t *testing.T) {
 		{"idle", nil, SlotIdle},
 		{"success", []graph.NodeID{2}, SlotSuccess},
 		{"collision", []graph.NodeID{1, 3}, SlotCollision},
+		{"collision all", []graph.NodeID{0, 1, 2, 3, 4}, SlotCollision},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			writerSet := make(map[graph.NodeID]bool)
@@ -105,7 +105,21 @@ func TestStepChannelResolution(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_ = res
+			m := res.Metrics
+			switch tt.want {
+			case SlotIdle:
+				if m.SlotsIdle < 1 {
+					t.Error("no idle slot counted")
+				}
+			case SlotSuccess:
+				if m.SlotsSuccess != 1 {
+					t.Errorf("SlotsSuccess = %d", m.SlotsSuccess)
+				}
+			case SlotCollision:
+				if m.SlotsCollision != 1 {
+					t.Errorf("SlotsCollision = %d", m.SlotsCollision)
+				}
+			}
 		})
 	}
 }
@@ -130,10 +144,12 @@ func TestStepResultHook(t *testing.T) {
 
 func TestStepRoundNumbering(t *testing.T) {
 	_, err := RunStep(ring(t, 3), func(c *StepCtx) Machine {
+		want := 0
 		return &stepFuncs{step: func(in Input) bool {
-			if in.Round != c.Round() {
-				c.Failf("in.Round %d != ctx round %d", in.Round, c.Round())
+			if in.Round != want || c.Round() != want {
+				c.Failf("round = %d/%d, want %d", in.Round, c.Round(), want)
 			}
+			want++
 			return in.Round == 3
 		}}
 	})
@@ -179,8 +195,7 @@ func TestStepSleepWave(t *testing.T) {
 
 func TestStepQuiescenceHitsBudget(t *testing.T) {
 	// Everyone sleeps forever with no message ever due: the wedge spins
-	// cheap empty rounds to the same ErrMaxRounds the goroutine engine
-	// reports for the equivalent blocked program.
+	// cheap empty rounds to ErrMaxRounds.
 	_, err := RunStep(ring(t, 4), func(c *StepCtx) Machine {
 		return &stepFuncs{step: func(Input) bool {
 			c.Sleep()
@@ -248,106 +263,51 @@ func TestStepDroppedToHalted(t *testing.T) {
 	}
 }
 
-// chatterProgram is a randomized goroutine Program used to cross-check the
-// engines: every transcript-visible artifact (results and metrics) must be
-// identical between the goroutine engine and the step-engine adapter.
-func chatterProgram(rounds int) Program {
-	return func(ctx *Ctx) error {
+// chatterMachine is a randomized machine exercising RNG draws, channel
+// success and collision slots, and point-to-point sends for the given
+// number of rounds; its result counts what it heard.
+func chatterMachine(rounds int) StepProgram {
+	return func(c *StepCtx) Machine {
 		var heard int64
-		for r := 0; r < rounds; r++ {
-			if ctx.Rand().Intn(3) == 0 {
-				ctx.Broadcast(int(ctx.ID()))
-			}
-			if ctx.Rand().Intn(2) == 0 && ctx.Degree() > 0 {
-				ctx.Send(ctx.Rand().Intn(ctx.Degree()), r)
-			}
-			in := ctx.Tick()
-			heard += int64(len(in.Msgs))
-			if in.Slot.State == SlotSuccess {
-				heard += 1000
-			}
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if in.Round > 0 {
+					heard += int64(len(in.Msgs))
+					if in.Slot.State == SlotSuccess {
+						heard += 1000
+					}
+				}
+				if in.Round == rounds {
+					return true
+				}
+				if c.Rand().Intn(3) == 0 {
+					c.Broadcast(int(c.ID()))
+				}
+				if c.Rand().Intn(2) == 0 && c.Degree() > 0 {
+					c.Send(c.Rand().Intn(c.Degree()), in.Round)
+				}
+				return false
+			},
+			result: func() any { return heard },
 		}
-		ctx.SetResult(heard)
-		return nil
 	}
 }
 
-func TestAdapterMatchesGoroutineEngine(t *testing.T) {
+// TestChatterPinned holds the randomized chatter machine to its committed
+// fixture at several worker counts.
+func TestChatterPinned(t *testing.T) {
 	g, err := graph.RandomConnected(40, 60, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(g, chatterProgram(12), WithSeed(99), WithEngine(EngineGoroutine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(o ...Option) (*Result, error) { return Run(g, chatterProgram(12), o...) }
-	checkPin(t, "chatter", "goroutine", pinCell(t, run, WithSeed(99), WithEngine(EngineGoroutine)))
+	run := func(o ...Option) (*Result, error) { return RunStep(g, chatterMachine(12), o...) }
 	for _, workers := range []int{1, 3, 8} {
-		checkPin(t, "chatter", fmt.Sprintf("step-w%d", workers),
-			pinCell(t, run, WithSeed(99), WithEngine(EngineStep), WithWorkers(workers)))
-		got, err := Run(g, chatterProgram(12), WithSeed(99), WithEngine(EngineStep), WithWorkers(workers))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(want.Results, got.Results) {
-			t.Errorf("workers=%d: results differ", workers)
-		}
-		if want.Metrics != got.Metrics {
-			t.Errorf("workers=%d: metrics %+v vs %+v", workers, want.Metrics, got.Metrics)
-		}
+		checkPin(t, "chatter", fmt.Sprintf("step-w%d", workers), pinCell(t, run, WithSeed(99), WithWorkers(workers)))
 	}
 }
 
-func TestAdapterProgramErrorAborts(t *testing.T) {
-	wantErr := errors.New("boom")
-	_, err := Run(ring(t, 4), func(ctx *Ctx) error {
-		if ctx.ID() == 2 {
-			return wantErr
-		}
-		for {
-			ctx.Tick()
-		}
-	}, WithEngine(EngineStep))
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v, want %v", err, wantErr)
-	}
-}
-
-func TestAdapterMaxRounds(t *testing.T) {
-	_, err := Run(ring(t, 3), func(ctx *Ctx) error {
-		for {
-			ctx.Tick()
-		}
-	}, WithMaxRounds(10), WithEngine(EngineStep))
-	if !errors.Is(err, ErrMaxRounds) {
-		t.Fatalf("err = %v, want ErrMaxRounds", err)
-	}
-}
-
-// floodProgram is one barrier-synchronized flood from node 0, written with
-// the blocking BarrierStep.
-func floodProgram(ctx *Ctx) error {
-	seen := ctx.ID() == 0
-	BarrierStep(ctx, Input{}, func(in Input) bool {
-		if !seen && len(in.Msgs) > 0 {
-			seen = true
-			for l := 0; l < ctx.Degree(); l++ {
-				ctx.Send(l, "wave")
-			}
-		}
-		if seen && in.Round == 0 && ctx.ID() == 0 {
-			for l := 0; l < ctx.Degree(); l++ {
-				ctx.Send(l, "wave")
-			}
-		}
-		return false
-	})
-	ctx.SetResult(seen)
-	return nil
-}
-
-// floodMachine is floodProgram as a native machine over StepBarrier.
+// floodMachine is one barrier-synchronized flood from node 0 over
+// StepBarrier; every node's result reports whether the wave reached it.
 func floodMachine(c *StepCtx) Machine {
 	b := NewStepBarrier(c)
 	seen := c.ID() == 0
@@ -372,89 +332,64 @@ func floodMachine(c *StepCtx) Machine {
 	}
 }
 
-func TestStepBarrierMatchesBarrierStep(t *testing.T) {
-	// One barrier-synchronized flood from node 0, written both ways; the
-	// transcripts must match exactly.
+// TestStepBarrierFloodPinned holds the barrier flood to its committed
+// fixture at 1 and 4 workers.
+func TestStepBarrierFloodPinned(t *testing.T) {
 	g, err := graph.RandomConnected(30, 45, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gor, err := Run(g, floodProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nat, err := RunStep(g, floodMachine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gorRun := func(o ...Option) (*Result, error) { return Run(g, floodProgram, o...) }
-	natRun := func(o ...Option) (*Result, error) { return RunStep(g, floodMachine, o...) }
-	checkPin(t, "barrier-flood", "goroutine", pinCell(t, gorRun, WithEngine(EngineGoroutine)))
+	run := func(o ...Option) (*Result, error) { return RunStep(g, floodMachine, o...) }
 	for _, w := range []int{1, 4} {
-		checkPin(t, "barrier-flood", fmt.Sprintf("adapter-w%d", w), pinCell(t, gorRun, WithEngine(EngineStep), WithWorkers(w)))
-		checkPin(t, "barrier-flood", fmt.Sprintf("native-w%d", w), pinCell(t, natRun, WithWorkers(w)))
+		checkPin(t, "barrier-flood", fmt.Sprintf("step-w%d", w), pinCell(t, run, WithWorkers(w)))
 	}
-	if !reflect.DeepEqual(gor.Results, nat.Results) {
-		t.Error("results differ between BarrierStep and StepBarrier")
+	res, err := run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if gor.Metrics != nat.Metrics {
-		t.Errorf("metrics differ: %+v vs %+v", gor.Metrics, nat.Metrics)
-	}
-	for _, r := range nat.Results {
+	for _, r := range res.Results {
 		if r != true {
-			t.Fatalf("flood did not reach every node: %v", nat.Results)
+			t.Fatalf("flood did not reach every node: %v", res.Results)
 		}
 	}
 }
 
-func TestParseEngine(t *testing.T) {
-	if e, err := ParseEngine("step"); err != nil || e != EngineStep {
-		t.Errorf("ParseEngine(step) = %v, %v", e, err)
-	}
-	if e, err := ParseEngine("goroutine"); err != nil || e != EngineGoroutine {
-		t.Errorf("ParseEngine(goroutine) = %v, %v", e, err)
-	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Error("ParseEngine(warp) should fail")
-	}
-	if EngineStep.String() != "step" || EngineGoroutine.String() != "goroutine" {
-		t.Error("Engine.String mismatch")
-	}
-}
-
-func TestAdapterInboxAppendSafe(t *testing.T) {
-	// The adapter delivers each round's messages in one arena per shard; a
-	// program appending to its Input.Msgs (always legal on the goroutine
-	// engine) must reallocate instead of overwriting the next recipient's
-	// window. Every node messages its successor, so all the round's inbox
-	// windows sit side by side in one arena.
-	g, err := graph.Ring(8, 1)
+func TestStepInboxAppendSafe(t *testing.T) {
+	// The engine delivers each round's messages in one arena per shard; a
+	// machine appending to its Input.Msgs must reallocate instead of
+	// overwriting the next recipient's window. Every node messages its
+	// successor, so all the round's inbox windows sit side by side in one
+	// arena.
+	const n = 8
+	g, err := graph.Ring(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := func(ctx *Ctx) error {
-		next := graph.NodeID((int(ctx.ID()) + 1) % ctx.N())
-		ctx.SendTo(next, int(ctx.ID())*100)
-		in := ctx.Tick()
-		// Abuse the API the way a legacy program may: grow the inbox slice.
-		grown := append(in.Msgs, Message{From: 99, EdgeID: 99, Payload: "junk"})
-		_ = grown
-		var sum int
-		for _, m := range in.Msgs {
-			sum += m.Payload.(int)
+	res, err := RunStep(g, func(c *StepCtx) Machine {
+		sum := 0
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if in.Round == 0 {
+					c.SendTo(graph.NodeID((int(c.ID())+1)%n), int(c.ID())*100)
+					return false
+				}
+				// Abuse the API: grow the inbox slice.
+				grown := append(in.Msgs, Message{From: 99, EdgeID: 99, Payload: "junk"})
+				_ = grown
+				for _, m := range in.Msgs {
+					sum += m.Payload.(int)
+				}
+				return true
+			},
+			result: func() any { return sum },
 		}
-		ctx.SetResult(sum)
-		return nil
-	}
-	want, err := Run(g, prog, WithEngine(EngineGoroutine))
+	}, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(g, prog, WithEngine(EngineStep), WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Results, got.Results) {
-		t.Errorf("results diverge after inbox append:\n goroutine: %v\n step:      %v", want.Results, got.Results)
+	for v, got := range res.Results {
+		if want := (v + n - 1) % n * 100; got != want {
+			t.Errorf("node %d sum = %v, want %d (its predecessor's message)", v, got, want)
+		}
 	}
 }

@@ -2,12 +2,12 @@ package sim
 
 // transcript.go is the streamed binary transcript format: a round-framed,
 // crc-checked digest of everything the determinism contract promises is
-// bit-identical across engines and worker counts. Engines emit one frame per
+// bit-identical across worker counts. The engine emits one frame per
 // executed (or fast-forwarded) round — slot resolution, live-node count,
 // cumulative Metrics, and a digest of every inbox delivered for the next
 // round — plus one final frame carrying the run's outcome. Two runs of the
 // same (graph, program, seed, plan) therefore produce byte-identical
-// transcript files whatever engine or worker count executed them, which is
+// transcript files whatever worker count executed them, which is
 // what makes cmd/mmreplay's diff able to pinpoint the first divergent
 // (round, node) of a broken run, and what lets a checkpoint-resumed run's
 // transcript be stitched onto the original's prefix and compared against an
@@ -40,7 +40,7 @@ package sim
 // Node ids inside a round frame are delta-coded ascending.
 //
 // Transcript emission is coordinator-side only and stays out of the
-// engines' //mmlint:noalloc phases: with no writer installed (the default)
+// engine's //mmlint:noalloc phases: with no writer installed (the default)
 // every hook site is one nil check and the zero-alloc guarantee is
 // untouched.
 
@@ -199,8 +199,8 @@ func decodeMetrics(d *frameDecoder, m *Metrics) {
 	m.Skewed = int64(d.uvarint())
 }
 
-// TranscriptWriter streams a run's transcript. Engines drive it through
-// their coordinator loop; commands own the underlying writer and must call
+// TranscriptWriter streams a run's transcript. The engine drives it through
+// its coordinator loop; commands own the underlying writer and must call
 // Close to flush. Write errors are sticky and reported by Close (and Err),
 // never mid-run: a failing disk aborts the transcript, not the simulation.
 type TranscriptWriter struct {
@@ -229,7 +229,7 @@ func NewTranscriptWriter(w io.Writer, gzipped bool) *TranscriptWriter {
 	return tw
 }
 
-// WriteHeader writes the prelude and header frame. The engines call it
+// WriteHeader writes the prelude and header frame. The engine calls it
 // through begin on the first round; commands stitching transcripts call it
 // directly. Repeated calls are errors.
 func (tw *TranscriptWriter) WriteHeader(h *TranscriptHeader) {
@@ -270,7 +270,7 @@ func (tw *TranscriptWriter) begin(n int, seed int64, plan, label string) {
 }
 
 // WriteRound appends one round frame. Frames must be written in ascending
-// round order with f.Nodes sorted by node id; the engines guarantee both.
+// round order with f.Nodes sorted by node id; the engine guarantees both.
 func (tw *TranscriptWriter) WriteRound(f *RoundFrame) {
 	if tw.err != nil {
 		return

@@ -1,9 +1,9 @@
 package sim
 
-// transcript_test.go verifies the streamed binary transcript: byte-identity
-// across engines and worker counts (faulted and fault-free), the reader's
-// round-trip fidelity, gzip framing, and the reflective guard that pins the
-// Metrics wire encoding to the struct.
+// transcript_test.go verifies the streamed binary transcript: pinned bytes
+// at every worker count (faulted and fault-free), the reader's round-trip
+// fidelity, gzip framing, and the reflective guard that pins the Metrics
+// wire encoding to the struct.
 
 import (
 	"bytes"
@@ -17,35 +17,40 @@ import (
 	"repro/internal/graph"
 )
 
-// transcriptProgram is a goroutine program exercising every frame feature:
-// point-to-point sends (inbox digests), RNG draws, channel writes (success
-// and collision slots), and per-node halt rounds.
-func transcriptProgram(c *Ctx) error {
-	for r := 0; r < 8+int(c.ID()); r++ {
-		if c.Rand().Intn(3) == 0 {
-			c.Send((r+1)%c.Degree(), int(c.ID())*100+r)
-		}
-		if c.Rand().Intn(4) == 0 {
-			c.Broadcast(int(c.ID()))
-		}
-		in := c.Tick()
-		sum := 0
-		for _, m := range in.Msgs {
-			sum += m.Payload.(int)
-		}
-		_ = sum
+// transcriptMachine exercises every frame feature: point-to-point sends
+// (inbox digests), RNG draws, channel writes (success and collision
+// slots), and per-node halt rounds.
+func transcriptMachine(c *StepCtx) Machine {
+	return &stepFuncs{
+		step: func(in Input) bool {
+			sum := 0
+			for _, m := range in.Msgs {
+				sum += m.Payload.(int)
+			}
+			_ = sum
+			r := in.Round
+			if r == 8+int(c.ID()) {
+				return true
+			}
+			if c.Rand().Intn(3) == 0 {
+				c.Send((r+1)%c.Degree(), int(c.ID())*100+r)
+			}
+			if c.Rand().Intn(4) == 0 {
+				c.Broadcast(int(c.ID()))
+			}
+			return false
+		},
+		result: func() any { return int(c.ID()) },
 	}
-	c.SetResult(int(c.ID()))
-	return nil
 }
 
-// runTranscript runs the program with a transcript writer installed and
-// returns the raw transcript bytes.
+// runTranscript runs transcriptMachine with a transcript writer installed
+// and returns the raw transcript bytes.
 func runTranscript(t *testing.T, g *graph.Graph, opts ...Option) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	tw := NewTranscriptWriter(&buf, false)
-	if _, err := Run(g, transcriptProgram, append([]Option{WithTranscript(tw)}, opts...)...); err != nil {
+	if _, err := RunStep(g, transcriptMachine, append([]Option{WithTranscript(tw)}, opts...)...); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -54,7 +59,9 @@ func runTranscript(t *testing.T, g *graph.Graph, opts ...Option) []byte {
 	return buf.Bytes()
 }
 
-func TestTranscriptCrossEngineByteIdentity(t *testing.T) {
+// TestTranscriptPinned holds transcriptMachine's stream and outcome to
+// committed fixtures, fault-free and faulted, at 1 and 4 workers.
+func TestTranscriptPinned(t *testing.T) {
 	g := ring(t, 8)
 	for _, tc := range []struct {
 		name string
@@ -72,19 +79,10 @@ func TestTranscriptCrossEngineByteIdentity(t *testing.T) {
 				}
 				opts = append(opts, WithFaults(p))
 			}
-			ref := runTranscript(t, g, append(opts, WithEngine(EngineGoroutine))...)
-			if len(ref) == 0 {
-				t.Fatal("empty transcript")
-			}
-			run := func(o ...Option) (*Result, error) { return Run(g, transcriptProgram, o...) }
-			checkPin(t, "transcript-"+tc.name, "goroutine", pinCell(t, run, append(opts, WithEngine(EngineGoroutine))...))
+			run := func(o ...Option) (*Result, error) { return RunStep(g, transcriptMachine, o...) }
 			for _, w := range []int{1, 4} {
-				got := runTranscript(t, g, append(opts, WithEngine(EngineStep), WithWorkers(w))...)
-				if !bytes.Equal(got, ref) {
-					t.Errorf("step-w%d transcript differs from goroutine engine (%d vs %d bytes)", w, len(got), len(ref))
-				}
 				checkPin(t, "transcript-"+tc.name, fmt.Sprintf("step-w%d", w),
-					pinCell(t, run, append(opts, WithEngine(EngineStep), WithWorkers(w))...))
+					pinCell(t, run, append(opts, WithWorkers(w))...))
 			}
 		})
 	}
@@ -92,7 +90,7 @@ func TestTranscriptCrossEngineByteIdentity(t *testing.T) {
 
 func TestTranscriptReaderRoundTrip(t *testing.T) {
 	g := ring(t, 6)
-	raw := runTranscript(t, g, WithSeed(9), WithEngine(EngineGoroutine))
+	raw := runTranscript(t, g, WithSeed(9))
 
 	tr, err := NewTranscriptReader(bytes.NewReader(raw))
 	if err != nil {
@@ -134,7 +132,7 @@ func TestTranscriptReaderRoundTrip(t *testing.T) {
 	last := rounds[len(rounds)-1]
 	// Re-run without a transcript: the final frame must agree with the
 	// run's native Result.
-	res, err := Run(g, transcriptProgram, WithSeed(9), WithEngine(EngineGoroutine))
+	res, err := RunStep(g, transcriptMachine, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +158,11 @@ func TestTranscriptReaderRoundTrip(t *testing.T) {
 
 func TestTranscriptGzip(t *testing.T) {
 	g := ring(t, 6)
-	plain := runTranscript(t, g, WithSeed(3), WithEngine(EngineGoroutine))
+	plain := runTranscript(t, g, WithSeed(3))
 
 	var buf bytes.Buffer
 	tw := NewTranscriptWriter(&buf, true)
-	if _, err := Run(g, transcriptProgram, WithSeed(3), WithEngine(EngineGoroutine), WithTranscript(tw)); err != nil {
+	if _, err := RunStep(g, transcriptMachine, WithSeed(3), WithTranscript(tw)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -218,7 +216,7 @@ func decodeAll(t *testing.T, raw []byte) []any {
 
 func TestTranscriptCorruptionDetected(t *testing.T) {
 	g := ring(t, 5)
-	raw := runTranscript(t, g, WithSeed(5), WithEngine(EngineGoroutine))
+	raw := runTranscript(t, g, WithSeed(5))
 
 	// Flip one byte beyond the header frame: some frame's crc must fail.
 	bad := bytes.Clone(raw)

@@ -5,7 +5,7 @@ package repro
 // observed by a fully-enabled obs.Obs (tracing, series, pprof labels, and
 // metrics all on, installed process-wide so inner runs of multi-stage
 // algorithms are observed too) must produce the outcome — value or error —
-// of the same run unobserved, on both engines and at 1 and 4 workers.
+// of the same run unobserved, at 1 and 4 workers.
 
 import (
 	"fmt"
@@ -21,31 +21,17 @@ import (
 )
 
 func TestObservedRunsMatchUnobserved(t *testing.T) {
-	configs := []struct {
-		name    string
-		engine  sim.Engine
-		workers int
-	}{
-		{"goroutine", sim.EngineGoroutine, 1},
-		{"step-w1", sim.EngineStep, 1},
-		{"step-w4", sim.EngineStep, 4},
-	}
 	plans := []string{"", "seed:11;crash:4@5;jam:3-4;dup:*@2-9/p0.2/d2"}
 	if testing.Short() {
-		// The faulted plan on the two extreme configs covers every recorder
-		// code path; the full matrix runs in the long suite.
-		configs = []struct {
-			name    string
-			engine  sim.Engine
-			workers int
-		}{configs[0], configs[2]}
+		// The faulted plan at both worker counts covers every recorder code
+		// path; the full matrix runs in the long suite.
 		plans = plans[1:]
 	}
 
 	for _, proto := range difftest.Protocols() {
-		for _, cfg := range configs {
+		for _, workers := range []int{1, 4} {
 			for _, planStr := range plans {
-				name := fmt.Sprintf("%s/%s/f%q", proto.Name, cfg.name, planStr)
+				name := fmt.Sprintf("%s/step-w%d/f%q", proto.Name, workers, planStr)
 				t.Run(name, func(t *testing.T) {
 					g, err := graph.Ring(24, 3)
 					if err != nil {
@@ -59,10 +45,10 @@ func TestObservedRunsMatchUnobserved(t *testing.T) {
 					}
 
 					run := func(rec sim.Recorder) (any, error) {
-						oldE, oldW, oldF, oldR := sim.DefaultEngine, sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultRecorder
-						sim.DefaultEngine, sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultRecorder = cfg.engine, cfg.workers, plan, rec
+						oldW, oldF, oldR := sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultRecorder
+						sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultRecorder = workers, plan, rec
 						defer func() {
-							sim.DefaultEngine, sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultRecorder = oldE, oldW, oldF, oldR
+							sim.DefaultWorkers, sim.DefaultFaults, sim.DefaultRecorder = oldW, oldF, oldR
 						}()
 						return proto.Run(g, 5)
 					}

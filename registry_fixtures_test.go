@@ -4,9 +4,9 @@ package repro
 // to committed bytes: for each (protocol, topology, fault plan) cell, one
 // fixture under testdata/registry records the sha256 and length of the MMTR
 // transcript stream covering every inner run of the protocol, plus the
-// sha256 of its %#v outcome (value or error). Every engine configuration
-// must reproduce the fixture, so the fixtures — not a second engine — are
-// the oracle a protocol rewrite is held to.
+// sha256 of its %#v outcome (value or error). Every worker count must
+// reproduce the fixture, so the fixtures are the oracle a protocol or
+// engine rewrite is held to.
 //
 // Fixtures are written only when missing (the test then fails, asking for
 // the new file to be committed); an existing fixture is never rewritten.
@@ -33,17 +33,9 @@ var registryPlans = []struct{ name, plan string }{
 	{"chaos", "seed:5;crash:5@4;jam:2-3;drop:0@2-8/p0.5"},
 }
 
-// registryConfigs are the engine configurations that must all reproduce a
-// cell's fixture.
-var registryConfigs = []struct {
-	name    string
-	engine  sim.Engine
-	workers int
-}{
-	{"goroutine", sim.EngineGoroutine, 0},
-	{"step-w1", sim.EngineStep, 1},
-	{"step-w4", sim.EngineStep, 4},
-}
+// registryWorkers are the worker counts that must all reproduce a cell's
+// fixture.
+var registryWorkers = []int{1, 4}
 
 // registryCell runs one protocol with every inner run streaming into one
 // transcript and renders the cell's fixture.
@@ -83,11 +75,10 @@ func TestRegistryFixtures(t *testing.T) {
 					if err != nil && !missing {
 						t.Fatal(err)
 					}
-					for _, cfg := range registryConfigs {
+					for _, workers := range registryWorkers {
 						oldW := sim.DefaultWorkers
-						sim.DefaultWorkers = cfg.workers
-						var got string
-						withEngine(t, cfg.engine, func() { got = registryCell(t, proto, g, plan) })
+						sim.DefaultWorkers = workers
+						got := registryCell(t, proto, g, plan)
 						sim.DefaultWorkers = oldW
 						if missing {
 							if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -96,12 +87,12 @@ func TestRegistryFixtures(t *testing.T) {
 							if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 								t.Fatal(err)
 							}
-							t.Errorf("wrote missing fixture %s from %s; commit it", path, cfg.name)
+							t.Errorf("wrote missing fixture %s from step-w%d; commit it", path, workers)
 							want, missing = []byte(got), false
 							continue
 						}
 						if got != string(want) {
-							t.Errorf("%s deviates from %s:\n got:  %s want: %s", cfg.name, path, got, want)
+							t.Errorf("step-w%d deviates from %s:\n got:  %s want: %s", workers, path, got, want)
 						}
 					}
 				})
