@@ -22,8 +22,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden transcript fixtures")
 
-// goldenConfigs pin one representative run per protocol family. The names'
-// "-step" suffix records the engine label the fixtures carry.
+// goldenConfigs pin one representative run per protocol family.
 var goldenConfigs = []struct {
 	name string
 	args []string

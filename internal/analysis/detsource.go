@@ -1,7 +1,7 @@
 package analysis
 
 // detsource bans sources of run-to-run nondeterminism inside the
-// transcript-affecting packages: the engines, the fault injector, and the
+// transcript-affecting packages: the engine, the fault injector, and the
 // protocol implementations. Everything those packages compute must be a
 // pure function of (topology, seed, plan) — that is the invariant the whole
 // difftest/golden apparatus asserts — so wall-clock reads, the global
@@ -40,7 +40,7 @@ var DetSource = &Analyzer{
 // alters transcripts, enforced by the root obs_equiv_test.go — is what
 // keeps its nondeterminism out of transcripts, not this analyzer; its
 // time.Now call sites carry //mmlint:nondet annotations as documentation.
-// The engines themselves stay in scope and never read the clock: all
+// The engine itself stays in scope and never reads the clock: all
 // timing lives behind the Recorder interface.
 var detScope = []string{
 	"repro/internal/sim",

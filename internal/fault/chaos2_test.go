@@ -171,7 +171,7 @@ func TestPartitionGroupStability(t *testing.T) {
 }
 
 // TestRestartQueries covers the injector's restart schedule surface the
-// engines' revival and fast-forward paths lean on.
+// engine's revival and fast-forward paths lean on.
 func TestRestartQueries(t *testing.T) {
 	g := testGraph(t)
 	p, err := Parse("crash:3@4;restart:3@9;crash:5@4;restart:5@12")

@@ -1,4 +1,4 @@
-// Package obs is the observability layer for the simulation engines: a
+// Package obs is the observability layer for the simulation engine: a
 // phase tracer (Chrome trace_event JSON + pprof labels), a per-round
 // time-series collector (NDJSON), and a metrics registry with Prometheus
 // text exposition — all hand-rolled on the standard library.
@@ -6,7 +6,7 @@
 // The package sits behind the sim.Recorder seam and honours its two
 // contracts: observation never alters transcripts (recorders are write-only
 // observers; difftest runs bit-identical with any Obs installed), and the
-// off switch is a nil Recorder, which costs the engines one branch per hook
+// off switch is a nil Recorder, which costs the engine one branch per hook
 // site and zero allocations.
 //
 // obs is deliberately OUTSIDE mmlint's detsource scope (see
@@ -282,5 +282,5 @@ func (o *Obs) Close() error {
 	return nil
 }
 
-// Obs must satisfy the engines' seam.
+// Obs must satisfy the engine's seam.
 var _ sim.Recorder = (*Obs)(nil)

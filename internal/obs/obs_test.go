@@ -1,6 +1,6 @@
 package obs
 
-// The package's two contracts, tested from outside the engines:
+// The package's two contracts, tested from outside the engine:
 //
 //   - Exactness: summing any delta column of the NDJSON series over a run
 //     reproduces the final sim.Metrics total bit-for-bit at workers 1 and

@@ -1,7 +1,7 @@
 package obs
 
 // trace.go is the phase tracer: preallocated per-shard span rings filled at
-// the engines' phase boundaries and rendered as Chrome trace_event JSON —
+// the engine's phase boundaries and rendered as Chrome trace_event JSON —
 // the format about:tracing and https://ui.perfetto.dev load directly. Each
 // shard is one "thread" in the viewer, so a step-engine run reads as a
 // swimlane per shard with step/deliver/barrier spans and fast-forward

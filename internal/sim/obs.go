@@ -64,9 +64,9 @@ func (p Phase) String() string {
 // holds with any recorder installed.
 type Recorder interface {
 	// RunStart announces a run before round 0: node count, engine (always
-	// EngineStep; the parameter is kept for implementations that label
-	// runs), the resolved worker count, and the shard count. Multi-stage
-	// algorithms produce one RunStart per internal run.
+	// EngineStep; the parameter stays so existing implementations keep
+	// compiling), the resolved worker count, and the shard count.
+	// Multi-stage algorithms produce one RunStart per internal run.
 	RunStart(n int, engine Engine, workers, shards int)
 	// BeginPhase marks the start of a phase on a shard and returns an
 	// opaque start token (a monotonic timestamp) handed back to EndPhase.

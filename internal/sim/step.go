@@ -797,7 +797,7 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 		rec.RunStart(n, EngineStep, e.workers, len(e.shards))
 	}
 	if tw := e.tw; tw != nil {
-		tw.begin(n, e.cfg.seed, e.cfg.planString(), "")
+		tw.begin(n, e.cfg.seed, e.cfg.planString())
 	}
 	if e.workers > 1 {
 		e.startWorkers()

@@ -261,12 +261,12 @@ func (tw *TranscriptWriter) WriteHeader(h *TranscriptHeader) {
 	tw.emit(frameHeader, b)
 }
 
-// begin lazily writes the header on behalf of an engine.
-func (tw *TranscriptWriter) begin(n int, seed int64, plan, label string) {
+// begin lazily writes the header on behalf of the engine.
+func (tw *TranscriptWriter) begin(n int, seed int64, plan string) {
 	if tw.started {
 		return
 	}
-	tw.WriteHeader(&TranscriptHeader{N: n, Seed: seed, Plan: plan, Label: label})
+	tw.WriteHeader(&TranscriptHeader{N: n, Seed: seed, Plan: plan})
 }
 
 // WriteRound appends one round frame. Frames must be written in ascending
