@@ -51,15 +51,15 @@ func crossFormPair(t *testing.T, spec string) (imp graph.Topology, mat *graph.Gr
 }
 
 // TestCrossFormEquivalence runs every protocol in the differential registry
-// on the implicit and materialized forms of every shared topology at
-// workers 1 and 4, and requires bit-identical outcomes form-for-form at
-// each worker count.
+// on the implicit and materialized forms of every shared topology at each
+// of harnessWorkers (1 and 4 under -short), and requires bit-identical
+// outcomes form-for-form at each worker count.
 func TestCrossFormEquivalence(t *testing.T) {
 	for _, spec := range crossFormSpecs {
 		imp, mat := crossFormPair(t, spec)
 		for _, proto := range difftest.Protocols() {
-			for _, workers := range []int{1, 4} {
-				if testing.Short() && workers == 4 {
+			for _, workers := range harnessWorkers {
+				if testing.Short() && workers == 3 {
 					continue
 				}
 				t.Run(fmt.Sprintf("%s/%s/step-w%d", spec, proto.Name, workers), func(t *testing.T) {

@@ -18,6 +18,12 @@ var equivalenceTopologies = []struct {
 	{"ray4x4", func() (*graph.Graph, error) { return graph.Ray(4, 4, 9) }},
 }
 
+// harnessWorkers are the worker counts the root harnesses run every
+// protocol at, each as its own subtest: 1 is the sequential reference, and
+// 3 and 4 draw different shard boundaries, so a cross-shard delivery or
+// merge-order bug shows at one of them.
+var harnessWorkers = []int{1, 3, 4}
+
 // outcome captures a run's full observable result: its value on success or
 // its error string on failure.
 type outcome struct {

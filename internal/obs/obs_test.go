@@ -3,8 +3,8 @@ package obs
 // The package's two contracts, tested from outside the engine:
 //
 //   - Exactness: summing any delta column of the NDJSON series over a run
-//     reproduces the final sim.Metrics total bit-for-bit at workers 1 and
-//     4, at every decimation factor — even under a fault plan that
+//     reproduces the final sim.Metrics total bit-for-bit at workers 1, 3
+//     and 4, at every decimation factor — even under a fault plan that
 //     exercises every counter (crash, drop, delay, dup, jam).
 //   - Transparency: a run observed by an Obs produces exactly the results
 //     and metrics of the same run unobserved.
@@ -68,6 +68,7 @@ var workerConfigs = []struct {
 	opts []sim.Option
 }{
 	{"step-w1", []sim.Option{sim.WithWorkers(1)}},
+	{"step-w3", []sim.Option{sim.WithWorkers(3)}},
 	{"step-w4", []sim.Option{sim.WithWorkers(4)}},
 }
 

@@ -5,7 +5,7 @@ package repro
 // observed by a fully-enabled obs.Obs (tracing, series, pprof labels, and
 // metrics all on, installed process-wide so inner runs of multi-stage
 // algorithms are observed too) must produce the outcome — value or error —
-// of the same run unobserved, at 1 and 4 workers.
+// of the same run unobserved, at each of harnessWorkers.
 
 import (
 	"fmt"
@@ -22,14 +22,16 @@ import (
 
 func TestObservedRunsMatchUnobserved(t *testing.T) {
 	plans := []string{"", "seed:11;crash:4@5;jam:3-4;dup:*@2-9/p0.2/d2"}
+	workerCounts := harnessWorkers
 	if testing.Short() {
-		// The faulted plan at both worker counts covers every recorder code
+		// The faulted plan at workers 1 and 4 covers every recorder code
 		// path; the full matrix runs in the long suite.
 		plans = plans[1:]
+		workerCounts = []int{1, 4}
 	}
 
 	for _, proto := range difftest.Protocols() {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range workerCounts {
 			for _, planStr := range plans {
 				name := fmt.Sprintf("%s/step-w%d/f%q", proto.Name, workers, planStr)
 				t.Run(name, func(t *testing.T) {

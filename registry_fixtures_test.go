@@ -4,9 +4,9 @@ package repro
 // to committed bytes: for each (protocol, topology, fault plan) cell, one
 // fixture under testdata/registry records the sha256 and length of the MMTR
 // transcript stream covering every inner run of the protocol, plus the
-// sha256 of its %#v outcome (value or error). Every worker count must
-// reproduce the fixture, so the fixtures are the oracle a protocol or
-// engine rewrite is held to.
+// sha256 of its %#v outcome (value or error). Every worker count in
+// harnessWorkers must reproduce the fixture, so the fixtures are the oracle
+// a protocol or engine rewrite is held to.
 //
 // Fixtures are written only when missing (the test then fails, asking for
 // the new file to be committed); an existing fixture is never rewritten.
@@ -32,10 +32,6 @@ var registryPlans = []struct{ name, plan string }{
 	{"clean", ""},
 	{"chaos", "seed:5;crash:5@4;jam:2-3;drop:0@2-8/p0.5"},
 }
-
-// registryWorkers are the worker counts that must all reproduce a cell's
-// fixture.
-var registryWorkers = []int{1, 4}
 
 // registryCell runs one protocol with every inner run streaming into one
 // transcript and renders the cell's fixture.
@@ -75,25 +71,27 @@ func TestRegistryFixtures(t *testing.T) {
 					if err != nil && !missing {
 						t.Fatal(err)
 					}
-					for _, workers := range registryWorkers {
-						oldW := sim.DefaultWorkers
-						sim.DefaultWorkers = workers
-						got := registryCell(t, proto, g, plan)
-						sim.DefaultWorkers = oldW
-						if missing {
-							if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-								t.Fatal(err)
+					for _, workers := range harnessWorkers {
+						t.Run(fmt.Sprintf("step-w%d", workers), func(t *testing.T) {
+							oldW := sim.DefaultWorkers
+							sim.DefaultWorkers = workers
+							defer func() { sim.DefaultWorkers = oldW }()
+							got := registryCell(t, proto, g, plan)
+							if missing {
+								if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+									t.Fatal(err)
+								}
+								if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+									t.Fatal(err)
+								}
+								t.Errorf("wrote missing fixture %s from step-w%d; commit it", path, workers)
+								want, missing = []byte(got), false
+								return
 							}
-							if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-								t.Fatal(err)
+							if got != string(want) {
+								t.Errorf("deviates from %s:\n got:  %s want: %s", path, got, want)
 							}
-							t.Errorf("wrote missing fixture %s from step-w%d; commit it", path, workers)
-							want, missing = []byte(got), false
-							continue
-						}
-						if got != string(want) {
-							t.Errorf("step-w%d deviates from %s:\n got:  %s want: %s", workers, path, got, want)
-						}
+						})
 					}
 				})
 			}
