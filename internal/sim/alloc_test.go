@@ -9,6 +9,8 @@ package sim
 
 import (
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // dietMachine is an allocation-free relay: every node forwards a constant
@@ -28,10 +30,29 @@ func (m dietMachine) Step(in Input) bool {
 
 func (m dietMachine) Result() any { return nil }
 
-func stepAllocsPerRound(t *testing.T, workers int) float64 {
+// dietRingN is above inlineThreshold, so multi-worker runs use the gate.
+const dietRingN = 1024
+
+// dietForm is one topology form the gate runs on.
+type dietForm struct {
+	name string
+	g    graph.Topology
+}
+
+// dietForms are the stored ring and the implicit ring the 10⁷–10⁸ tiers
+// run.
+func dietForms(t *testing.T) []dietForm {
 	t.Helper()
-	const n = 1024 // above inlineThreshold, so multi-worker runs use the gate
-	g := ring(t, n)
+	imp, err := graph.ImplicitRing(dietRingN, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []dietForm{{"stored", ring(t, dietRingN)}, {"implicit", imp}}
+}
+
+func stepAllocsPerRound(t *testing.T, g graph.Topology, workers int) float64 {
+	t.Helper()
+	n := g.N()
 	allocsAt := func(rounds int) float64 {
 		return testing.AllocsPerRun(3, func() {
 			res, err := RunStep(g, func(c *StepCtx) Machine {
@@ -50,15 +71,19 @@ func stepAllocsPerRound(t *testing.T, workers int) float64 {
 }
 
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
-	if perRound := stepAllocsPerRound(t, 1); perRound > 0.01 {
-		t.Errorf("steady-state native round allocates %.3f objects/round, want 0", perRound)
+	for _, f := range dietForms(t) {
+		if perRound := stepAllocsPerRound(t, f.g, 1); perRound > 0.01 {
+			t.Errorf("%s: steady-state native round allocates %.3f objects/round, want 0", f.name, perRound)
+		}
 	}
 }
 
 func TestStepSteadyStateZeroAllocMultiWorker(t *testing.T) {
 	// The gate parks and wakes workers without allocating; a small budget
 	// absorbs one-time goroutine stack growth.
-	if perRound := stepAllocsPerRound(t, 4); perRound > 0.05 {
-		t.Errorf("steady-state 4-worker round allocates %.3f objects/round, want 0", perRound)
+	for _, f := range dietForms(t) {
+		if perRound := stepAllocsPerRound(t, f.g, 4); perRound > 0.05 {
+			t.Errorf("%s: steady-state 4-worker round allocates %.3f objects/round, want 0", f.name, perRound)
+		}
 	}
 }
