@@ -211,8 +211,8 @@ func FuzzEngineEquivalence(f *testing.F) {
 	// mst (SleepUntilPulse barriers) under a jam window: pulse wakes that
 	// must survive fast-forwarding over jammed slots.
 	f.Add(uint8(3), uint8(0), uint8(12), int64(4), int64(6), uint8(2), uint8(2))
-	// census on an *implicit* ring (topoSel 4) under delays: the engine's
-	// no-linkAt path — LinkOf resolved by weight-rank arithmetic — must be
+	// census on an *implicit* ring (topoSel 4) under delays: adjacency
+	// computed into the shards' AdjView scratch, not stored, must be
 	// transcript-identical across worker counts on the same topology.
 	f.Add(uint8(10), uint8(4), uint8(20), int64(2), int64(3), uint8(1), uint8(5))
 	// mst on an implicit binary tree (topoSel 5), fault-free, workers 5.

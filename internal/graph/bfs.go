@@ -22,27 +22,17 @@ func NewBFS(g Topology, root NodeID) *BFS {
 		b.Dist[v] = -1
 	}
 	b.Dist[root] = 0
-	queue := []NodeID{root}
-	// The adjacency buffer is reused across nodes; implicit forms additionally
-	// need a caller-owned scratch or every AdjAppend call heap-allocates its
-	// neighbor staging buffer (≈0.5 KB/node at census scale).
-	var adj []Half
-	imp, _ := g.(*Implicit)
+	// Order doubles as the queue: nodes are visited in the order they are
+	// enqueued, and at most n of them ever are.
+	b.Order = append(make([]NodeID, 0, g.N()), root)
 	var scratch AdjScratch
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		b.Order = append(b.Order, v)
-		if imp != nil {
-			adj = imp.AdjInto(v, adj[:0], &scratch)
-		} else {
-			adj = g.AdjAppend(v, adj[:0])
-		}
-		for _, h := range adj {
+	for head := 0; head < len(b.Order); head++ {
+		v := b.Order[head]
+		for _, h := range g.AdjView(v, &scratch) {
 			if b.Dist[h.To] == -1 {
 				b.Dist[h.To] = b.Dist[v] + 1
 				b.Parent[h.To] = v
-				queue = append(queue, h.To)
+				b.Order = append(b.Order, h.To)
 			}
 		}
 	}

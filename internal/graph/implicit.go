@@ -5,11 +5,11 @@ package graph
 // handful of integers — never an edge list — and computes degree, neighbor
 // set, edge endpoints, and weights arithmetically from the node id, the
 // canonical edge numbering, and a seed. Adjacency is presented sorted by
-// ascending weight, exactly like *Graph, by sorting the (constant-size)
-// computed neighbor set per query; the only exception is the star's hub,
-// whose n-1 links cannot be weight-ordered in O(1), so its sorted adjacency
-// is cached once at construction (O(n) for one node versus O(n + m) for the
-// whole materialized graph).
+// ascending weight, exactly like *Graph: AdjView computes and sorts the
+// (constant-size) neighbor set into the caller's AdjScratch per query. The
+// only exception is the star's hub, whose n-1 links cannot be weight-ordered
+// in O(1), so its sorted adjacency is cached once at construction (O(n) for
+// one node versus O(n + m) for the whole materialized graph).
 //
 // Edge ids are canonical per family (documented on each constructor), and
 // weights come from implicitWeight (topology.go), so Materialize yields a
@@ -47,9 +47,6 @@ type Implicit struct {
 	hubAdj []Half // hub's sorted-by-weight adjacency
 }
 
-// Spec returns the canonical spec string the topology was built from.
-func (t *Implicit) Spec() string { return t.spec }
-
 // N returns the number of nodes.
 func (t *Implicit) N() int { return t.n }
 
@@ -73,134 +70,30 @@ func (t *Implicit) weightOf(v NodeID, b nbr) Weight {
 	return implicitWeight(t.seed, v, b.to, b.id)
 }
 
-// AdjAppend appends v's links, sorted by ascending weight, to buf.
-//
-// The stack neighbor buffer escapes through the nbrs closure call, so every
-// AdjAppend costs one small heap allocation; per-round engine paths use
-// AdjInto with a reused AdjScratch instead.
-func (t *Implicit) AdjAppend(v NodeID, buf []Half) []Half {
+// AdjView computes v's links, sorted by ascending weight, into s; the
+// star hub answers from its cached list instead.
+func (t *Implicit) AdjView(v NodeID, s *AdjScratch) []Half {
 	if v == t.hub {
-		return append(buf, t.hubAdj...)
+		return t.hubAdj
 	}
-	var arr [implicitStackDegree]nbr
-	start := len(buf)
-	for _, b := range t.nbrs(v, arr[:0]) {
-		buf = append(buf, Half{To: b.to, Weight: t.weightOf(v, b), EdgeID: int32(b.id)})
+	s.nbrs = t.nbrs(v, s.nbrs[:0])
+	s.halves = s.halves[:0]
+	for _, b := range s.nbrs {
+		s.halves = append(s.halves, Half{To: b.to, Weight: t.weightOf(v, b), EdgeID: int32(b.id)})
 	}
-	sortHalves(buf[start:])
-	return buf
-}
-
-// AdjScratch is reusable neighbor-computation scratch for AdjInto. The zero
-// value is ready; each AdjScratch may serve one goroutine at a time.
-type AdjScratch struct {
-	nbrs []nbr
-}
-
-// AdjInto is AdjAppend with caller-owned scratch: after the scratch's first
-// use (which sizes its buffer) the query allocates nothing, making it the
-// form per-round engine code can call steady-state.
-func (t *Implicit) AdjInto(v NodeID, buf []Half, scratch *AdjScratch) []Half {
-	if v == t.hub {
-		return append(buf, t.hubAdj...)
-	}
-	if scratch.nbrs == nil {
-		scratch.nbrs = make([]nbr, 0, implicitStackDegree)
-	}
-	scratch.nbrs = t.nbrs(v, scratch.nbrs[:0])
-	start := len(buf)
-	for _, b := range scratch.nbrs {
-		buf = append(buf, Half{To: b.to, Weight: t.weightOf(v, b), EdgeID: int32(b.id)})
-	}
-	sortHalves(buf[start:])
-	return buf
+	sortHalves(s.halves)
+	return s.halves
 }
 
 // Adj returns v's links sorted by ascending weight, freshly allocated on
-// every call (except the cached hub). Hot paths should use AdjAppend,
-// HalfAt, or LinkIndex instead.
+// every call except for the star hub, which returns its cached list.
 func (t *Implicit) Adj(v NodeID) []Half {
 	if v == t.hub {
 		return t.hubAdj
 	}
-	return t.AdjAppend(v, nil)
-}
-
-// implicitStackDegree is the neighbor-buffer size the per-query paths keep
-// on the stack; every implicit family except the star hub has degree ≤ 30
-// (the hypercube's dimension cap), and the hub never takes these paths.
-const implicitStackDegree = 32
-
-// HalfAt returns v's link with the given local index in sorted order.
-func (t *Implicit) HalfAt(v NodeID, link int) Half {
-	if v == t.hub {
-		return t.hubAdj[link]
-	}
-	var narr [implicitStackDegree]nbr
-	var harr [implicitStackDegree]Half
-	halves := harr[:0]
-	for _, b := range t.nbrs(v, narr[:0]) {
-		halves = append(halves, Half{To: b.to, Weight: t.weightOf(v, b), EdgeID: int32(b.id)})
-	}
-	if link < 0 || link >= len(halves) {
-		panic(fmt.Sprintf("graph: %s: node %d link %d of %d", t.spec, v, link, len(halves)))
-	}
-	sortHalves(halves)
-	return halves[link]
-}
-
-// LinkIndex returns the local link index at v of the given edge id: the
-// rank of that edge's weight among v's incident weights.
-func (t *Implicit) LinkIndex(v NodeID, edgeID int) (int, bool) {
-	if edgeID < 0 || edgeID >= t.m {
-		return 0, false
-	}
-	if v == t.hub {
-		e := t.Edge(edgeID)
-		if e.U != v && e.V != v {
-			return 0, false
-		}
-		return searchHalves(t.hubAdj, e.Weight)
-	}
-	var narr [implicitStackDegree]nbr
-	found := false
-	var w Weight
-	incs := t.nbrs(v, narr[:0])
-	for _, b := range incs {
-		if b.id == edgeID {
-			w = t.weightOf(v, b)
-			found = true
-			break
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	rank := 0
-	for _, b := range incs {
-		if t.weightOf(v, b) < w {
-			rank++
-		}
-	}
-	return rank, true
-}
-
-// searchHalves binary-searches a sorted adjacency for the link with the
-// given weight.
-func searchHalves(adj []Half, w Weight) (int, bool) {
-	lo, hi := 0, len(adj)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if adj[mid].Weight < w {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(adj) && adj[lo].Weight == w {
-		return lo, true
-	}
-	return 0, false
+	d := t.deg(v)
+	s := AdjScratch{nbrs: make([]nbr, 0, d), halves: make([]Half, 0, d)}
+	return t.AdjView(v, &s)
 }
 
 var _ Topology = (*Implicit)(nil)

@@ -12,6 +12,11 @@ package graph
 //     networks: the topology itself occupies a few dozen bytes regardless
 //     of n.
 //
+// Every reader sees adjacency through one accessor, AdjView: the stored form
+// hands out its own slice, the implicit forms compute the list into the
+// caller's AdjScratch. No caller needs to know which form it reads, and
+// none type-switches on it.
+//
 // The two forms are interchangeable: Materialize turns any Topology into a
 // *Graph with identical node ids, edge ids, weights, and adjacency order,
 // so for a fixed (topology spec, protocol, seed) the simulators produce
@@ -32,10 +37,9 @@ import (
 // the paper's "ordered list of links" — and all methods are safe for
 // concurrent use (the step engine queries from every worker).
 //
-// Implementations may compute answers on the fly; callers on hot paths
-// should prefer Degree/HalfAt/LinkIndex (never allocate) and AdjAppend
-// (allocation-free given capacity) over Adj, which implicit forms must
-// materialize per call.
+// Implementations may compute answers on the fly. There is one read path
+// for adjacency, AdjView, which never allocates once its scratch is sized;
+// Adj is the allocating form for callers that keep the list.
 type Topology interface {
 	// N returns the number of nodes.
 	N() int
@@ -43,55 +47,29 @@ type Topology interface {
 	M() int
 	// Degree returns the number of links incident to v.
 	Degree(v NodeID) int
-	// Adj returns v's incident links sorted by ascending weight. The caller
-	// must not modify the returned slice; implicit forms allocate it fresh
+	// Adj returns v's incident links sorted by ascending weight, as a slice
+	// the caller may keep but must not modify; implicit forms allocate it
 	// on every call.
 	Adj(v NodeID) []Half
-	// AdjAppend appends v's incident links, sorted by ascending weight, to
-	// buf and returns the extended slice — the allocation-free form of Adj.
-	AdjAppend(v NodeID, buf []Half) []Half
-	// HalfAt returns v's link with the given local index (0-based, in the
-	// sorted-by-weight order). It panics if link is out of range.
-	HalfAt(v NodeID, link int) Half
-	// LinkIndex returns the local link index at v of the edge with the
-	// given id — the inverse of HalfAt — and whether the edge is incident
-	// to v.
-	LinkIndex(v NodeID, edgeID int) (int, bool)
+	// AdjView returns v's incident links sorted by ascending weight without
+	// allocating. The stored form returns its own slice and ignores s;
+	// implicit forms compute the list into s. The result is read-only and
+	// stays valid until s is passed to AdjView again.
+	AdjView(v NodeID, s *AdjScratch) []Half
 	// Edge returns the edge with the given id, including its weight.
 	Edge(id int) Edge
 }
 
-// *Graph's Topology completion: graph.go supplies N, M, Degree, Adj, and
-// Edge off the stored representation; the three remaining queries follow.
-
-// AdjAppend appends v's incident links (sorted by ascending weight) to buf.
-func (g *Graph) AdjAppend(v NodeID, buf []Half) []Half {
-	return append(buf, g.adj[v]...)
+// AdjScratch is caller-owned scratch for Topology.AdjView. The zero value
+// is ready; once its buffers have grown to a node's degree, AdjView
+// allocates nothing. Each AdjScratch serves one goroutine at a time.
+type AdjScratch struct {
+	nbrs   []nbr
+	halves []Half
 }
 
-// HalfAt returns v's link with the given local index.
-func (g *Graph) HalfAt(v NodeID, link int) Half { return g.adj[v][link] }
-
-// LinkIndex returns the local link index at v of the given edge id.
-func (g *Graph) LinkIndex(v NodeID, edgeID int) (int, bool) {
-	if edgeID < 0 || edgeID >= len(g.edges) {
-		return 0, false
-	}
-	e := g.edges[edgeID]
-	if e.U != v && e.V != v {
-		return 0, false
-	}
-	// Adjacency is sorted by weight and weights are distinct, so the link
-	// index is the position of the edge's weight — binary search, O(log d).
-	adj := g.adj[v]
-	i, ok := slices.BinarySearchFunc(adj, e.Weight, func(h Half, w Weight) int {
-		return cmp.Compare(h.Weight, w)
-	})
-	if !ok {
-		return 0, false
-	}
-	return i, true
-}
+// AdjView returns v's stored adjacency; the scratch is unused.
+func (g *Graph) AdjView(v NodeID, _ *AdjScratch) []Half { return g.adj[v] }
 
 var _ Topology = (*Graph)(nil)
 

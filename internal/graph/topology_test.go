@@ -48,9 +48,9 @@ func implicitCases(t *testing.T) map[string]*Implicit {
 
 // TestImplicitInvariants checks every implicit family against the Topology
 // contract: a simple connected graph, canonical edge ids that round-trip
-// through the incidence queries, distinct positive weights, and adjacency
-// sorted by ascending weight with Degree/HalfAt/LinkIndex/AdjAppend all
-// consistent with Adj.
+// through Adj from both endpoints, distinct positive weights, and adjacency
+// sorted by ascending weight with Degree and AdjView (one scratch reused
+// across nodes) consistent with Adj.
 func TestImplicitInvariants(t *testing.T) {
 	//mmlint:commutative independent subtests; names label, order never asserted
 	for name, top := range implicitCases(t) {
@@ -79,48 +79,45 @@ func TestImplicitInvariants(t *testing.T) {
 					t.Fatalf("pair {%d,%d} appears twice", e.U, e.V)
 				}
 				seenPair[key] = true
-				// Incidence round-trips from both endpoints.
+				// Incidence round-trips from both endpoints, exactly once each.
 				for _, v := range []NodeID{e.U, e.V} {
-					l, ok := top.LinkIndex(v, id)
-					if !ok {
-						t.Fatalf("LinkIndex(%d, %d) not incident", v, id)
+					found := 0
+					for _, h := range top.Adj(v) {
+						if int(h.EdgeID) != id {
+							continue
+						}
+						found++
+						if h.To != e.Other(v) || h.Weight != e.Weight {
+							t.Fatalf("node %d: link of edge %d = %+v, want %+v", v, id, h, e)
+						}
 					}
-					h := top.HalfAt(v, l)
-					if int(h.EdgeID) != id || h.To != e.Other(v) || h.Weight != e.Weight {
-						t.Fatalf("HalfAt(%d, %d) = %+v, want edge %d", v, l, h, id)
+					if found != 1 {
+						t.Fatalf("node %d lists edge %d %d times, want once", v, id, found)
 					}
 				}
 			}
+			var scratch AdjScratch
 			for v := NodeID(0); int(v) < n; v++ {
 				adj := top.Adj(v)
 				if len(adj) != top.Degree(v) {
 					t.Fatalf("node %d: len(Adj)=%d Degree=%d", v, len(adj), top.Degree(v))
 				}
 				degSum += len(adj)
-				appended := top.AdjAppend(v, []Half{{To: -1}})
-				if len(appended) != len(adj)+1 {
-					t.Fatalf("node %d: AdjAppend length %d", v, len(appended))
+				view := top.AdjView(v, &scratch)
+				if len(view) != len(adj) {
+					t.Fatalf("node %d: AdjView length %d, Adj %d", v, len(view), len(adj))
 				}
 				for l, h := range adj {
 					if l > 0 && adj[l-1].Weight >= h.Weight {
 						t.Fatalf("node %d adjacency not weight-sorted at %d", v, l)
 					}
-					if appended[l+1] != h {
-						t.Fatalf("node %d: AdjAppend[%d] = %+v, want %+v", v, l, appended[l+1], h)
-					}
-					if got := top.HalfAt(v, l); got != h {
-						t.Fatalf("node %d: HalfAt(%d) = %+v, want %+v", v, l, got, h)
-					}
-					if gotL, ok := top.LinkIndex(v, int(h.EdgeID)); !ok || gotL != l {
-						t.Fatalf("node %d: LinkIndex(edge %d) = %d,%v, want %d", v, h.EdgeID, gotL, ok, l)
+					if view[l] != h {
+						t.Fatalf("node %d: AdjView[%d] = %+v, want %+v", v, l, view[l], h)
 					}
 				}
 			}
 			if degSum != 2*m {
 				t.Fatalf("degree sum %d, want 2m = %d", degSum, 2*m)
-			}
-			if _, ok := top.LinkIndex(0, m); ok {
-				t.Fatalf("LinkIndex accepted out-of-range edge id %d", m)
 			}
 		})
 	}
@@ -176,29 +173,61 @@ func TestMaterializeGraphIdentity(t *testing.T) {
 	}
 }
 
-// TestGraphLinkIndex exercises the stored form's LinkIndex against Adj.
-func TestGraphLinkIndex(t *testing.T) {
+// TestGraphAdjView: the stored form's AdjView is its own adjacency slice,
+// whatever the scratch.
+func TestGraphAdjView(t *testing.T) {
 	g, err := RandomConnected(20, 30, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := NodeID(0); int(v) < g.N(); v++ {
-		for l, h := range g.Adj(v) {
-			if got, ok := g.LinkIndex(v, int(h.EdgeID)); !ok || got != l {
-				t.Fatalf("LinkIndex(%d, %d) = %d,%v, want %d", v, h.EdgeID, got, ok, l)
-			}
+		adj := g.Adj(v)
+		if view := g.AdjView(v, nil); len(view) != len(adj) || &view[0] != &adj[0] {
+			t.Fatalf("node %d: AdjView is not the stored slice", v)
 		}
 	}
-	if _, ok := g.LinkIndex(0, g.M()); ok {
-		t.Fatal("LinkIndex accepted out-of-range edge id")
+}
+
+// TestAdjAllocations pins the allocation costs of the adjacency paths:
+// AdjView allocates nothing once its scratch is sized, Implicit.Adj makes
+// at most two allocations (the star hub's cached list none), and the
+// reference BFS over an implicit ring makes a fixed handful, not one per
+// node.
+func TestAdjAllocations(t *testing.T) {
+	ring, err := ImplicitRing(10000, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Edge 0 is incident to exactly two nodes; everyone else must miss.
-	e := g.Edge(0)
-	for v := NodeID(0); int(v) < g.N(); v++ {
-		_, ok := g.LinkIndex(v, 0)
-		if want := v == e.U || v == e.V; ok != want {
-			t.Fatalf("LinkIndex(%d, 0) incident=%v, want %v", v, ok, want)
+	cube, err := ImplicitHypercube(10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	star, err := ImplicitStar(40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch AdjScratch
+	cube.AdjView(0, &scratch)
+	if a := testing.AllocsPerRun(100, func() { cube.AdjView(7, &scratch) }); a != 0 {
+		t.Errorf("hypercube:10 AdjView with a sized scratch: %.0f allocations, want 0", a)
+	}
+	for _, tc := range []struct {
+		name string
+		top  *Implicit
+		v    NodeID
+		max  float64
+	}{
+		{"ring:10000", ring, 5, 2},
+		{"hypercube:10", cube, 5, 2},
+		{"star:40 leaf", star, 5, 2},
+		{"star:40 hub", star, 0, 0},
+	} {
+		if a := testing.AllocsPerRun(100, func() { tc.top.Adj(tc.v) }); a > tc.max {
+			t.Errorf("%s: Adj(%d) makes %.0f allocations, want at most %.0f", tc.name, tc.v, a, tc.max)
 		}
+	}
+	if a := testing.AllocsPerRun(5, func() { NewBFS(ring, 0) }); a > 8 {
+		t.Errorf("NewBFS over implicit ring:10000 makes %.0f allocations, want at most 8", a)
 	}
 }
 

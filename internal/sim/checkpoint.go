@@ -287,11 +287,11 @@ func topologyDigest(g graph.Topology) uint64 {
 	n := g.N()
 	mix(uint64(n))
 	mix(uint64(g.M()))
-	var buf []graph.Half
+	var scratch graph.AdjScratch
 	for v := 0; v < n; v++ {
-		buf = g.AdjAppend(graph.NodeID(v), buf[:0])
-		mix(uint64(len(buf)))
-		for _, half := range buf {
+		adj := g.AdjView(graph.NodeID(v), &scratch)
+		mix(uint64(len(adj)))
+		for _, half := range adj {
 			mix(uint64(half.To))
 			mix(uint64(half.EdgeID))
 		}

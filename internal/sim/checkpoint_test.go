@@ -396,3 +396,15 @@ func TestResumeValidatesGraph(t *testing.T) {
 		t.Errorf("resume on the capture graph rejected: %v", err)
 	}
 }
+
+func TestTopologyDigestAllocations(t *testing.T) {
+	// One AdjView scratch serves the whole pass: the digest of an implicit
+	// ring costs a fixed handful of allocations, not one per node.
+	g, err := graph.ImplicitRing(10000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(5, func() { topologyDigest(g) }); a > 8 {
+		t.Errorf("topologyDigest over implicit ring:10000 makes %.0f allocations, want at most 8", a)
+	}
+}

@@ -37,7 +37,7 @@ package sim
 // StepCtx method resolves per-node state through the arrays. Round-scoped
 // scratch that the old layout kept per node (staged sends, the channel
 // write, the duplicate-send guard, the RNG generator, the high-degree
-// neighbor index, implicit-form adjacency) lives once per shard: shards are
+// neighbor index, the adjacency memo) lives once per shard: shards are
 // single-threaded within a phase and machines step one at a time, so one
 // node's scratch can be recycled for the next. Per-node RNG state is the
 // raw SplitMix64 (state word, draw count) pair in two lazily allocated
@@ -50,6 +50,12 @@ package sim
 // call and must be re-fetched each time, never stored; adjacency slices
 // returned by internal helpers are per-shard memos. The mmlint ctxescape
 // analyzer polices StepCtx-derived state escaping a machine.
+//
+// The engine reads the topology through the graph.Topology interface alone
+// and never asks which form it runs on: Degree, Send, Link and LinkOf all
+// answer from the shard's single-entry adjacency memo, which
+// Topology.AdjView fills — the stored form's own slice, or an implicit
+// form's list computed into the shard's scratch.
 //
 // Determinism: machines are constructed and stepped against per-node state
 // only, per-node RNGs are derived from (master seed, node id) alone, and
@@ -182,24 +188,14 @@ func (c *StepCtx) shard() *stepShard {
 	return &c.eng.shards[int(c.id)/c.eng.shardSize]
 }
 
-// Adj returns this node's incident links sorted by ascending weight. On an
-// implicit topology every call computes (and allocates) the list; machines
-// on hot paths should capture it once or use Degree/Send/LinkOf, which
-// never materialize adjacency.
-func (c *StepCtx) Adj() []graph.Half {
-	if g := c.eng.mat; g != nil {
-		return g.Adj(c.id)
-	}
-	return c.eng.topo.Adj(c.id)
-}
+// Adj returns this node's incident links sorted by ascending weight, as a
+// slice the machine may keep (Topology.Adj). On an implicit topology every
+// call allocates the list; machines on hot paths should capture it once or
+// use Degree/Send/LinkOf, which read the shard's adjacency memo instead.
+func (c *StepCtx) Adj() []graph.Half { return c.eng.topo.Adj(c.id) }
 
 // Degree returns the number of incident links.
-func (c *StepCtx) Degree() int {
-	if g := c.eng.mat; g != nil {
-		return g.Degree(c.id)
-	}
-	return c.eng.topo.Degree(c.id)
-}
+func (c *StepCtx) Degree() int { return len(c.eng.shardAdj(c.shard(), c.id)) }
 
 // Round returns the current round number (a restarted incarnation counts
 // from its revival).
@@ -233,42 +229,27 @@ func (c *StepCtx) Rand() *rand.Rand {
 	return sd.rng
 }
 
-// LinkOf returns the local link index of the given edge id. The stored
-// form answers from the engine's O(m) edge index; implicit forms answer
-// from the shard's adjacency memo — a linear scan, or a weight-keyed binary
-// search at high degree — so a node resolving its whole inbox pays one memo
-// fill, not one allocating topology query per message.
+// LinkOf returns the local link index of the given edge id. It answers
+// from the shard's adjacency memo on every topology form — a linear scan,
+// or a weight-keyed binary search at high degree — so a node resolving its
+// whole inbox pays one memo fill, not one topology query per message.
 func (c *StepCtx) LinkOf(edgeID int) int {
-	if la := c.eng.linkAt; la != nil {
-		if edgeID < 0 || edgeID >= len(la) {
-			panic(fmt.Sprintf("sim: node %d has no link with edge id %d", c.id, edgeID))
-		}
-		e := c.eng.mat.Edge(edgeID)
-		switch c.id {
-		case e.U:
-			return int(la[edgeID][0])
-		case e.V:
-			return int(la[edgeID][1])
-		default:
-			panic(fmt.Sprintf("sim: node %d has no link with edge id %d", c.id, edgeID))
-		}
-	}
 	adj := c.eng.shardAdj(c.shard(), c.id)
-	if len(adj) >= linkIndexThreshold && edgeID >= 0 && edgeID < c.eng.topo.M() {
-		// Adjacency is sorted by ascending weight: binary-search the edge's
-		// weight, then walk any equal-weight run for the id itself.
-		w := c.eng.topo.Edge(edgeID).Weight
-		i, _ := slices.BinarySearchFunc(adj, w, func(h graph.Half, t graph.Weight) int { return cmp.Compare(h.Weight, t) })
-		for ; i < len(adj) && adj[i].Weight == w; i++ {
-			if adj[i].EdgeID == int32(edgeID) {
+	if edgeID >= 0 && edgeID < c.eng.topo.M() {
+		if len(adj) < linkIndexThreshold {
+			for l := range adj {
+				if adj[l].EdgeID == int32(edgeID) {
+					return l
+				}
+			}
+		} else {
+			// Adjacency is sorted by ascending, pairwise-distinct weight:
+			// binary-search the edge's weight.
+			w := c.eng.topo.Edge(edgeID).Weight
+			i, ok := slices.BinarySearchFunc(adj, w, func(h graph.Half, t graph.Weight) int { return cmp.Compare(h.Weight, t) })
+			if ok && adj[i].EdgeID == int32(edgeID) {
 				return i
 			}
-		}
-		panic(fmt.Sprintf("sim: node %d has no link with edge id %d", c.id, edgeID))
-	}
-	for l := range adj {
-		if adj[l].EdgeID == int32(edgeID) {
-			return l
 		}
 	}
 	panic(fmt.Sprintf("sim: node %d has no link with edge id %d", c.id, edgeID))
@@ -283,18 +264,10 @@ const linkIndexThreshold = 16
 // cached in the shard (one index, keyed by the node that built it — a star
 // hub answering n-1 SendTo calls rebuilds it at most once per round).
 func (c *StepCtx) Link(to graph.NodeID) (int, bool) {
-	d := c.Degree()
 	sd := c.shard()
-	if d < linkIndexThreshold {
-		if g := c.eng.mat; g != nil {
-			for l, h := range g.Adj(c.id) {
-				if h.To == to {
-					return l, true
-				}
-			}
-			return 0, false
-		}
-		for l, h := range c.eng.shardAdj(sd, c.id) {
+	adj := c.eng.shardAdj(sd, c.id)
+	if len(adj) < linkIndexThreshold {
+		for l, h := range adj {
 			if h.To == to {
 				return l, true
 			}
@@ -302,12 +275,6 @@ func (c *StepCtx) Link(to graph.NodeID) (int, bool) {
 		return 0, false
 	}
 	if sd.idxNode != int32(c.id) {
-		var adj []graph.Half
-		if g := c.eng.mat; g != nil {
-			adj = g.Adj(c.id)
-		} else {
-			adj = c.eng.shardAdj(sd, c.id)
-		}
 		sd.peerIdx = sd.peerIdx[:0]
 		for l, h := range adj {
 			sd.peerIdx = append(sd.peerIdx, peerLink{peer: h.To, link: int32(l)})
@@ -327,20 +294,11 @@ func (c *StepCtx) Link(to graph.NodeID) (int, bool) {
 // per round.
 func (c *StepCtx) Send(link int, p Payload) {
 	sd := c.shard()
-	var h graph.Half
-	if g := c.eng.mat; g != nil {
-		adj := g.Adj(c.id)
-		if link < 0 || link >= len(adj) {
-			panic(fmt.Sprintf("sim: node %d send on link %d of %d", c.id, link, len(adj)))
-		}
-		h = adj[link]
-	} else {
-		adj := c.eng.shardAdj(sd, c.id)
-		if link < 0 || link >= len(adj) {
-			panic(fmt.Sprintf("sim: node %d send on link %d of %d", c.id, link, len(adj)))
-		}
-		h = adj[link]
+	adj := c.eng.shardAdj(sd, c.id)
+	if link < 0 || link >= len(adj) {
+		panic(fmt.Sprintf("sim: node %d send on link %d of %d", c.id, link, len(adj)))
 	}
+	h := adj[link]
 	w, bit := link>>6, uint64(1)<<(link&63)
 	if w >= len(sd.sentBits) {
 		sd.growSentBits(w)
@@ -482,8 +440,8 @@ type stepShard struct {
 	rng      *rand.Rand
 
 	// Single-entry caches keyed by node id: the high-degree neighbor index
-	// (Link) and the implicit-form adjacency memo (Send/Link/LinkOf), each
-	// rebuilt only when a different node of the shard needs it.
+	// (Link) and the adjacency memo (Degree/Send/Link/LinkOf), each rebuilt
+	// only when a different node of the shard needs it.
 	idxNode    int32
 	peerIdx    []peerLink
 	memoNode   int32
@@ -543,8 +501,6 @@ const (
 
 type stepEngine struct {
 	topo    graph.Topology
-	mat     *graph.Graph    // topo's stored form, or nil — gates the O(m) fast-path indexes
-	imp     *graph.Implicit // topo's implicit form, or nil — gates scratch-reusing adjacency
 	cfg     config
 	program StepProgram       // the init hook, kept for crash-restart revival
 	inj     *fault.Injector   // nil for fault-free runs
@@ -569,8 +525,6 @@ type stepEngine struct {
 	// incarn counts restarts, keying the incarnation's RNG stream.
 	roundBase []int32
 	incarn    []int32
-
-	linkAt [][2]int32 // edge id -> local link index at (U, V); stored form only
 
 	shards    []stepShard
 	shardSize int
@@ -624,23 +578,17 @@ func (e *stepEngine) inboxOf(v graph.NodeID) []Message {
 	return sd.inboxArena[off : off+l : off+l]
 }
 
-// shardAdj returns id's adjacency through the shard's single-entry memo —
-// the implicit-form counterpart of the stored form's g.Adj, materializing
-// AdjAppend once per (shard, node) occupancy instead of once per Send.
+// shardAdj returns id's adjacency through the shard's single-entry memo,
+// filled by Topology.AdjView with the shard's scratch: one fill per
+// (shard, node) occupancy, allocation-free once the scratch is sized, on
+// every topology form.
 //
 //mmlint:noalloc
 func (e *stepEngine) shardAdj(sd *stepShard, id graph.NodeID) []graph.Half {
-	if sd.memoNode == int32(id) {
-		return sd.memoAdj
+	if sd.memoNode != int32(id) {
+		sd.memoAdj = e.topo.AdjView(id, &sd.adjScratch)
+		sd.memoNode = int32(id)
 	}
-	if e.imp != nil {
-		// The scratch-reusing form: after each buffer's first sizing, a memo
-		// rebuild allocates nothing.
-		sd.memoAdj = e.imp.AdjInto(id, sd.memoAdj[:0], &sd.adjScratch)
-	} else {
-		sd.memoAdj = e.topo.AdjAppend(id, sd.memoAdj[:0])
-	}
-	sd.memoNode = int32(id)
 	return sd.memoAdj
 }
 
@@ -702,12 +650,8 @@ func newStepEngine(g graph.Topology, program StepProgram, cfg config) (*stepEngi
 		workers = 1
 	}
 
-	mat, _ := g.(*graph.Graph)
-	imp, _ := g.(*graph.Implicit)
 	e := &stepEngine{
 		topo:     g,
-		mat:      mat,
-		imp:      imp,
 		cfg:      cfg,
 		program:  program,
 		inj:      inj,
@@ -729,23 +673,6 @@ func newStepEngine(g graph.Topology, program StepProgram, cfg config) (*stepEngi
 	if cfg.ckpt != nil {
 		e.ck = newCkptState(cfg.ckpt)
 	}
-	if mat != nil {
-		// Stored form: build the O(m) edge→link index LinkOf answers from.
-		// Implicit forms skip it (LinkIndex computes per query), keeping the
-		// engine's footprint independent of m.
-		e.linkAt = make([][2]int32, mat.M())
-		for v := 0; v < n; v++ {
-			id := graph.NodeID(v)
-			for l, h := range mat.Adj(id) {
-				if mat.Edge(int(h.EdgeID)).U == id {
-					e.linkAt[h.EdgeID][0] = int32(l)
-				} else {
-					e.linkAt[h.EdgeID][1] = int32(l)
-				}
-			}
-		}
-	}
-
 	e.shardSize = (n + workers - 1) / workers
 	shardCount := (n + e.shardSize - 1) / e.shardSize
 	e.shards = make([]stepShard, shardCount)
