@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test test-short test-race bench bench-check bench-quick chaos fuzz golden obs-smoke scale-smoke resume-smoke chaos2-smoke ci
+.PHONY: build vet lint test test-short test-race bench bench-check bench-quick chaos fuzz fuzz-decoders golden obs-smoke scale-smoke resume-smoke chaos2-smoke ci
 
 ## build: compile every package (the tier-1 gate's first half)
 build:
@@ -66,6 +66,13 @@ bench-quick:
 ## workers, faults) tuples; any divergence between worker counts is a bug
 fuzz:
 	$(GO) test -fuzz FuzzEngineEquivalence -fuzztime 60s -run '^$$' .
+
+## fuzz-decoders: 30 s each of the MMCP checkpoint and MMTR transcript
+## decoder fuzz targets (plain and gzip seeds, hostile lengths included);
+## their seeds alone already run under `go test ./...`
+fuzz-decoders:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 30s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzTranscriptReader$$' -fuzztime 30s ./internal/sim
 
 ## golden: regenerate the committed transcript fixtures (intentional
 ## determinism changes only)

@@ -257,8 +257,8 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if size > 1<<34 {
 		return nil, fmt.Errorf("sim: checkpoint length %d implausible", size)
 	}
-	body := make([]byte, size+4)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, size+4)
+	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint body: %w", err)
 	}
 	want := binary.LittleEndian.Uint32(body[size:])

@@ -484,8 +484,8 @@ func (tr *TranscriptReader) frame() (byte, []byte, error) {
 	if size > 1<<30 {
 		return 0, nil, fmt.Errorf("frame length %d implausible", size)
 	}
-	body := make([]byte, size+4)
-	if _, err := io.ReadFull(tr.in, body); err != nil {
+	body, err := readBody(tr.in, size+4)
+	if err != nil {
 		return 0, nil, fmt.Errorf("frame body: %w", err)
 	}
 	want := binary.LittleEndian.Uint32(body[size:])
@@ -494,6 +494,35 @@ func (tr *TranscriptReader) frame() (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("frame crc mismatch: %08x != %08x", got, want)
 	}
 	return kind[0], body, nil
+}
+
+// bodyChunk is the most a length-prefixed body read allocates before any of
+// the body has arrived.
+const bodyChunk = 64 << 10
+
+// readBody reads exactly n bytes, with io.ReadFull's errors. The buffer
+// grows with the bytes actually read — bodyChunk first, then doubling — so
+// a corrupt or hostile length prefix fails at end of input having
+// allocated about twice what the input carried, not what it claimed.
+func readBody(r io.Reader, n uint64) ([]byte, error) {
+	buf := make([]byte, min(n, bodyChunk))
+	read := 0
+	for {
+		m, err := io.ReadFull(r, buf[read:])
+		read += m
+		if err == io.EOF && read > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if uint64(read) == n {
+			return buf, nil
+		}
+		next := make([]byte, min(n, 2*uint64(read)))
+		copy(next, buf)
+		buf = next
+	}
 }
 
 // byteReaderOf adapts the reader for ReadUvarint; both concrete stream types
