@@ -9,18 +9,18 @@ package sim
 // A checkpoint is captured at the top of a round iteration, coordinator-side
 // with every worker parked at the phase gate, and records: the round and
 // cumulative Metrics, the slot the next step phase will observe, per-node
-// scheduler flags and results, per-node machine state (through the optional
-// Snapshotter interface, with a gob fallback for machines with exported
-// fields), per-node RNG positions (draw counts — see rng.go), undelivered
-// inboxes, and the engine's in-flight delay/dup buffer. All of it is stored
-// in canonical, shard-independent form — awake sets as per-node flags,
-// pending messages sorted by (due, to, from, edge, payload) — so the same
-// run checkpointed at the same round produces byte-identical checkpoints at
-// any worker count, which is what cmd/mmreplay's bisector compares.
+// scheduler flags and results, per-node machine state (through the
+// Snapshotter interface), per-node RNG positions (draw counts — see
+// rng.go), undelivered inboxes, and the engine's in-flight delay/dup
+// buffer. All of it is stored in canonical, shard-independent form — awake
+// sets as per-node flags, pending messages sorted by (due, to, from, edge,
+// payload) — so the same run checkpointed at the same round produces
+// byte-identical checkpoints at any worker count, which is what
+// cmd/mmreplay's bisector compares.
 //
-// What cannot checkpoint: machines that neither implement Snapshotter nor
-// gob-encode (closure-state machines); such a run fails at its first
-// capture with a diagnostic naming the node.
+// What cannot checkpoint: machines that do not implement Snapshotter; such a
+// run fails at its first capture with a diagnostic naming the node, and a
+// resume rejects a checkpoint that carries no state for a live node.
 //
 // # Wire format (version 1)
 //
@@ -51,15 +51,14 @@ const CheckpointVersion = 1
 
 const checkpointMagic = "MMCP"
 
-// Snapshotter is the optional interface a Machine implements to make its
-// runs checkpointable. SnapshotState returns an independent copy of the
+// Snapshotter is the interface a Machine implements to make its runs
+// checkpointable. SnapshotState returns an independent copy of the
 // machine's round-to-round state (the machine keeps mutating after the
 // capture, so shared slices or maps must be cloned); the returned value's
 // concrete type must be gob-registered. RestoreState receives a value
 // SnapshotState produced and overwrites the machine's state with it, after
 // which stepping must continue exactly as the snapshotted machine would
-// have. Machines without Snapshotter fall back to gob-encoding the machine
-// value itself, which works only for machines whose state is exported.
+// have.
 type Snapshotter interface {
 	SnapshotState() any
 	RestoreState(state any)
@@ -78,8 +77,8 @@ type CheckpointSpec struct {
 }
 
 // WithCheckpoints captures checkpoints during this run per the spec. Every
-// machine must implement Snapshotter or gob-encode; otherwise the run fails
-// at its first capture. Capture happens at round boundaries,
+// machine must implement Snapshotter; otherwise the run fails at its first
+// capture. Capture happens at round boundaries,
 // coordinator-side, and never alters the run's transcript.
 func WithCheckpoints(spec *CheckpointSpec) Option {
 	return func(c *config) { c.ckpt = spec }
@@ -164,8 +163,7 @@ type NodeCheckpoint struct {
 	Result any // recorded result (halted nodes); nil otherwise
 
 	HasState bool
-	State    any    // Snapshotter state, when the machine implements it
-	GobState []byte // gob fallback: the machine value itself
+	State    any // Snapshotter state; every live node has one
 }
 
 // InboxCheckpoint is one node's undelivered inbox (sorted by sender, edge).
@@ -353,16 +351,12 @@ func (e *stepEngine) writeCheckpoint(round int) error {
 		if ns.Halted {
 			continue // dead machines are never stepped again; no state needed
 		}
-		if snap, ok := e.machines[v].(Snapshotter); ok {
-			ns.HasState = true
-			ns.State = snap.SnapshotState()
-			continue
+		snap, ok := e.machines[v].(Snapshotter)
+		if !ok {
+			return fmt.Errorf("machine %T of node %d is not a sim.Snapshotter", e.machines[v], v)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(e.machines[v]); err != nil {
-			return fmt.Errorf("machine %T of node %d: not a sim.Snapshotter and the gob fallback failed: %w", e.machines[v], v, err)
-		}
-		ns.GobState = buf.Bytes()
+		ns.HasState = true
+		ns.State = snap.SnapshotState()
 	}
 	for v := range e.nodes {
 		box := e.inboxOf(graph.NodeID(v))
@@ -409,7 +403,8 @@ func (e *stepEngine) writeCheckpoint(round int) error {
 // results, RNG positions, machine state, inboxes, and the pending buffer,
 // with awake lists and pulse-sleeper sets rebuilt from the per-node flags.
 // Machine construction (the init hook) has already run, so Snapshotter
-// restores overwrite freshly built machines.
+// restores overwrite freshly built machines; every live node must carry
+// state.
 func (e *stepEngine) restore(cp *Checkpoint) error {
 	n := e.topo.N()
 	if cp.N != n {
@@ -464,18 +459,14 @@ func (e *stepEngine) restore(cp *Checkpoint) error {
 			sd.rngDraws[v-sd.lo] = ns.RNGDraws
 		}
 		if !ns.Halted {
-			switch {
-			case ns.HasState:
-				snap, ok := e.machines[v].(Snapshotter)
-				if !ok {
-					return fmt.Errorf("sim: checkpoint has Snapshotter state for node %d but machine %T does not implement it", v, e.machines[v])
-				}
-				snap.RestoreState(ns.State)
-			case len(ns.GobState) > 0:
-				if err := gob.NewDecoder(bytes.NewReader(ns.GobState)).Decode(e.machines[v]); err != nil {
-					return fmt.Errorf("sim: restore machine %T of node %d: %w", e.machines[v], v, err)
-				}
+			if !ns.HasState {
+				return fmt.Errorf("sim: checkpoint has no state for live node %d", v)
 			}
+			snap, ok := e.machines[v].(Snapshotter)
+			if !ok {
+				return fmt.Errorf("sim: checkpoint has Snapshotter state for node %d but machine %T does not implement it", v, e.machines[v])
+			}
+			snap.RestoreState(ns.State)
 		}
 		if ns.Scheduled && !ns.Halted {
 			sd.awake = append(sd.awake, int32(v))

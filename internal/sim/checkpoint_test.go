@@ -303,42 +303,15 @@ func (m *sleeperMachine) Result() any        { return nil }
 func (m *sleeperMachine) SnapshotState() any { return nil }
 func (m *sleeperMachine) RestoreState(any)   {}
 
-func TestCheckpointGobFallbackMachine(t *testing.T) {
-	// A machine with exported state but no Snapshotter checkpoints through
-	// the gob fallback.
-	g := ring(t, 6)
-	prog := func(c *StepCtx) Machine { return &gobFallbackMachine{c: c} }
-	ref, want, err := runStepTranscript(t, g, prog, WithSeed(5), WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cps []*Checkpoint
-	spec := &CheckpointSpec{At: []int{4}, Sink: collectCheckpoints(&cps)}
-	if _, err := RunStep(g, prog, WithSeed(5), WithCheckpoints(spec)); err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) != 1 {
-		t.Fatalf("%d checkpoints", len(cps))
-	}
-	if !cps[0].Nodes[1].HasState && len(cps[0].Nodes[1].GobState) == 0 {
-		t.Fatal("no machine state captured")
-	}
-	res, err := resumeAndStitch(t, g, prog, cps[0], ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Results, want.Results) {
-		t.Error("gob-fallback resume results differ")
-	}
-}
-
-type gobFallbackMachine struct {
+// exportedStateMachine keeps all its state in exported fields but does not
+// implement Snapshotter, so it cannot checkpoint.
+type exportedStateMachine struct {
 	c     *StepCtx
 	Count int
 	Acc   int64
 }
 
-func (m *gobFallbackMachine) Step(in Input) bool {
+func (m *exportedStateMachine) Step(in Input) bool {
 	m.Count++
 	for _, msg := range in.Msgs {
 		m.Acc += msg.Payload.(ckptToken).V
@@ -349,18 +322,44 @@ func (m *gobFallbackMachine) Step(in Input) bool {
 	return m.Count >= 10
 }
 
-func (m *gobFallbackMachine) Result() any { return m.Acc }
+func (m *exportedStateMachine) Result() any { return m.Acc }
 
 func TestCheckpointRejectedModes(t *testing.T) {
 	g := ring(t, 4)
-	// A closure-state machine can neither snapshot nor gob-encode: the run
-	// must fail with a diagnostic, not capture garbage.
-	_, err := RunStep(g, func(c *StepCtx) Machine {
-		n := 0
-		return &stepFuncs{step: func(Input) bool { n++; return n > 5 }}
-	}, WithCheckpoints(&CheckpointSpec{At: []int{2}, Sink: func(*Checkpoint) error { return nil }}))
-	if err == nil {
-		t.Error("closure machine checkpointed silently")
+	// Machines without Snapshotter — closure state or exported fields alike
+	// — fail the run at the first capture with a diagnostic naming the
+	// node, instead of capturing garbage.
+	for _, tc := range []struct {
+		name string
+		prog StepProgram
+		want string
+	}{
+		{"closure", func(c *StepCtx) Machine {
+			n := 0
+			return &stepFuncs{step: func(Input) bool { n++; return n > 5 }}
+		}, "sim: checkpoint at round 2: machine *sim.stepFuncs of node 0 is not a sim.Snapshotter"},
+		{"exported fields", func(c *StepCtx) Machine { return &exportedStateMachine{c: c} },
+			"sim: checkpoint at round 2: machine *sim.exportedStateMachine of node 0 is not a sim.Snapshotter"},
+	} {
+		_, err := RunStep(g, tc.prog, WithCheckpoints(&CheckpointSpec{At: []int{2}, Sink: func(*Checkpoint) error { return nil }}))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s machine: run error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func TestResumeRejectsStatelessLiveNode(t *testing.T) {
+	// A hand-built checkpoint whose live node 2 carries no machine state:
+	// resuming must fail rather than keep the freshly built machine.
+	g := ring(t, 4)
+	cp := &Checkpoint{Round: 2, N: 4, Seed: 1, MaxRounds: 100, Alive: 4, Nodes: make([]NodeCheckpoint, 4)}
+	for v := range cp.Nodes {
+		cp.Nodes[v] = NodeCheckpoint{Scheduled: true, HasState: true, State: ckptMachineState{Rounds: 2}}
+	}
+	cp.Nodes[2] = NodeCheckpoint{Scheduled: true}
+	_, err := Resume(g, ckptProgram(10), cp)
+	if want := "sim: checkpoint has no state for live node 2"; err == nil || err.Error() != want {
+		t.Errorf("resume error %v, want %q", err, want)
 	}
 }
 
