@@ -8,7 +8,6 @@ package fault
 // engine may query it from any number of workers without synchronization.
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -244,9 +243,6 @@ func (inj *Injector) CrashesAt(round int) []graph.NodeID {
 	return inj.crashes[round]
 }
 
-// HasCrashes reports whether any crash is scheduled. Nil-safe.
-func (inj *Injector) HasCrashes() bool { return inj != nil && len(inj.crashes) > 0 }
-
 // NextCrashAfter returns the earliest crash round strictly after the given
 // round — the next-event query engines use to fast-forward quiescent
 // stretches. Nil-safe; ok is false when no later crash is scheduled.
@@ -450,21 +446,4 @@ func Mix64(a, b, c uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// Describe summarizes the compiled schedule (for logs and -json output).
-func (inj *Injector) Describe() string {
-	if inj == nil {
-		return "none"
-	}
-	crashes := 0
-	for _, nodes := range inj.crashes {
-		crashes += len(nodes)
-	}
-	restarts := 0
-	for _, nodes := range inj.restarts {
-		restarts += len(nodes)
-	}
-	return fmt.Sprintf("crashes=%d restarts=%d edge-rules=%d wildcard-rules=%d jam-rules=%d partition-rules=%d skew-rules=%d",
-		crashes, restarts, len(inj.edgeRules), len(inj.allRules), len(inj.jams), len(inj.parts), len(inj.skews))
 }
