@@ -126,7 +126,7 @@ func TestImplicitInvariants(t *testing.T) {
 // TestMaterializeMatchesImplicit checks the cross-form contract at the
 // graph level: Materialize yields identical N, M, edges (ids, endpoints,
 // weights), and sorted adjacency — the structural half of transcript
-// identity.
+// identity — and the stored form's AdjView is its own adjacency slice.
 func TestMaterializeMatchesImplicit(t *testing.T) {
 	//mmlint:commutative independent subtests; names label, order never asserted
 	for name, top := range implicitCases(t) {
@@ -147,6 +147,9 @@ func TestMaterializeMatchesImplicit(t *testing.T) {
 				ga, ta := g.Adj(v), top.Adj(v)
 				if len(ga) != len(ta) {
 					t.Fatalf("node %d: adjacency lengths %d vs %d", v, len(ga), len(ta))
+				}
+				if view := g.AdjView(v, nil); &view[0] != &ga[0] {
+					t.Fatalf("node %d: stored AdjView is not the stored slice", v)
 				}
 				for l := range ga {
 					if ga[l] != ta[l] {
@@ -170,21 +173,6 @@ func TestMaterializeGraphIdentity(t *testing.T) {
 	}
 	if got != g {
 		t.Fatalf("Materialize(*Graph) returned a copy")
-	}
-}
-
-// TestGraphAdjView: the stored form's AdjView is its own adjacency slice,
-// whatever the scratch.
-func TestGraphAdjView(t *testing.T) {
-	g, err := RandomConnected(20, 30, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := NodeID(0); int(v) < g.N(); v++ {
-		adj := g.Adj(v)
-		if view := g.AdjView(v, nil); len(view) != len(adj) || &view[0] != &adj[0] {
-			t.Fatalf("node %d: AdjView is not the stored slice", v)
-		}
 	}
 }
 

@@ -82,21 +82,19 @@ func gzipped(t testing.TB, b []byte) []byte {
 // committedFixtures returns the repository's committed files matching
 // pattern, relative to this package.
 func committedFixtures(t testing.TB, pattern string) [][]byte {
-	names, err := filepath.Glob(filepath.Join("..", "..", "cmd", "*", "testdata", "*", pattern))
-	if err != nil {
-		t.Fatal(err)
-	}
-	more, err := filepath.Glob(filepath.Join("..", "..", "cmd", "*", "testdata", pattern))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out [][]byte
-	for _, name := range append(names, more...) {
-		b, err := os.ReadFile(name)
+	for _, sub := range []string{"", "*"} {
+		names, err := filepath.Glob(filepath.Join("..", "..", "cmd", "*", "testdata", sub, pattern))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, b)
+		for _, name := range names {
+			b, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b)
+		}
 	}
 	if len(out) == 0 {
 		t.Fatalf("no committed %s fixtures found", pattern)
