@@ -62,7 +62,12 @@ func runTranscript(t *testing.T, g *graph.Graph, opts ...Option) []byte {
 // TestTranscriptPinned holds transcriptMachine's stream and outcome to
 // committed fixtures, fault-free and faulted, at 1 and 4 workers.
 func TestTranscriptPinned(t *testing.T) {
-	g := ring(t, 8)
+	// WattsStrogatz(n, 2, 0, s) is the 8-ring with the permutation weights
+	// the pins were recorded on.
+	g, err := graph.WattsStrogatz(8, 2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		plan string
