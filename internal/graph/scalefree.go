@@ -10,6 +10,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // BarabasiAlbert returns a scale-free graph grown by preferential
@@ -41,21 +42,22 @@ func BarabasiAlbert(n, attach int, seed int64) (*Graph, error) {
 		}
 	}
 	picked := make(map[NodeID]bool, attach)
+	order := make([]NodeID, 0, attach)
 	for v := attach + 1; v < n; v++ {
 		clear(picked)
-		for len(picked) < attach {
+		order = order[:0]
+		for len(order) < attach {
 			t := targets[rng.Intn(len(targets))]
 			if !picked[t] {
 				picked[t] = true
+				order = append(order, t)
 			}
 		}
 		// Attach in ascending target order so the edge list (and hence the
-		// weight permutation) is independent of map iteration order.
-		for t := NodeID(0); int(t) < v && len(picked) > 0; t++ {
-			if picked[t] {
-				delete(picked, t)
-				addEdge(t, NodeID(v))
-			}
+		// weight permutation) is independent of the draw order.
+		slices.Sort(order)
+		for _, t := range order {
+			addEdge(t, NodeID(v))
 		}
 	}
 	return buildFrom(n, edges, seed+1)
