@@ -148,7 +148,7 @@ resume-smoke:
 CHAOS2_SMOKE_DIR := /tmp/mmnet-chaos2-smoke
 CHAOS2_CENSUS_ARGS := -graph ring:100000 -algo census -seed 9 \
 	-faults 'seed:13;partition:2@70000;crash:50000@100;restart:50000@120'
-CHAOS2_SUM_ARGS := -graph random -n 48 -extra 96 -algo sum -variant rand \
+CHAOS2_SUM_ARGS := -graph random:48,96 -algo sum -variant rand \
 	-stage mb -max-rounds 4000
 chaos2-smoke:
 	mkdir -p $(CHAOS2_SMOKE_DIR)

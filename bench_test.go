@@ -1,9 +1,10 @@
-// Benchmarks that regenerate every experiment table (DESIGN.md §5): one
-// bench per table/claim, each running the quick parameter sweep per
-// iteration. Run the full sweeps with `go run ./cmd/mmexp -full`.
+// Benchmarks that regenerate every experiment table (`go run ./cmd/mmexp
+// -list` prints the index): one bench per table/claim, each running the
+// quick parameter sweep per iteration. Run the full sweeps with `go run ./cmd/mmexp -full`.
 package repro
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -49,9 +50,11 @@ func BenchmarkA4MWOETesting(b *testing.B)            { benchExperiment(b, "A4") 
 // Micro-benchmarks of the individual algorithms at a fixed size, reporting
 // the paper's cost measures as custom metrics.
 
-func ringGraph(b *testing.B, n int) *graph.Graph {
+// ringGraph is the stored n-ring, so the micro-benchmarks keep timing the
+// stored adjacency path.
+func ringGraph(b *testing.B, n int) graph.Topology {
 	b.Helper()
-	g, err := graph.Ring(n, 1)
+	g, err := graph.ParseSpec(fmt.Sprintf("mat:ring:%d", n), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(os.Stderr, "mmbench: serving /metrics and /debug/pprof on http://%s\n", srv.Addr)
 	}
 
-	ring, err := graph.Ring(*nodes, 1)
+	ring, err := graph.ParseSpec(fmt.Sprintf("mat:ring:%d", *nodes), 1)
 	if err != nil {
 		return err
 	}
@@ -318,7 +318,7 @@ func compareReports(w io.Writer, cur *Report, baselinePath string) error {
 // hardware shape; the trajectory is informational). The observed run is
 // separate from the relay benchmark rows above, whose timings stay
 // recorder-free.
-func phaseRows(w io.Writer, rep *Report, g *graph.Graph, n int) error {
+func phaseRows(w io.Writer, rep *Report, g graph.Topology, n int) error {
 	for _, workers := range []int{1, 4} {
 		o := obs.New(obs.Options{})
 		if _, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine { return relayMachine{c: c} },
@@ -447,7 +447,7 @@ func censusFootprint(spec string, n int) (uint64, error) {
 
 // scaleRows times the ported protocol suite on one big ring.
 func scaleRows(w io.Writer, rep *Report, n int) error {
-	g, err := graph.Ring(n, 1)
+	g, err := graph.ParseSpec(fmt.Sprintf("mat:ring:%d", n), 1)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/difftest"
@@ -37,7 +38,7 @@ func TestEveryAlgoHasEquivalenceCoverage(t *testing.T) {
 // graph), so algoNames cannot drift from runAlgo's switch.
 func TestAlgoNamesMatchSwitch(t *testing.T) {
 	for _, algo := range algoNames {
-		args := []string{"-graph", "random", "-n", "14", "-extra", "10", "-algo", algo}
+		args := []string{"-graph", "random:14,10", "-algo", algo}
 		var buf discard
 		if err := run(args, &buf); err != nil {
 			t.Errorf("-algo %s: %v", algo, err)
@@ -46,18 +47,12 @@ func TestAlgoNamesMatchSwitch(t *testing.T) {
 }
 
 // TestEveryGraphNameRuns is the -graph coverage gate: every topology family
-// graph.SpecNames advertises must be reachable through the flag, both as a
-// bare name sized by -n (n=16 is a power of two, so even hypercube
-// resolves) and in at least one spec spelling. A generator that exists in
-// internal/graph but cannot be reached from the CLI fails here.
+// graph.SpecNames advertises must run from the flag in at least one spec
+// spelling, and its bare name must fail, because every spec carries its own
+// size. A generator that exists in internal/graph but cannot be reached
+// from the CLI fails here.
 func TestEveryGraphNameRuns(t *testing.T) {
-	for _, name := range graph.SpecNames() {
-		args := []string{"-graph", name, "-n", "16", "-algo", "census"}
-		var buf discard
-		if err := run(args, &buf); err != nil {
-			t.Errorf("-graph %s: %v", name, err)
-		}
-	}
+	covered := make(map[string]bool)
 	for _, spec := range []string{
 		"ring:16", "path:16", "grid:4x4", "torus:4x4", "hypercube:4",
 		"star:16", "btree:16", "complete:8", "random:16,8", "ray:3,5",
@@ -66,6 +61,18 @@ func TestEveryGraphNameRuns(t *testing.T) {
 		var buf discard
 		if err := run([]string{"-graph", spec, "-algo", "census"}, &buf); err != nil {
 			t.Errorf("-graph %s: %v", spec, err)
+		}
+		family, _, _ := strings.Cut(strings.TrimPrefix(spec, "mat:"), ":")
+		covered[family] = true
+	}
+	for _, name := range graph.SpecNames() {
+		if !covered[name] {
+			t.Errorf("-graph family %s has no spec in this test", name)
+		}
+		var buf discard
+		err := run([]string{"-graph", name, "-algo", "census"}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "needs arguments") {
+			t.Errorf("bare -graph %s: error %v, want a needs-arguments error", name, err)
 		}
 	}
 }

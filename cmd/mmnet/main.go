@@ -3,16 +3,19 @@
 //
 // Usage examples:
 //
-//	mmnet -graph ring -n 256 -algo partition-det
-//	mmnet -graph random -n 512 -extra 1024 -algo mst
-//	mmnet -graph grid -n 400 -algo sum -variant rand -stage mb
-//	mmnet -graph ray -rays 16 -raylen 16 -algo p2p-sum
-//	mmnet -graph ring -n 100 -algo count
-//	mmnet -graph ring -n 256 -algo mst -workers 4
-//	mmnet -graph ring -n 1000000 -algo census
-//	mmnet -graph ring -n 100000 -algo census -jam 1
-//	mmnet -graph random -n 256 -algo sum -faults 'jam:1-40/p0.5;drop:3@2-'
-//	mmnet -graph ring -n 64 -algo count -json
+//	mmnet -graph ring:256 -algo partition-det
+//	mmnet -graph random:512,1024 -algo mst
+//	mmnet -graph grid:400 -algo sum -variant rand -stage mb
+//	mmnet -graph ray:16,16 -algo p2p-sum
+//	mmnet -graph ring:100 -algo count
+//	mmnet -graph ring:256 -algo mst -workers 4
+//	mmnet -graph ring:1000000 -algo census
+//	mmnet -graph ring:100000 -algo census -jam 1
+//	mmnet -graph random:256,256 -algo sum -faults 'jam:1-40/p0.5;drop:3@2-'
+//	mmnet -graph ring:64 -algo count -json
+//
+// Every -graph spec carries its own size (see graph.ParseSpec); a bare
+// family name such as "ring" is an error.
 package main
 
 import (
@@ -93,11 +96,7 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("mmnet", flag.ContinueOnError)
 	fs.SetOutput(w)
 	var (
-		gname     = fs.String("graph", "random", graph.SpecHelp())
-		n         = fs.Int("n", 256, "number of nodes (bare -graph names; hypercube wants a power of two)")
-		extra     = fs.Int("extra", 256, "extra edges beyond the spanning tree (random)")
-		rays      = fs.Int("rays", 8, "rays (ray graph)")
-		rayLen    = fs.Int("raylen", 8, "ray length (ray graph)")
+		gname     = fs.String("graph", "random:256,256", graph.SpecHelp())
 		seed      = fs.Int64("seed", 1, "master seed")
 		algo      = fs.String("algo", "partition-det", strings.Join(algoNames, "|"))
 		variant   = fs.String("variant", "det", "multimedia function variant: det|balanced|rand")
@@ -133,9 +132,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	g, err := graph.ParseSpecWith(*gname, *seed, graph.SpecDefaults{
-		N: *n, Extra: *extra, Rays: *rays, RayLen: *rayLen,
-	})
+	g, err := graph.ParseSpec(*gname, *seed)
 	if err != nil {
 		return err
 	}

@@ -18,25 +18,25 @@ func TestRunAlgos(t *testing.T) {
 		args []string
 		want string // substring the human output must contain
 	}{
-		{"partition-det", []string{"-graph", "ring", "-n", "12", "-algo", "partition-det"}, "deterministic partition"},
-		{"partition-rand", []string{"-graph", "ring", "-n", "12", "-algo", "partition-rand"}, "randomized partition"},
-		{"partition-lv", []string{"-graph", "ring", "-n", "12", "-algo", "partition-lv"}, "las vegas partition"},
-		{"mst", []string{"-graph", "random", "-n", "12", "-extra", "8", "-algo", "mst"}, "kruskal-match=true"},
-		{"mst-boruvka", []string{"-graph", "random", "-n", "12", "-extra", "8", "-algo", "mst-boruvka"}, "boruvka baseline"},
-		{"sum", []string{"-graph", "ring", "-n", "12", "-algo", "sum"}, "multimedia sum"},
-		{"min", []string{"-graph", "ring", "-n", "12", "-algo", "min", "-variant", "rand", "-stage", "mb"}, "multimedia min"},
-		{"p2p-sum", []string{"-graph", "ring", "-n", "12", "-algo", "p2p-sum"}, "point-to-point sum"},
-		{"bcast-sum", []string{"-graph", "ring", "-n", "12", "-algo", "bcast-sum"}, "broadcast-only sum"},
-		{"count", []string{"-graph", "ring", "-n", "12", "-algo", "count"}, "n=12"},
-		{"census", []string{"-graph", "ring", "-n", "12", "-algo", "census"}, "native step census: n=12"},
-		{"estimate", []string{"-graph", "ring", "-n", "12", "-algo", "estimate"}, "randomized size estimate"},
-		{"elect", []string{"-graph", "ring", "-n", "12", "-algo", "elect"}, "leader=11"},
-		{"snapshot", []string{"-graph", "ring", "-n", "12", "-algo", "snapshot"}, "snapshot cut"},
-		{"forest", []string{"-graph", "ring", "-n", "12", "-algo", "forest"}, "counted n=12"},
-		{"coloring", []string{"-graph", "ring", "-n", "12", "-algo", "coloring"}, "MIS verified"},
-		{"sync-sum", []string{"-graph", "ring", "-n", "12", "-algo", "sync-sum"}, "synchronizer-driven sum = 78"},
-		{"engine-label", []string{"-graph", "ring", "-n", "12", "-algo", "mst"}, "engine=step"},
-		{"other-graphs", []string{"-graph", "ray", "-rays", "3", "-raylen", "3", "-algo", "count"}, "n=10"},
+		{"partition-det", []string{"-graph", "ring:12", "-algo", "partition-det"}, "deterministic partition"},
+		{"partition-rand", []string{"-graph", "ring:12", "-algo", "partition-rand"}, "randomized partition"},
+		{"partition-lv", []string{"-graph", "ring:12", "-algo", "partition-lv"}, "las vegas partition"},
+		{"mst", []string{"-graph", "random:12,8", "-algo", "mst"}, "kruskal-match=true"},
+		{"mst-boruvka", []string{"-graph", "random:12,8", "-algo", "mst-boruvka"}, "boruvka baseline"},
+		{"sum", []string{"-graph", "ring:12", "-algo", "sum"}, "multimedia sum"},
+		{"min", []string{"-graph", "ring:12", "-algo", "min", "-variant", "rand", "-stage", "mb"}, "multimedia min"},
+		{"p2p-sum", []string{"-graph", "ring:12", "-algo", "p2p-sum"}, "point-to-point sum"},
+		{"bcast-sum", []string{"-graph", "ring:12", "-algo", "bcast-sum"}, "broadcast-only sum"},
+		{"count", []string{"-graph", "ring:12", "-algo", "count"}, "n=12"},
+		{"census", []string{"-graph", "ring:12", "-algo", "census"}, "native step census: n=12"},
+		{"estimate", []string{"-graph", "ring:12", "-algo", "estimate"}, "randomized size estimate"},
+		{"elect", []string{"-graph", "ring:12", "-algo", "elect"}, "leader=11"},
+		{"snapshot", []string{"-graph", "ring:12", "-algo", "snapshot"}, "snapshot cut"},
+		{"forest", []string{"-graph", "ring:12", "-algo", "forest"}, "counted n=12"},
+		{"coloring", []string{"-graph", "ring:12", "-algo", "coloring"}, "MIS verified"},
+		{"sync-sum", []string{"-graph", "ring:12", "-algo", "sync-sum"}, "synchronizer-driven sum = 78"},
+		{"engine-label", []string{"-graph", "ring:12", "-algo", "mst"}, "engine=step"},
+		{"other-graphs", []string{"-graph", "ray:3,3", "-algo", "count"}, "n=10"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -60,7 +60,7 @@ func TestRunErrors(t *testing.T) {
 		{"-algo", "nope"},
 		{"-graph", "nope"},
 		{"-faults", "nope:1@2"},
-		{"-graph", "ring", "-n", "12", "-faults", "crash:99@1"}, // node outside graph
+		{"-graph", "ring:12", "-faults", "crash:99@1"}, // node outside graph
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
@@ -72,7 +72,7 @@ func TestRunErrors(t *testing.T) {
 // the result and the full metrics encoding.
 func TestRunJSON(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-graph", "ring", "-n", "12", "-algo", "census", "-jam", "1", "-json"}, &buf)
+	err := run([]string{"-graph", "ring:12", "-algo", "census", "-jam", "1", "-json"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRunJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, buf.String())
 	}
-	if obj.Graph != "ring" || obj.N != 12 || obj.Algo != "census" {
+	if obj.Graph != "ring:12" || obj.N != 12 || obj.Algo != "census" {
 		t.Errorf("header fields wrong: %+v", obj)
 	}
 	if obj.Result["n"] != float64(12) {
@@ -112,7 +112,7 @@ func TestRunJSON(t *testing.T) {
 // counts exactly, and the fault line appears in the human output.
 func TestRunFaulted(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-graph", "ring", "-n", "32", "-algo", "census",
+	err := run([]string{"-graph", "ring:32", "-algo", "census",
 		"-faults", "jam:1-/p0.5;delay:0@1-/d2"}, &buf)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestRunCheckpointResume(t *testing.T) {
 	ref := filepath.Join(dir, "ref.mmtr")
 	ck := filepath.Join(dir, "ck.mmtr")
 	cp := filepath.Join(dir, "cp-%d.mmcp")
-	base := []string{"-graph", "ring", "-n", "48", "-algo", "census", "-seed", "9"}
+	base := []string{"-graph", "ring:48", "-algo", "census", "-seed", "9"}
 
 	var buf bytes.Buffer
 	if err := run(append(base, "-transcript", ref), &buf); err != nil {
@@ -179,10 +179,10 @@ func TestRunCheckpointResume(t *testing.T) {
 // TestRunCheckpointFlagValidation pins the flag-combination errors.
 func TestRunCheckpointFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
-		{"-graph", "ring", "-n", "16", "-algo", "count", "-transcript", "x.mmtr"},
-		{"-graph", "ring", "-n", "16", "-algo", "census", "-checkpoint-every", "5"},
-		{"-graph", "ring", "-n", "16", "-algo", "census", "-checkpoint", "x.mmcp"},
-		{"-graph", "ring", "-n", "16", "-algo", "census", "-checkpoint", "x.mmcp", "-checkpoint-at", "zero"},
+		{"-graph", "ring:16", "-algo", "count", "-transcript", "x.mmtr"},
+		{"-graph", "ring:16", "-algo", "census", "-checkpoint-every", "5"},
+		{"-graph", "ring:16", "-algo", "census", "-checkpoint", "x.mmcp"},
+		{"-graph", "ring:16", "-algo", "census", "-checkpoint", "x.mmcp", "-checkpoint-at", "zero"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("args %v accepted", args)

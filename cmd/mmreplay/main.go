@@ -13,7 +13,7 @@
 //	mmreplay -verify run.mmtr
 //	mmreplay -diff a.mmtr b.mmtr
 //	mmreplay -stitch out.mmtr -at 40 prefix.mmtr resumed.mmtr
-//	mmreplay -bisect -algo census -graph ring -n 64 -seed 9 -workers-a 1 -workers-b 4
+//	mmreplay -bisect -algo census -graph ring:64 -seed 9 -workers-a 1 -workers-b 4
 package main
 
 import (
@@ -49,8 +49,7 @@ func run(args []string, w io.Writer) error {
 		bisect = fs.Bool("bisect", false, "binary-search the first round where two configurations' checkpointed states diverge")
 
 		algo     = fs.String("algo", "census", "bisect: protocol to re-run: census|estimate")
-		gname    = fs.String("graph", "ring", "bisect: "+graph.SpecHelp())
-		n        = fs.Int("n", 64, "bisect: number of nodes")
+		gname    = fs.String("graph", "ring:64", "bisect: "+graph.SpecHelp())
 		seed     = fs.Int64("seed", 1, "bisect: master seed")
 		faults   = fs.String("faults", "", "bisect: fault plan DSL")
 		maxR     = fs.Int("max-rounds", 0, "bisect: round budget (0 = graph-derived default)")
@@ -84,7 +83,7 @@ func run(args []string, w io.Writer) error {
 			return stitchTranscripts(*stitch, *at, trs[0], trs[1])
 		})
 	case *bisect:
-		return bisectStates(w, *algo, *gname, *n, *seed, *faults, *maxR, *workersA, *workersB)
+		return bisectStates(w, *algo, *gname, *seed, *faults, *maxR, *workersA, *workersB)
 	default:
 		fs.Usage()
 		return errors.New("pick a mode: -show, -verify, -diff, -stitch, or -bisect")
@@ -239,12 +238,12 @@ func stitchTranscripts(path string, at int, prefix, resumed *sim.TranscriptReade
 // bisectStates parses the bisect flags' graph and plan and hands the
 // search to the shared core in internal/replay, translating its sentinel
 // into this command's historical exit message.
-func bisectStates(w io.Writer, algo, gname string, n int, seed int64, faults string, maxR, workersA, workersB int) error {
+func bisectStates(w io.Writer, algo, gname string, seed int64, faults string, maxR, workersA, workersB int) error {
 	prog, err := replay.Program(algo)
 	if err != nil {
 		return err
 	}
-	g, err := graph.ParseSpecWith(gname, seed, graph.SpecDefaults{N: n, Extra: n, Rays: 8, RayLen: 8})
+	g, err := graph.ParseSpec(gname, seed)
 	if err != nil {
 		return err
 	}

@@ -18,7 +18,7 @@ import (
 // transcript bytes — the in-process generator the CLI tests feed on.
 func censusTranscript(t *testing.T, n int, seed int64, opts ...sim.Option) []byte {
 	t.Helper()
-	g, err := graph.Ring(n, 2)
+	g, err := graph.ImplicitRing(n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDiffPinpointsInjectedDivergence(t *testing.T) {
 // run, resume it, stitch the two transcripts, and require byte-identity with
 // the uninterrupted run.
 func TestStitchMatchesUninterrupted(t *testing.T) {
-	g, err := graph.Ring(14, 2)
+	g, err := graph.ImplicitRing(14, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestStitchMatchesUninterrupted(t *testing.T) {
 
 func TestBisectCleanRun(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-bisect", "-algo", "census", "-graph", "ring", "-n", "24",
+	err := run([]string{"-bisect", "-algo", "census", "-graph", "ring:24",
 		"-seed", "7", "-workers-a", "1", "-workers-b", "3"}, &out)
 	if err != nil {
 		t.Fatalf("bisect: %v (%s)", err, out.String())

@@ -94,13 +94,13 @@ func makeTuple(protoSel, topoSel, nSel uint8, gseed, seed int64, workerSel, plan
 func (d diffTuple) makeGraph() (graph.Topology, error) {
 	switch d.graph {
 	case "ring":
-		return graph.Ring(d.n, d.gseed)
+		return graph.ImplicitRing(d.n, d.gseed)
 	case "path":
-		return graph.Path(d.n, d.gseed)
+		return graph.ImplicitPath(d.n, d.gseed)
 	case "random":
 		return graph.RandomConnected(d.n, d.extra, d.gseed)
 	case "star":
-		return graph.Star(d.n, d.gseed)
+		return graph.ImplicitStar(d.n, d.gseed)
 	case "ring-implicit":
 		return graph.ImplicitRing(d.n, d.gseed)
 	case "btree-implicit":

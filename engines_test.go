@@ -50,7 +50,7 @@ func TestMillionNodeRingCensus(t *testing.T) {
 		t.Skip("million-node census skipped in -short mode")
 	}
 	const n = 1_000_000
-	g, err := graph.Ring(n, 1)
+	g, err := graph.ImplicitRing(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func main() {
 	// reaches: every node sleeps until the BFS wavefront arrives, so the
 	// engine does O(n + m) work regardless of the 10⁵ rounds the wave needs.
 	big := *bigFlag
-	bigRing, err := graph.Ring(big, 7)
+	bigRing, err := graph.ImplicitRing(big, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func main() {
 	fmt.Println("total of all sensor readings, ring topology (d = n/2):")
 	fmt.Printf("%6s  %6s  %14s  %14s  %14s\n", "n", "d", "multimedia", "p2p only", "bus only")
 	for _, n := range sizes {
-		g, err := graph.Ring(n, 1)
+		g, err := graph.ImplicitRing(n, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func main() {
 	maxN := flag.Int("n", 400, "largest network size in the sweep")
 	flag.Parse()
 	for _, n := range sweepSizes([]int{25, 100}, *maxN) {
-		g, err := graph.Grid(n/5, 5, 3)
+		g, err := graph.ImplicitGrid(n/5, 5, 3)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -106,7 +106,7 @@ func graph5Sum() globalfunc.Op { return globalfunc.Sum }
 // TestEngineSlotConservation checks the simulator invariant that every
 // round resolves exactly one slot: idle + success + collision == rounds.
 func TestEngineSlotConservation(t *testing.T) {
-	g, err := graph.Ring(50, 1)
+	g, err := graph.ImplicitRing(50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,17 +126,17 @@ func TestEngineSlotConservation(t *testing.T) {
 func TestManyTopologiesSmoke(t *testing.T) {
 	zoo := []struct {
 		name string
-		mk   func() (*graph.Graph, error)
+		mk   func() (graph.Topology, error)
 	}{
-		{"ring9", func() (*graph.Graph, error) { return graph.Ring(9, 2) }},
-		{"path17", func() (*graph.Graph, error) { return graph.Path(17, 3) }},
-		{"grid3x9", func() (*graph.Graph, error) { return graph.Grid(3, 9, 4) }},
-		{"torus4x4", func() (*graph.Graph, error) { return graph.Torus(4, 4, 5) }},
-		{"complete9", func() (*graph.Graph, error) { return graph.Complete(9, 6) }},
-		{"star33", func() (*graph.Graph, error) { return graph.Star(33, 7) }},
-		{"btree15", func() (*graph.Graph, error) { return graph.BinaryTree(15, 8) }},
-		{"ray4x4", func() (*graph.Graph, error) { return graph.Ray(4, 4, 9) }},
-		{"random33", func() (*graph.Graph, error) { return graph.RandomConnected(33, 66, 10) }},
+		{"ring9", func() (graph.Topology, error) { return graph.ImplicitRing(9, 2) }},
+		{"path17", func() (graph.Topology, error) { return graph.ImplicitPath(17, 3) }},
+		{"grid3x9", func() (graph.Topology, error) { return graph.ImplicitGrid(3, 9, 4) }},
+		{"torus4x4", func() (graph.Topology, error) { return graph.ImplicitTorus(4, 4, 5) }},
+		{"complete9", func() (graph.Topology, error) { return graph.Complete(9, 6) }},
+		{"star33", func() (graph.Topology, error) { return graph.ImplicitStar(33, 7) }},
+		{"btree15", func() (graph.Topology, error) { return graph.ImplicitBinaryTree(15, 8) }},
+		{"ray4x4", func() (graph.Topology, error) { return graph.Ray(4, 4, 9) }},
+		{"random33", func() (graph.Topology, error) { return graph.RandomConnected(33, 66, 10) }},
 	}
 	for _, tc := range zoo {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 	"repro/internal/graph"
 )
 
-func runSum(t *testing.T, g *graph.Graph, seed int64) (int64, *Metrics) {
+func runSum(t *testing.T, g graph.Topology, seed int64) (int64, *Metrics) {
 	t.Helper()
 	results := make([]int64, g.N())
 	var mu sync.Mutex
@@ -30,15 +30,15 @@ func wantSum(n int) int64 { return int64(n) * int64(n+1) / 2 }
 func TestSynchronizerCorrectness(t *testing.T) {
 	cases := []struct {
 		name string
-		mk   func() (*graph.Graph, error)
+		mk   func() (graph.Topology, error)
 		n    int
 	}{
-		{"path2", func() (*graph.Graph, error) { return graph.Path(2, 1) }, 2},
-		{"path10", func() (*graph.Graph, error) { return graph.Path(10, 1) }, 10},
-		{"ring16", func() (*graph.Graph, error) { return graph.Ring(16, 3) }, 16},
-		{"grid4x5", func() (*graph.Graph, error) { return graph.Grid(4, 5, 5) }, 20},
-		{"random40", func() (*graph.Graph, error) { return graph.RandomConnected(40, 60, 7) }, 40},
-		{"star15", func() (*graph.Graph, error) { return graph.Star(15, 9) }, 15},
+		{"path2", func() (graph.Topology, error) { return graph.ImplicitPath(2, 1) }, 2},
+		{"path10", func() (graph.Topology, error) { return graph.ImplicitPath(10, 1) }, 10},
+		{"ring16", func() (graph.Topology, error) { return graph.ImplicitRing(16, 3) }, 16},
+		{"grid4x5", func() (graph.Topology, error) { return graph.ImplicitGrid(4, 5, 5) }, 20},
+		{"random40", func() (graph.Topology, error) { return graph.RandomConnected(40, 60, 7) }, 40},
+		{"star15", func() (graph.Topology, error) { return graph.ImplicitStar(15, 9) }, 15},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,7 +72,7 @@ func TestSynchronizerSeedsAgree(t *testing.T) {
 
 func TestCorollary4MessageOverhead(t *testing.T) {
 	// Acks exactly double the algorithm messages: overhead == 2.
-	g, err := graph.Grid(6, 6, 1)
+	g, err := graph.ImplicitGrid(6, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCorollary4ConstantTimeFactor(t *testing.T) {
 	// its ack each take at most one time unit, so a round's busy period
 	// spans at most a small constant number of slots.
 	for _, n := range []int{8, 32, 128} {
-		g, err := graph.Ring(n, 1)
+		g, err := graph.ImplicitRing(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestCorollary4ConstantTimeFactor(t *testing.T) {
 }
 
 func TestRoundBudget(t *testing.T) {
-	g, err := graph.Path(2, 1)
+	g, err := graph.ImplicitPath(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRoundBudget(t *testing.T) {
 func TestEmptyRoundsPulseQuickly(t *testing.T) {
 	// Nodes that do nothing for k rounds then halt: each empty round costs
 	// exactly one idle slot.
-	g, err := graph.Ring(5, 1)
+	g, err := graph.ImplicitRing(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 }
 
 func TestSendToUnknownNeighborPanics(t *testing.T) {
-	g, err := graph.Path(3, 1)
+	g, err := graph.ImplicitPath(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

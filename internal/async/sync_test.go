@@ -8,7 +8,7 @@ import (
 )
 
 // runSyncSum drives SumDemo through the sim-engine synchronizer.
-func runSyncSum(t *testing.T, g *graph.Graph, seed int64) (int64, *SyncResult) {
+func runSyncSum(t *testing.T, g graph.Topology, seed int64) (int64, *SyncResult) {
 	t.Helper()
 	results := make([]int64, g.N())
 	var mu sync.Mutex
@@ -28,7 +28,7 @@ func runSyncSum(t *testing.T, g *graph.Graph, seed int64) (int64, *SyncResult) {
 // aggregate as the synchronous algorithm, with the Corollary 4 overhead of
 // exactly one ack per algorithm message.
 func TestSyncComputesSum(t *testing.T) {
-	g, err := graph.Grid(6, 6, 3)
+	g, err := graph.ImplicitGrid(6, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func protocolForests(t *testing.T) map[string]*forest.Forest {
 	}
 	out["partition60"] = f
 
-	p, err := graph.Path(37, 2)
+	p, err := graph.ImplicitPath(37, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func protocolForests(t *testing.T) map[string]*forest.Forest {
 	}
 	out["chains37"] = pf
 
-	s, err := graph.Star(20, 3)
+	s, err := graph.ImplicitStar(20, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,11 @@ import (
 	"repro/internal/size"
 )
 
-// runE9 sweeps the native census up to 10⁶-node rings and grids (full
-// mode): the step engine's sleep/wake activation makes each run cost O(n + m)
-// machine steps, where a per-round engine would pay nodes × rounds.
+// runE9 sweeps the native census up to 10⁷-node rings and grids (full
+// mode) on the implicit forms, whose O(1) topology footprint leaves the
+// memory to per-node engine state: the step engine's sleep/wake activation
+// makes each run cost O(n + m) machine steps, where a per-round engine
+// would pay nodes × rounds.
 func runE9(w io.Writer, full bool) error {
 	tb := &Table{
 		Title: "E9b — native step engine scaling: census (network size) to 10^7 nodes",
@@ -24,25 +26,15 @@ func runE9(w io.Writer, full bool) error {
 	}
 	for _, n := range sizes {
 		for _, name := range []string{"ring", "grid"} {
-			// Past 10⁶ nodes a materialized topology is itself the memory
-			// bottleneck (≈100 B/node of adjacency before any protocol state),
-			// so the big rows run on the implicit forms: same neighborhoods,
-			// O(1) topology footprint, adjacency computed per step.
 			var (
 				g   graph.Topology
 				err error
 			)
-			switch {
-			case name == "ring" && n >= 1_000_000:
+			if name == "ring" {
 				g, err = graph.ImplicitRing(n, 1)
-			case name == "ring":
-				g, err = graph.Ring(n, 1)
-			case n >= 1_000_000:
+			} else {
 				side := sqrtSide(n)
 				g, err = graph.ImplicitGrid(side, side, 1)
-			default:
-				side := sqrtSide(n)
-				g, err = graph.Grid(side, side, 1)
 			}
 			if err != nil {
 				return err

@@ -58,7 +58,7 @@ func runE10Census(w io.Writer, full bool) error {
 		{"delay 20% d1", "seed:3;delay:*@1-/d1/p0.2"},
 	}
 	for _, n := range sizes {
-		g, err := graph.Ring(n, 1)
+		g, err := graph.ImplicitRing(n, 1)
 		if err != nil {
 			return err
 		}

@@ -28,7 +28,7 @@ func runE3(w io.Writer, full bool) error {
 		sizes = []int{64, 256, 1024, 2048, 4096}
 	}
 	for _, n := range sizes {
-		g, err := graph.Ring(n, 1)
+		g, err := graph.ImplicitRing(n, 1)
 		if err != nil {
 			return err
 		}
@@ -109,7 +109,7 @@ func runA3(w io.Writer, full bool) error {
 		Header: []string{"contenders k", "capetanakis slots", "cap/k", "mb slots (avg)", "mb/k"},
 	}
 	const n = 256
-	g, err := graph.Ring(n, 1)
+	g, err := graph.ImplicitRing(n, 1)
 	if err != nil {
 		return err
 	}

@@ -10,14 +10,14 @@ import (
 )
 
 // workloads for the partition experiments.
-func partitionGraphs(n int) (map[string]*graph.Graph, error) {
-	gs := make(map[string]*graph.Graph)
+func partitionGraphs(n int) (map[string]graph.Topology, error) {
+	gs := make(map[string]graph.Topology)
 	var err error
-	if gs["ring"], err = graph.Ring(n, 1); err != nil {
+	if gs["ring"], err = graph.ImplicitRing(n, 1); err != nil {
 		return nil, err
 	}
 	side := int(math.Round(math.Sqrt(float64(n))))
-	if gs["grid"], err = graph.Grid(side, (n+side-1)/side, 2); err != nil {
+	if gs["grid"], err = graph.ImplicitGrid(side, (n+side-1)/side, 2); err != nil {
 		return nil, err
 	}
 	if gs["random"], err = graph.RandomConnected(n, 2*n, 3); err != nil {

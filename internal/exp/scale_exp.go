@@ -40,7 +40,7 @@ func runE11(w io.Writer, full bool) error {
 			"wall ms", "kruskal-match?"},
 	}
 	for _, n := range sizes {
-		g, err := graph.Ring(n, 1)
+		g, err := graph.ImplicitRing(n, 1)
 		if err != nil {
 			return err
 		}
@@ -75,7 +75,7 @@ func runE11(w io.Writer, full bool) error {
 			"spec ok?"},
 	}
 	for _, n := range sizes {
-		g, err := graph.Ring(n, 1)
+		g, err := graph.ImplicitRing(n, 1)
 		if err != nil {
 			return err
 		}

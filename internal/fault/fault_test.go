@@ -7,9 +7,9 @@ import (
 	"repro/internal/graph"
 )
 
-func testGraph(t *testing.T) *graph.Graph {
+func testGraph(t *testing.T) graph.Topology {
 	t.Helper()
-	g, err := graph.Ring(10, 1)
+	g, err := graph.ImplicitRing(10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

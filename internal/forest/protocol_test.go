@@ -11,12 +11,12 @@ import (
 func TestBFSGrowsSpanningTree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		mk   func() (*graph.Graph, error)
+		mk   func() (graph.Topology, error)
 	}{
-		{"pair", func() (*graph.Graph, error) { return graph.Path(2, 1) }},
-		{"ring48", func() (*graph.Graph, error) { return graph.Ring(48, 2) }},
-		{"random64", func() (*graph.Graph, error) { return graph.RandomConnected(64, 120, 5) }},
-		{"star32", func() (*graph.Graph, error) { return graph.Star(32, 1) }},
+		{"pair", func() (graph.Topology, error) { return graph.ImplicitPath(2, 1) }},
+		{"ring48", func() (graph.Topology, error) { return graph.ImplicitRing(48, 2) }},
+		{"random64", func() (graph.Topology, error) { return graph.RandomConnected(64, 120, 5) }},
+		{"star32", func() (graph.Topology, error) { return graph.ImplicitStar(32, 1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := tc.mk()

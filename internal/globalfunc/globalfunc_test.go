@@ -17,7 +17,7 @@ func seededInputs(seed int64) Inputs {
 }
 
 func TestReference(t *testing.T) {
-	g, err := graph.Ring(5, 1)
+	g, err := graph.ImplicitRing(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,17 +95,17 @@ func TestOpsCommutativeAssociative(t *testing.T) {
 	}
 }
 
-func testTopologies(t *testing.T, n int) map[string]*graph.Graph {
+func testTopologies(t *testing.T, n int) map[string]graph.Topology {
 	t.Helper()
-	gs := make(map[string]*graph.Graph)
+	gs := make(map[string]graph.Topology)
 	var err error
-	if gs["ring"], err = graph.Ring(n, 1); err != nil {
+	if gs["ring"], err = graph.ImplicitRing(n, 1); err != nil {
 		t.Fatal(err)
 	}
 	if gs["random"], err = graph.RandomConnected(n, n, 2); err != nil {
 		t.Fatal(err)
 	}
-	if gs["grid"], err = graph.Grid(8, n/8, 3); err != nil {
+	if gs["grid"], err = graph.ImplicitGrid(8, n/8, 3); err != nil {
 		t.Fatal(err)
 	}
 	return gs
@@ -191,7 +191,7 @@ func TestPointToPointBaseline(t *testing.T) {
 }
 
 func TestPointToPointTiny(t *testing.T) {
-	g, err := graph.Path(2, 1)
+	g, err := graph.ImplicitPath(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestPointToPointTiny(t *testing.T) {
 }
 
 func TestBroadcastOnlyBaseline(t *testing.T) {
-	g, err := graph.Ring(32, 1)
+	g, err := graph.ImplicitRing(32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestHeadlineOrdering(t *testing.T) {
 		t.Skip("long test")
 	}
 	const n = 2048
-	g, err := graph.Ring(n, 1)
+	g, err := graph.ImplicitRing(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,14 @@ func TestPointToPointMatchesReference(t *testing.T) {
 	in := func(v graph.NodeID) int64 { return (int64(v)*97 + 5) % 1000 }
 	for _, tc := range []struct {
 		name string
-		mk   func() (*graph.Graph, error)
+		mk   func() (graph.Topology, error)
 	}{
-		{"ring33", func() (*graph.Graph, error) { return graph.Ring(33, 1) }},
-		{"grid6x7", func() (*graph.Graph, error) { return graph.Grid(6, 7, 2) }},
-		{"random50", func() (*graph.Graph, error) { return graph.RandomConnected(50, 100, 3) }},
-		{"star30", func() (*graph.Graph, error) { return graph.Star(30, 4) }},
-		{"ray5x4", func() (*graph.Graph, error) { return graph.Ray(5, 4, 5) }},
-		{"path2", func() (*graph.Graph, error) { return graph.Path(2, 6) }},
+		{"ring33", func() (graph.Topology, error) { return graph.ImplicitRing(33, 1) }},
+		{"grid6x7", func() (graph.Topology, error) { return graph.ImplicitGrid(6, 7, 2) }},
+		{"random50", func() (graph.Topology, error) { return graph.RandomConnected(50, 100, 3) }},
+		{"star30", func() (graph.Topology, error) { return graph.ImplicitStar(30, 4) }},
+		{"ray5x4", func() (graph.Topology, error) { return graph.Ray(5, 4, 5) }},
+		{"path2", func() (graph.Topology, error) { return graph.ImplicitPath(2, 6) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := tc.mk()

@@ -3,7 +3,7 @@ package graph
 import "testing"
 
 func TestBFSPath(t *testing.T) {
-	g, err := Path(5, 1)
+	g, err := ImplicitPath(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestBFSUnreachable(t *testing.T) {
 }
 
 func TestBFSOrderIsByLevel(t *testing.T) {
-	g, err := Grid(4, 4, 1)
+	g, err := ImplicitGrid(4, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +51,12 @@ func TestBFSOrderIsByLevel(t *testing.T) {
 }
 
 func TestDiameterLowerBound(t *testing.T) {
-	for _, mk := range []func() (*Graph, error){
-		func() (*Graph, error) { return Path(17, 1) },
-		func() (*Graph, error) { return BinaryTree(31, 1) },
-		func() (*Graph, error) { return Ring(20, 1) },
-		func() (*Graph, error) { return Grid(5, 7, 1) },
-		func() (*Graph, error) { return RandomConnected(40, 30, 5) },
+	for _, mk := range []func() (Topology, error){
+		func() (Topology, error) { return ImplicitPath(17, 1) },
+		func() (Topology, error) { return ImplicitBinaryTree(31, 1) },
+		func() (Topology, error) { return ImplicitRing(20, 1) },
+		func() (Topology, error) { return ImplicitGrid(5, 7, 1) },
+		func() (Topology, error) { return RandomConnected(40, 30, 5) },
 	} {
 		g, err := mk()
 		if err != nil {

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 )
 
-// Generators for the topologies the experiments run on. Every generator
+// The stored generators of the families with no implicit form. Every one
 // assigns pairwise-distinct edge weights: a seeded random permutation of
 // 1..m, matching the paper's w.l.o.g. distinct-weight assumption while
 // keeping weights independent of the topology's construction order.
@@ -26,67 +26,6 @@ func buildFrom(n int, edges []Edge, seed int64) (*Graph, error) {
 		b.AddEdge(e.U, e.V, e.Weight)
 	}
 	return b.Build()
-}
-
-// Ring returns the n-cycle. Its diameter is ⌊n/2⌋, making it the worst case
-// for the pure point-to-point baseline in the paper's headline comparison.
-func Ring(n int, seed int64) (*Graph, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("graph: ring needs n >= 3, got %d", n)
-	}
-	edges := make([]Edge, 0, n)
-	for i := 0; i < n; i++ {
-		edges = append(edges, Edge{U: NodeID(i), V: NodeID((i + 1) % n)})
-	}
-	return buildFrom(n, edges, seed)
-}
-
-// Path returns the n-node path 0-1-…-(n-1); diameter n-1.
-func Path(n int, seed int64) (*Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("graph: path needs n >= 2, got %d", n)
-	}
-	edges := make([]Edge, 0, n-1)
-	for i := 0; i+1 < n; i++ {
-		edges = append(edges, Edge{U: NodeID(i), V: NodeID(i + 1)})
-	}
-	return buildFrom(n, edges, seed)
-}
-
-// Grid returns the rows×cols mesh; node (r,c) has id r*cols+c.
-func Grid(rows, cols int, seed int64) (*Graph, error) {
-	if rows < 1 || cols < 1 || rows*cols < 2 {
-		return nil, fmt.Errorf("graph: grid needs at least 2 nodes, got %dx%d", rows, cols)
-	}
-	var edges []Edge
-	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				edges = append(edges, Edge{U: id(r, c), V: id(r, c+1)})
-			}
-			if r+1 < rows {
-				edges = append(edges, Edge{U: id(r, c), V: id(r+1, c)})
-			}
-		}
-	}
-	return buildFrom(rows*cols, edges, seed)
-}
-
-// Torus returns the rows×cols grid with wraparound links.
-func Torus(rows, cols int, seed int64) (*Graph, error) {
-	if rows < 3 || cols < 3 {
-		return nil, fmt.Errorf("graph: torus needs rows, cols >= 3, got %dx%d", rows, cols)
-	}
-	var edges []Edge
-	id := func(r, c int) NodeID { return NodeID(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			edges = append(edges, Edge{U: id(r, c), V: id(r, (c+1)%cols)})
-			edges = append(edges, Edge{U: id(r, c), V: id((r+1)%rows, c)})
-		}
-	}
-	return buildFrom(rows*cols, edges, seed)
 }
 
 // MaxCompleteEdges caps Complete: K_n is materialized — edge list plus two
@@ -110,31 +49,6 @@ func Complete(n int, seed int64) (*Graph, error) {
 		for j := i + 1; j < n; j++ {
 			edges = append(edges, Edge{U: NodeID(i), V: NodeID(j)})
 		}
-	}
-	return buildFrom(n, edges, seed)
-}
-
-// Star returns the star with center 0 and n-1 leaves; diameter 2.
-func Star(n int, seed int64) (*Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("graph: star needs n >= 2, got %d", n)
-	}
-	edges := make([]Edge, 0, n-1)
-	for i := 1; i < n; i++ {
-		edges = append(edges, Edge{U: 0, V: NodeID(i)})
-	}
-	return buildFrom(n, edges, seed)
-}
-
-// BinaryTree returns the complete-ish binary tree on n nodes where node i has
-// parent (i-1)/2.
-func BinaryTree(n int, seed int64) (*Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("graph: binary tree needs n >= 2, got %d", n)
-	}
-	edges := make([]Edge, 0, n-1)
-	for i := 1; i < n; i++ {
-		edges = append(edges, Edge{U: NodeID((i - 1) / 2), V: NodeID(i)})
 	}
 	return buildFrom(n, edges, seed)
 }
@@ -187,9 +101,6 @@ func Ray(rays, rayLen int, seed int64) (*Graph, error) {
 	if rays < 1 || rayLen < 1 {
 		return nil, fmt.Errorf("graph: ray needs rays, rayLen >= 1, got %d, %d", rays, rayLen)
 	}
-	if rays == 1 && rayLen == 1 {
-		return Path(2, seed)
-	}
 	n := 1 + rays*rayLen
 	var edges []Edge
 	for r := 0; r < rays; r++ {
@@ -198,27 +109,6 @@ func Ray(rays, rayLen int, seed int64) (*Graph, error) {
 			v := NodeID(1 + r*rayLen + k)
 			edges = append(edges, Edge{U: prev, V: v})
 			prev = v
-		}
-	}
-	return buildFrom(n, edges, seed)
-}
-
-// Hypercube returns the dim-dimensional hypercube on 2^dim nodes, nodes
-// adjacent iff their ids differ in exactly one bit — the topology of the
-// Intel iPSC the paper cites as a commercial point-to-point + multiaccess
-// combination. Diameter dim.
-func Hypercube(dim int, seed int64) (*Graph, error) {
-	if dim < 1 || dim > 20 {
-		return nil, fmt.Errorf("graph: hypercube needs 1 <= dim <= 20, got %d", dim)
-	}
-	n := 1 << dim
-	var edges []Edge
-	for v := 0; v < n; v++ {
-		for b := 0; b < dim; b++ {
-			u := v ^ (1 << b)
-			if v < u {
-				edges = append(edges, Edge{U: NodeID(v), V: NodeID(u)})
-			}
 		}
 	}
 	return buildFrom(n, edges, seed)

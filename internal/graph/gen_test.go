@@ -7,10 +7,11 @@ import (
 
 // checkDistinctWeights verifies the generator invariant that all weights are
 // pairwise distinct (Build would have failed otherwise, but assert anyway).
-func checkDistinctWeights(t *testing.T, g *Graph) {
+func checkDistinctWeights(t *testing.T, g Topology) {
 	t.Helper()
 	seen := make(map[Weight]bool, g.M())
-	for _, e := range g.Edges() {
+	for id := 0; id < g.M(); id++ {
+		e := g.Edge(id)
 		if seen[e.Weight] {
 			t.Fatalf("duplicate weight %d", e.Weight)
 		}
@@ -19,14 +20,14 @@ func checkDistinctWeights(t *testing.T, g *Graph) {
 }
 
 func TestRing(t *testing.T) {
-	g, err := Ring(8, 1)
+	g, err := ImplicitRing(8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.N() != 8 || g.M() != 8 {
 		t.Errorf("ring(8): n=%d m=%d", g.N(), g.M())
 	}
-	if !g.Connected() {
+	if !ConnectedTopo(g) {
 		t.Error("ring not connected")
 	}
 	if d := Diameter(g); d != 4 {
@@ -41,7 +42,7 @@ func TestRing(t *testing.T) {
 }
 
 func TestPath(t *testing.T) {
-	g, err := Path(5, 1)
+	g, err := ImplicitPath(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestPath(t *testing.T) {
 }
 
 func TestGrid(t *testing.T) {
-	g, err := Grid(3, 4, 1)
+	g, err := ImplicitGrid(3, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestGrid(t *testing.T) {
 }
 
 func TestTorus(t *testing.T) {
-	g, err := Torus(3, 3, 1)
+	g, err := ImplicitTorus(3, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,19 +95,19 @@ func TestComplete(t *testing.T) {
 }
 
 func TestStarAndBinaryTree(t *testing.T) {
-	s, err := Star(10, 1)
+	s, err := ImplicitStar(10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.M() != 9 || Diameter(s) != 2 || s.Degree(0) != 9 {
 		t.Errorf("star(10): m=%d diam=%d deg0=%d", s.M(), Diameter(s), s.Degree(0))
 	}
-	bt, err := BinaryTree(15, 1)
+	bt, err := ImplicitBinaryTree(15, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bt.M() != 14 || !bt.Connected() {
-		t.Errorf("btree(15): m=%d connected=%v", bt.M(), bt.Connected())
+	if bt.M() != 14 || !ConnectedTopo(bt) {
+		t.Errorf("btree(15): m=%d connected=%v", bt.M(), ConnectedTopo(bt))
 	}
 	if d := Diameter(bt); d != 6 {
 		t.Errorf("btree(15) diameter = %d, want 6", d)
@@ -180,13 +181,7 @@ func TestRay(t *testing.T) {
 
 func TestGeneratorErrors(t *testing.T) {
 	bad := []error{
-		func() error { _, err := Ring(2, 1); return err }(),
-		func() error { _, err := Path(1, 1); return err }(),
-		func() error { _, err := Grid(1, 1, 1); return err }(),
-		func() error { _, err := Torus(2, 3, 1); return err }(),
 		func() error { _, err := Complete(1, 1); return err }(),
-		func() error { _, err := Star(1, 1); return err }(),
-		func() error { _, err := BinaryTree(1, 1); return err }(),
 		func() error { _, err := RandomConnected(1, 0, 1); return err }(),
 		func() error { _, err := Ray(0, 3, 1); return err }(),
 	}
@@ -222,7 +217,7 @@ func TestRandomConnectedProperty(t *testing.T) {
 }
 
 func TestHypercube(t *testing.T) {
-	g, err := Hypercube(4, 1)
+	g, err := ImplicitHypercube(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +233,10 @@ func TestHypercube(t *testing.T) {
 		t.Errorf("Q4 diameter = %d, want 4", d)
 	}
 	checkDistinctWeights(t, g)
-	if _, err := Hypercube(0, 1); err == nil {
+	if _, err := ImplicitHypercube(0, 1); err == nil {
 		t.Error("dim 0 should error")
 	}
-	if _, err := Hypercube(21, 1); err == nil {
-		t.Error("dim 21 should error")
+	if _, err := ImplicitHypercube(31, 1); err == nil {
+		t.Error("dim 31 should error")
 	}
 }

@@ -18,7 +18,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // implicitMaxEdges bounds implicit forms to edge ids representable in the
@@ -358,20 +357,12 @@ func ImplicitBinaryTree(n int, seed int64) (*Implicit, error) {
 	return t, nil
 }
 
-// squareSides resolves a node-count spec for grid/torus the way cmd/mmnet
-// always has: a near-square rows×cols with rows*cols >= n.
+// squareSides resolves the node-count form of a grid or torus spec
+// (grid:N): a near-square rows×cols with rows*cols >= n.
 func squareSides(n int) (rows, cols int) {
 	side := int(math.Round(math.Sqrt(float64(n))))
 	if side < 1 {
 		side = 1
 	}
 	return side, (n + side - 1) / side
-}
-
-// log2Exact returns k with 2^k == n, or an error.
-func log2Exact(n int) (int, error) {
-	if n < 2 || n&(n-1) != 0 {
-		return 0, fmt.Errorf("graph: hypercube node count %d is not a power of two", n)
-	}
-	return bits.TrailingZeros(uint(n)), nil
 }

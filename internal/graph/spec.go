@@ -1,41 +1,29 @@
 package graph
 
 // spec.go is the one topology-spec grammar shared by the CLIs (mmnet,
-// mmexp, mmbench) and the test harnesses, so `-graph ring:10000000` means
-// the same thing everywhere.
+// mmreplay, mmexp, mmbench) and the test harnesses, so `-graph
+// ring:10000000` means the same thing everywhere.
 //
 // Grammar:
 //
-//	spec     = ["mat:"] name [":" args]
+//	spec     = ["mat:"] name ":" args
 //	name     = ring|path|grid|torus|hypercube|star|btree|complete|random|ray|ba|ws
 //	args     = int | int "x" int | int "," ... (per family, see below)
 //
-// With args, the implicit-capable families (ring, path, grid, torus,
-// hypercube, star, btree) build the implicit O(1)-memory form with
-// hash-derived weights; the "mat:" prefix materializes the same topology
-// into a stored *Graph (identical ids, weights, and transcripts — the
-// cross-form determinism contract). The remaining families (complete,
-// random, ray, ba, ws) are always materialized, with the generators'
-// permutation weights.
-//
-// Without args, a bare name keeps the historical cmd/mmnet behavior: the
-// materialized generator of gen.go/scalefree.go sized by the Defaults
-// (-n/-extra/-rays/-raylen flags), with permutation weights — so existing
-// invocations and golden transcripts are unchanged.
+// Every spec carries its own size. The implicit-capable families (ring,
+// path, grid, torus, hypercube, star, btree) build the implicit
+// O(1)-memory form with hash-derived weights; the "mat:" prefix
+// materializes the same topology into a stored *Graph (identical ids,
+// weights, and transcripts — the cross-form determinism contract). The
+// remaining families (complete, random, ray, ba, ws) are always
+// materialized, with the generators' permutation weights.
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
-
-// SpecDefaults carries the legacy sizing flags bare-name specs fall back to.
-type SpecDefaults struct {
-	N      int // node count (most families)
-	Extra  int // extra edges (random), attachments per node (ba)
-	Rays   int // rays (ray)
-	RayLen int // ray length (ray)
-}
 
 // SpecNames lists every topology family ParseSpec accepts, in the order the
 // -graph flag documents them. cmd/mmnet's coverage test runs each one, so a
@@ -50,25 +38,22 @@ func SpecNames() []string {
 // SpecHelp is the -graph flag usage string.
 func SpecHelp() string {
 	return "topology: " + strings.Join(SpecNames(), "|") +
-		", sized by -n etc; or a spec like ring:10000000, grid:200x500, ba:5000,3, ws:5000,6,0.1 " +
+		" with its size, e.g. ring:10000000, grid:200x500, random:256,256, ba:5000,3, ws:5000,6,0.1 " +
 		"(implicit O(1)-memory form where available; mat: prefix materializes it)"
 }
 
-// ParseSpec parses a self-contained topology spec ("ring:1024"); bare names
-// are rejected because they need the legacy sizing defaults.
+// ParseSpec parses a topology spec ("ring:1024"). A bare family name is
+// rejected: every spec carries its own size.
 func ParseSpec(spec string, seed int64) (Topology, error) {
-	return ParseSpecWith(spec, seed, SpecDefaults{})
-}
-
-// ParseSpecWith parses spec, resolving bare names against the given legacy
-// defaults (a zero Defaults rejects bare names).
-func ParseSpecWith(spec string, seed int64, d SpecDefaults) (Topology, error) {
 	materialize := false
 	if rest, ok := strings.CutPrefix(spec, "mat:"); ok {
 		materialize, spec = true, rest
 	}
 	name, args, hasArgs := strings.Cut(spec, ":")
-	t, err := buildSpec(name, args, hasArgs, seed, d)
+	if !hasArgs && slices.Contains(SpecNames(), name) {
+		return nil, fmt.Errorf("graph: spec %q needs arguments (e.g. %s:1024)", name, name)
+	}
+	t, err := buildSpec(name, args, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -78,10 +63,7 @@ func ParseSpecWith(spec string, seed int64, d SpecDefaults) (Topology, error) {
 	return t, nil
 }
 
-func buildSpec(name, args string, hasArgs bool, seed int64, d SpecDefaults) (Topology, error) {
-	if !hasArgs {
-		return legacySpec(name, seed, d)
-	}
+func buildSpec(name, args string, seed int64) (Topology, error) {
 	bad := func(want string) error {
 		return fmt.Errorf("graph: spec %s:%s: want %s:%s", name, args, name, want)
 	}
@@ -151,48 +133,6 @@ func buildSpec(name, args string, hasArgs bool, seed int64, d SpecDefaults) (Top
 			return nil, bad("N,K,BETA")
 		}
 		return WattsStrogatz(n, k, beta, seed)
-	default:
-		return nil, fmt.Errorf("graph: unknown topology %q (want %s)", name, strings.Join(SpecNames(), "|"))
-	}
-}
-
-// legacySpec resolves a bare family name against the sizing defaults, using
-// the historical materialized generators and weight scheme.
-func legacySpec(name string, seed int64, d SpecDefaults) (Topology, error) {
-	if d.N == 0 {
-		return nil, fmt.Errorf("graph: spec %q needs arguments (e.g. %s:1024)", name, name)
-	}
-	switch name {
-	case "ring":
-		return Ring(d.N, seed)
-	case "path":
-		return Path(d.N, seed)
-	case "grid":
-		rows, cols := squareSides(d.N)
-		return Grid(rows, cols, seed)
-	case "torus":
-		side, _ := squareSides(d.N)
-		return Torus(side, side, seed)
-	case "hypercube":
-		dim, err := log2Exact(d.N)
-		if err != nil {
-			return nil, err
-		}
-		return Hypercube(dim, seed)
-	case "star":
-		return Star(d.N, seed)
-	case "btree":
-		return BinaryTree(d.N, seed)
-	case "complete":
-		return Complete(d.N, seed)
-	case "random":
-		return RandomConnected(d.N, d.Extra, seed)
-	case "ray":
-		return Ray(d.Rays, d.RayLen, seed)
-	case "ba":
-		return BarabasiAlbert(d.N, 3, seed)
-	case "ws":
-		return WattsStrogatz(d.N, 4, 0.1, seed)
 	default:
 		return nil, fmt.Errorf("graph: unknown topology %q (want %s)", name, strings.Join(SpecNames(), "|"))
 	}

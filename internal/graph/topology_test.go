@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -163,7 +164,7 @@ func TestMaterializeMatchesImplicit(t *testing.T) {
 
 // TestMaterializeGraphIdentity: a *Graph materializes to itself.
 func TestMaterializeGraphIdentity(t *testing.T) {
-	g, err := Ring(8, 1)
+	g, err := RandomConnected(8, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestScaleFreeGenerators(t *testing.T) {
 }
 
 // TestParseSpec covers the shared grammar: implicit specs, the mat: prefix,
-// legacy bare names with defaults, and error cases.
+// the rejection of bare names, and error cases.
 func TestParseSpec(t *testing.T) {
 	top, err := ParseSpec("ring:64", 3)
 	if err != nil {
@@ -370,25 +371,14 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("ba spec: %v", err)
 	}
 
-	// Legacy bare names resolve against defaults with generator weights.
-	d := SpecDefaults{N: 16, Extra: 8, Rays: 2, RayLen: 3}
+	// Every spec carries its own size: each family's bare name is
+	// rejected, with or without the mat: prefix.
 	for _, name := range SpecNames() {
-		if _, err := ParseSpecWith(name, 1, d); err != nil {
-			t.Errorf("bare %q with defaults: %v", name, err)
-		}
-	}
-	legacy, err := ParseSpecWith("ring", 5, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Ring(16, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg := legacy.(*Graph)
-	for id := 0; id < want.M(); id++ {
-		if lg.Edge(id) != want.Edge(id) {
-			t.Fatalf("legacy ring edge %d differs from graph.Ring", id)
+		want := fmt.Sprintf("graph: spec %q needs arguments (e.g. %s:1024)", name, name)
+		for _, spec := range []string{name, "mat:" + name} {
+			if _, err := ParseSpec(spec, 1); err == nil || err.Error() != want {
+				t.Errorf("bare %q: error %v, want %q", spec, err, want)
+			}
 		}
 	}
 

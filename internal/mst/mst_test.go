@@ -7,7 +7,7 @@ import (
 	"repro/internal/partition"
 )
 
-func kruskal(t *testing.T, g *graph.Graph) *graph.MST {
+func kruskal(t *testing.T, g graph.Topology) *graph.MST {
 	t.Helper()
 	m, err := graph.Kruskal(g)
 	if err != nil {
@@ -19,17 +19,17 @@ func kruskal(t *testing.T, g *graph.Graph) *graph.MST {
 func TestMultimediaMSTMatchesKruskal(t *testing.T) {
 	cases := []struct {
 		name string
-		mk   func() (*graph.Graph, error)
+		mk   func() (graph.Topology, error)
 	}{
-		{"path8", func() (*graph.Graph, error) { return graph.Path(8, 3) }},
-		{"ring24", func() (*graph.Graph, error) { return graph.Ring(24, 5) }},
-		{"grid6x5", func() (*graph.Graph, error) { return graph.Grid(6, 5, 7) }},
-		{"random50", func() (*graph.Graph, error) { return graph.RandomConnected(50, 120, 9) }},
-		{"random90sparse", func() (*graph.Graph, error) { return graph.RandomConnected(90, 15, 11) }},
-		{"complete14", func() (*graph.Graph, error) { return graph.Complete(14, 13) }},
-		{"star30", func() (*graph.Graph, error) { return graph.Star(30, 15) }},
-		{"torus5x5", func() (*graph.Graph, error) { return graph.Torus(5, 5, 17) }},
-		{"binarytree31", func() (*graph.Graph, error) { return graph.BinaryTree(31, 19) }},
+		{"path8", func() (graph.Topology, error) { return graph.ImplicitPath(8, 3) }},
+		{"ring24", func() (graph.Topology, error) { return graph.ImplicitRing(24, 5) }},
+		{"grid6x5", func() (graph.Topology, error) { return graph.ImplicitGrid(6, 5, 7) }},
+		{"random50", func() (graph.Topology, error) { return graph.RandomConnected(50, 120, 9) }},
+		{"random90sparse", func() (graph.Topology, error) { return graph.RandomConnected(90, 15, 11) }},
+		{"complete14", func() (graph.Topology, error) { return graph.Complete(14, 13) }},
+		{"star30", func() (graph.Topology, error) { return graph.ImplicitStar(30, 15) }},
+		{"torus5x5", func() (graph.Topology, error) { return graph.ImplicitTorus(5, 5, 17) }},
+		{"binarytree31", func() (graph.Topology, error) { return graph.ImplicitBinaryTree(31, 19) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,7 +166,7 @@ func TestMSTDeterministic(t *testing.T) {
 }
 
 func TestMSTTiny(t *testing.T) {
-	g, err := graph.Path(2, 1)
+	g, err := graph.ImplicitPath(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,9 +72,9 @@ var workerConfigs = []struct {
 	{"step-w4", []sim.Option{sim.WithWorkers(4)}},
 }
 
-func testGraphAndPlan(t *testing.T) (*graph.Graph, *fault.Plan) {
+func testGraphAndPlan(t *testing.T) (graph.Topology, *fault.Plan) {
 	t.Helper()
-	g, err := graph.Ring(64, 1)
+	g, err := graph.ImplicitRing(64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestDeterministicSmallGraphs(t *testing.T) {
 
 func TestDeterministicTinyGraphs(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 7} {
-		g, err := graph.Path(n, 1)
+		g, err := graph.ImplicitPath(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,15 +91,15 @@ func TestDeterministicIsDeterministic(t *testing.T) {
 func TestBoruvkaEqualsKruskal(t *testing.T) {
 	cases := []struct {
 		name string
-		mk   func() (*graph.Graph, error)
+		mk   func() (graph.Topology, error)
 	}{
-		{"ring16", func() (*graph.Graph, error) { return graph.Ring(16, 3) }},
-		{"grid6x6", func() (*graph.Graph, error) { return graph.Grid(6, 6, 5) }},
-		{"random40", func() (*graph.Graph, error) { return graph.RandomConnected(40, 80, 7) }},
-		{"random70sparse", func() (*graph.Graph, error) { return graph.RandomConnected(70, 10, 11) }},
-		{"complete12", func() (*graph.Graph, error) { return graph.Complete(12, 13) }},
-		{"star20", func() (*graph.Graph, error) { return graph.Star(20, 17) }},
-		{"path30", func() (*graph.Graph, error) { return graph.Path(30, 19) }},
+		{"ring16", func() (graph.Topology, error) { return graph.ImplicitRing(16, 3) }},
+		{"grid6x6", func() (graph.Topology, error) { return graph.ImplicitGrid(6, 6, 5) }},
+		{"random40", func() (graph.Topology, error) { return graph.RandomConnected(40, 80, 7) }},
+		{"random70sparse", func() (graph.Topology, error) { return graph.RandomConnected(70, 10, 11) }},
+		{"complete12", func() (graph.Topology, error) { return graph.Complete(12, 13) }},
+		{"star20", func() (graph.Topology, error) { return graph.ImplicitStar(20, 17) }},
+		{"path30", func() (graph.Topology, error) { return graph.ImplicitPath(30, 19) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

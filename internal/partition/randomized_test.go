@@ -8,31 +8,31 @@ import (
 )
 
 // graphs used across the partition tests.
-func testGraphs(t *testing.T, n int) map[string]*graph.Graph {
+func testGraphs(t *testing.T, n int) map[string]graph.Topology {
 	t.Helper()
-	gs := make(map[string]*graph.Graph)
+	gs := make(map[string]graph.Topology)
 	var err error
-	if gs["ring"], err = graph.Ring(n, 1); err != nil {
+	if gs["ring"], err = graph.ImplicitRing(n, 1); err != nil {
 		t.Fatal(err)
 	}
 	side := SqrtN(n)
-	if gs["grid"], err = graph.Grid(side, (n+side-1)/side, 2); err != nil {
+	if gs["grid"], err = graph.ImplicitGrid(side, (n+side-1)/side, 2); err != nil {
 		t.Fatal(err)
 	}
 	if gs["random"], err = graph.RandomConnected(n, 2*n, 3); err != nil {
 		t.Fatal(err)
 	}
-	if gs["star"], err = graph.Star(n, 4); err != nil {
+	if gs["star"], err = graph.ImplicitStar(n, 4); err != nil {
 		t.Fatal(err)
 	}
-	if gs["path"], err = graph.Path(n, 5); err != nil {
+	if gs["path"], err = graph.ImplicitPath(n, 5); err != nil {
 		t.Fatal(err)
 	}
 	return gs
 }
 
 // checkSpanningForest verifies the structural §4 guarantees on a result.
-func checkSpanningForest(t *testing.T, g *graph.Graph, f *forest.Forest, maxRadius int) {
+func checkSpanningForest(t *testing.T, g graph.Topology, f *forest.Forest, maxRadius int) {
 	t.Helper()
 	st := f.Stats()
 	if st.MaxRadius > maxRadius {
@@ -73,7 +73,7 @@ func TestRandomizedSmallGraphs(t *testing.T) {
 
 func TestRandomizedTinyGraphs(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5} {
-		g, err := graph.Path(n, 1)
+		g, err := graph.ImplicitPath(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestRandomizedTimeBound(t *testing.T) {
 	// Worst-case time O(√n log* n): check rounds ≤ c·√n for a generous c
 	// (iterations ≈ ln* n + 2, each ≈ 12√n rounds).
 	for _, n := range []int{64, 256} {
-		g, err := graph.Ring(n, 1)
+		g, err := graph.ImplicitRing(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

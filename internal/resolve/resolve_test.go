@@ -57,7 +57,7 @@ func metcalfeBoggs(c *sim.StepCtx, estimate int, contending bool, payload sim.Pa
 // returns per-node results plus metrics.
 func runProtocol(t *testing.T, n int, seed int64, prog sim.StepProgram) *sim.Result {
 	t.Helper()
-	g, err := graph.Ring(n, 1)
+	g, err := graph.ImplicitRing(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func (m *electTestMachine) Result() any { return m.out }
 // runElection runs the election on a ring of n nodes.
 func runElection(t *testing.T, n int, contending func(id int) bool) *sim.Result {
 	t.Helper()
-	g, err := graph.Ring(n, 1)
+	g, err := graph.ImplicitRing(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

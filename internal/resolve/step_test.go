@@ -15,7 +15,7 @@ import (
 // slots and the halting round, with no point-to-point traffic.
 func TestElectMaxID(t *testing.T) {
 	for _, n := range []int{3, 7, 33, 64} {
-		g, err := graph.Ring(n, 1)
+		g, err := graph.ImplicitRing(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestElectMaxID(t *testing.T) {
 // machines halt in the last slot's round. The values were recorded from the
 // blocking form the component replaced.
 func TestCapetanakisStepPinned(t *testing.T) {
-	g, err := graph.Ring(24, 1)
+	g, err := graph.ImplicitRing(24, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestCapetanakisStepPinned(t *testing.T) {
 // 16-node ring contending with estimate 4, at three seeds. The values were
 // recorded from the blocking form the component replaced.
 func TestMetcalfeBoggsStepPinned(t *testing.T) {
-	g, err := graph.Ring(16, 1)
+	g, err := graph.ImplicitRing(16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

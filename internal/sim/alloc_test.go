@@ -43,11 +43,12 @@ type dietForm struct {
 // run.
 func dietForms(t *testing.T) []dietForm {
 	t.Helper()
-	imp, err := graph.ImplicitRing(dietRingN, 1)
+	imp := ring(t, dietRingN)
+	stored, err := graph.Materialize(imp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []dietForm{{"stored", ring(t, dietRingN)}, {"implicit", imp}}
+	return []dietForm{{"stored", stored}, {"implicit", imp}}
 }
 
 func stepAllocsPerRound(t *testing.T, g graph.Topology, workers int) float64 {

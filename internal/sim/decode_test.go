@@ -106,7 +106,7 @@ func committedFixtures(t testing.TB, pattern string) [][]byte {
 func smallCheckpoint(t testing.TB) []byte {
 	var cps []*Checkpoint
 	spec := &CheckpointSpec{At: []int{3}, Sink: collectCheckpoints(&cps)}
-	g, err := graph.Ring(6, 1)
+	g, err := graph.ImplicitRing(6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func smallCheckpoint(t testing.TB) []byte {
 
 // smallTranscript records a short transcriptMachine run on a ring.
 func smallTranscript(t testing.TB, gz bool) []byte {
-	g, err := graph.Ring(5, 1)
+	g, err := graph.ImplicitRing(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ type ffOutcome struct {
 
 // runFFBoth runs the program with and without fast-forward and requires
 // bit-identical outcomes, returning the fast-forwarded one.
-func runFFBoth(t *testing.T, g *graph.Graph, prog StepProgram, opts ...Option) ffOutcome {
+func runFFBoth(t *testing.T, g graph.Topology, prog StepProgram, opts ...Option) ffOutcome {
 	t.Helper()
 	capture := func() ffOutcome {
 		res, err := RunStep(g, prog, opts...)

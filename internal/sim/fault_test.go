@@ -16,7 +16,7 @@ import (
 
 // faultWorkers runs the program with 1 and 4 workers, asserts the two
 // outcomes are identical, and returns the common result.
-func faultWorkers(t *testing.T, g *graph.Graph, program StepProgram, opts ...Option) *Result {
+func faultWorkers(t *testing.T, g graph.Topology, program StepProgram, opts ...Option) *Result {
 	t.Helper()
 	var ref *Result
 	for _, w := range []int{1, 4} {
@@ -97,7 +97,7 @@ func arrivalsAt1(rounds int, sendAt func(r int) bool) StepProgram {
 // last completed round are delivered, nothing later; messages addressed to
 // it after the crash are dropped as to a halted node.
 func TestFaultCrashStop(t *testing.T) {
-	g, err := graph.Path(3, 1)
+	g, err := graph.ImplicitPath(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestFaultCrashStop(t *testing.T) {
 
 // TestFaultLinkDrop checks a finite drop window on one edge.
 func TestFaultLinkDrop(t *testing.T) {
-	g, err := graph.Path(2, 1)
+	g, err := graph.ImplicitPath(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFaultLinkDrop(t *testing.T) {
 
 // TestFaultDelayAndDup checks delayed and duplicated deliveries.
 func TestFaultDelayAndDup(t *testing.T) {
-	g, err := graph.Path(2, 1)
+	g, err := graph.ImplicitPath(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestFaultDelayAndDup(t *testing.T) {
 // TestFaultJam checks that a jammed slot presents as a collision to every
 // node, hiding a lone writer.
 func TestFaultJam(t *testing.T) {
-	g, err := graph.Path(3, 1)
+	g, err := graph.ImplicitPath(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestFaultJam(t *testing.T) {
 // TestFaultDefaultFaults checks that the process-wide default plan applies
 // when no WithFaults option is given and that WithFaults(nil) overrides it.
 func TestFaultDefaultFaults(t *testing.T) {
-	g, err := graph.Path(2, 1)
+	g, err := graph.ImplicitPath(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestFaultDefaultFaults(t *testing.T) {
 // message in flight, the engine must keep ticking (not declare quiescence)
 // and wake the recipient at the fault-assigned round.
 func TestFaultNativeSleepDelay(t *testing.T) {
-	g, err := graph.Path(2, 1)
+	g, err := graph.ImplicitPath(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestFaultStressPinned(t *testing.T) {
 // deliberately unaffected: a broadcast from inside the minority component
 // still reaches the whole network mid-partition.
 func TestFaultPartitionWindowHeal(t *testing.T) {
-	g, err := graph.Path(3, 1)
+	g, err := graph.ImplicitPath(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestFaultPartitionWindowHeal(t *testing.T) {
 // state and a fresh RNG stream (nodeSeedAt incarnation 1), and its result
 // replaces the dead incarnation's.
 func TestFaultRestart(t *testing.T) {
-	g, err := graph.Path(3, 1)
+	g, err := graph.ImplicitPath(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +550,7 @@ func TestFaultRestart(t *testing.T) {
 // TestFaultRecurringWindow checks the /eN modifier: a 2-round drop window
 // recurring every 4 rounds fires at deliver rounds 2-3, 6-7, 10-11.
 func TestFaultRecurringWindow(t *testing.T) {
-	g, err := graph.Path(2, 1)
+	g, err := graph.ImplicitPath(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func TestFaultRecurringWindow(t *testing.T) {
 // only mean something where a synchronizer simulates per-node clocks, so a
 // plain round-synchronous run must refuse the plan.
 func TestFaultSkewRequiresSynchronizer(t *testing.T) {
-	g, err := graph.Path(2, 1)
+	g, err := graph.ImplicitPath(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +597,7 @@ func TestFaultSkewRequiresSynchronizer(t *testing.T) {
 // message leaving the skewed node during the window arrives /dN rounds
 // late, like a delay but keyed on the sender, and counts as Skewed.
 func TestFaultSkew(t *testing.T) {
-	g, err := graph.Path(2, 1)
+	g, err := graph.ImplicitPath(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,18 +8,18 @@ import (
 	"repro/internal/graph"
 )
 
-func ring(t *testing.T, n int) *graph.Graph {
+func ring(t *testing.T, n int) graph.Topology {
 	t.Helper()
-	g, err := graph.Ring(n, 1)
+	g, err := graph.ImplicitRing(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
-func path(t *testing.T, n int) *graph.Graph {
+func path(t *testing.T, n int) graph.Topology {
 	t.Helper()
-	g, err := graph.Path(n, 1)
+	g, err := graph.ImplicitPath(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -361,7 +361,7 @@ func TestStepInboxAppendSafe(t *testing.T) {
 	// successor, so all the round's inbox windows sit side by side in one
 	// arena.
 	const n = 8
-	g, err := graph.Ring(n, 1)
+	g, err := graph.ImplicitRing(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // round, and no message is in flight when the pulse fires.
 func TestBarrierConvergecast(t *testing.T) {
 	const n = 9
-	g, err := graph.Path(n, 1)
+	g, err := graph.ImplicitPath(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestBarrierConvergecast(t *testing.T) {
 
 // TestBarrierAllPassive: a step where nobody works ends after one idle slot.
 func TestBarrierAllPassive(t *testing.T) {
-	g, err := graph.Ring(5, 1)
+	g, err := graph.ImplicitRing(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestBarrierAllPassive(t *testing.T) {
 // all nodes even when different nodes do different amounts of work. Each
 // pulse round's input starts the next step.
 func TestBarrierSequence(t *testing.T) {
-	g, err := graph.Ring(6, 1)
+	g, err := graph.ImplicitRing(6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestBarrierSequence(t *testing.T) {
 // TestBarrierForcesBusyOnSend: a handler that sends but reports inactive
 // must still hold the barrier (no premature pulse).
 func TestBarrierForcesBusyOnSend(t *testing.T) {
-	g, err := graph.Path(2, 1)
+	g, err := graph.ImplicitPath(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

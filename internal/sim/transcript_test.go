@@ -46,7 +46,7 @@ func transcriptMachine(c *StepCtx) Machine {
 
 // runTranscript runs transcriptMachine with a transcript writer installed
 // and returns the raw transcript bytes.
-func runTranscript(t *testing.T, g *graph.Graph, opts ...Option) []byte {
+func runTranscript(t *testing.T, g graph.Topology, opts ...Option) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	tw := NewTranscriptWriter(&buf, false)

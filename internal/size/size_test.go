@@ -12,15 +12,15 @@ import (
 func TestExactComputesN(t *testing.T) {
 	cases := []struct {
 		name string
-		mk   func() (*graph.Graph, error)
+		mk   func() (graph.Topology, error)
 		n    int
 	}{
-		{"path2", func() (*graph.Graph, error) { return graph.Path(2, 1) }, 2},
-		{"ring16", func() (*graph.Graph, error) { return graph.Ring(16, 1) }, 16},
-		{"ring30", func() (*graph.Graph, error) { return graph.Ring(30, 1) }, 30},
-		{"grid5x8", func() (*graph.Graph, error) { return graph.Grid(5, 8, 3) }, 40},
-		{"random77", func() (*graph.Graph, error) { return graph.RandomConnected(77, 100, 5) }, 77},
-		{"star25", func() (*graph.Graph, error) { return graph.Star(25, 7) }, 25},
+		{"path2", func() (graph.Topology, error) { return graph.ImplicitPath(2, 1) }, 2},
+		{"ring16", func() (graph.Topology, error) { return graph.ImplicitRing(16, 1) }, 16},
+		{"ring30", func() (graph.Topology, error) { return graph.ImplicitRing(30, 1) }, 30},
+		{"grid5x8", func() (graph.Topology, error) { return graph.ImplicitGrid(5, 8, 3) }, 40},
+		{"random77", func() (graph.Topology, error) { return graph.RandomConnected(77, 100, 5) }, 77},
+		{"star25", func() (graph.Topology, error) { return graph.ImplicitStar(25, 7) }, 25},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -45,7 +45,7 @@ func TestExactComputesN(t *testing.T) {
 func TestExactWithLargeIDUniverse(t *testing.T) {
 	// The algorithm must tolerate a loose id bound (the paper's |id| can
 	// exceed n).
-	g, err := graph.Ring(20, 1)
+	g, err := graph.ImplicitRing(20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestExactWithLargeIDUniverse(t *testing.T) {
 }
 
 func TestExactRejectsTightUniverse(t *testing.T) {
-	g, err := graph.Ring(20, 1)
+	g, err := graph.ImplicitRing(20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestEstimateDistribution(t *testing.T) {
 	// §7.4: 2^k is within a constant factor of n w.h.p. Check the median
 	// ratio over seeds for several sizes.
 	for _, n := range []int{32, 128, 512} {
-		g, err := graph.Ring(n, 1)
+		g, err := graph.ImplicitRing(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestEstimateDistribution(t *testing.T) {
 // the survivors alone must agree — whether the crashed node is node 0 or
 // any other.
 func TestEstimateSurvivesCrashes(t *testing.T) {
-	g, err := graph.Ring(16, 1)
+	g, err := graph.ImplicitRing(16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestEstimateSurvivesCrashes(t *testing.T) {
 }
 
 func TestEstimateDeterministicPerSeed(t *testing.T) {
-	g, err := graph.Ring(64, 1)
+	g, err := graph.ImplicitRing(64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,13 +12,13 @@ import (
 func TestCensusCountsExactly(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		mk   func() (*graph.Graph, error)
+		mk   func() (graph.Topology, error)
 		n    int
 	}{
-		{"ring200", func() (*graph.Graph, error) { return graph.Ring(200, 1) }, 200},
-		{"grid12x12", func() (*graph.Graph, error) { return graph.Grid(12, 12, 2) }, 144},
-		{"random81", func() (*graph.Graph, error) { return graph.RandomConnected(81, 160, 3) }, 81},
-		{"path2", func() (*graph.Graph, error) { return graph.Path(2, 4) }, 2},
+		{"ring200", func() (graph.Topology, error) { return graph.ImplicitRing(200, 1) }, 200},
+		{"grid12x12", func() (graph.Topology, error) { return graph.ImplicitGrid(12, 12, 2) }, 144},
+		{"random81", func() (graph.Topology, error) { return graph.RandomConnected(81, 160, 3) }, 81},
+		{"path2", func() (graph.Topology, error) { return graph.ImplicitPath(2, 4) }, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := tc.mk()
@@ -66,7 +66,7 @@ func TestEstimateSlotAccounting(t *testing.T) {
 // median across seeds is within a constant factor of n.
 func TestGreenbergLadnerEstimate(t *testing.T) {
 	for _, n := range []int{16, 64, 256} {
-		g, err := graph.Ring(n, 1)
+		g, err := graph.ImplicitRing(n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,7 +61,7 @@ func TestSnapshotConsistentCut(t *testing.T) {
 	// Nodes run a local counter incremented every round; a snapshot must
 	// capture all counters at the same round, so all recorded values agree.
 	const n = 12
-	g, err := graph.Ring(n, 1)
+	g, err := graph.ImplicitRing(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSnapshotConsistentCut(t *testing.T) {
 }
 
 func TestSnapshotNoInitiator(t *testing.T) {
-	g, err := graph.Ring(5, 1)
+	g, err := graph.ImplicitRing(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

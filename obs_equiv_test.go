@@ -35,7 +35,7 @@ func TestObservedRunsMatchUnobserved(t *testing.T) {
 			for _, planStr := range plans {
 				name := fmt.Sprintf("%s/step-w%d/f%q", proto.Name, workers, planStr)
 				t.Run(name, func(t *testing.T) {
-					g, err := graph.Ring(24, 3)
+					g, err := graph.ImplicitRing(24, 3)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -197,7 +197,7 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 		name string
 		mk   func() (graph.Topology, error)
 	}{
-		{"ring26", func() (graph.Topology, error) { return graph.Ring(26, 3) }},
+		{"ring26", func() (graph.Topology, error) { return graph.ImplicitRing(26, 3) }},
 		{"random22", func() (graph.Topology, error) { return graph.RandomConnected(22, 30, 5) }},
 	}
 	for _, proto := range resumeProtocols {
@@ -236,7 +236,7 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 // per link, a value and a result per tree edge.
 func TestResumeCensusIsRegistryCensus(t *testing.T) {
 	const n = 26
-	g, err := graph.Ring(n, 3)
+	g, err := graph.ImplicitRing(n, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func FuzzResumeEquivalence(f *testing.F) {
 			t.Skip("negative seeds normalize to themselves")
 		}
 		proto := resumeProtocols[int(protoSel)%len(resumeProtocols)]
-		g, err := graph.Ring(8+int(nSel)%24, 3)
+		g, err := graph.ImplicitRing(8+int(nSel)%24, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
