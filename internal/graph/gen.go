@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -28,21 +30,44 @@ func buildFrom(n int, edges []Edge, seed int64) (*Graph, error) {
 	return b.Build()
 }
 
-// MaxCompleteEdges caps Complete: K_n is materialized — edge list plus two
-// adjacency halves per edge, roughly 72 bytes each — so n(n-1)/2 edges past
-// ~2^25 (≈ 8200 nodes, ≈ 2.4 GiB) turn a typo like `complete:1000000` into
-// an OOM kill instead of an error. Kept far above every experiment size.
-const MaxCompleteEdges = 1 << 25
+// MaxStoredEdges caps every stored graph, whether a generator builds it or
+// Materialize copies an implicit form. A stored graph keeps each edge in
+// its edge list and twice in adjacency, 48 bytes an edge, and building one
+// through the Builder costs several times that in transient lists and
+// maps. Past the cap a spec such as mat:ring:100000000 or complete:1000000
+// returns an error instead of exhausting memory. The largest stored graphs
+// the module builds, mat:ring:1000000 and E12b's ba:200000,3, stay more
+// than 30 times below it.
+const MaxStoredEdges = 1 << 25
 
-// Complete returns the complete graph K_n, for n(n-1)/2 <= MaxCompleteEdges.
+// edgeCount returns a*b + c, saturating at math.MaxUint64, so an edge count
+// computed from hostile sizes cannot wrap below MaxStoredEdges.
+func edgeCount(a, b, c uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	sum, carry := bits.Add64(lo, c, 0)
+	if hi != 0 || carry != 0 {
+		return math.MaxUint64
+	}
+	return sum
+}
+
+// checkStored returns an error if a stored graph of m edges would exceed
+// MaxStoredEdges; format and args name the request in the error.
+func checkStored(m uint64, format string, args ...any) error {
+	if m <= MaxStoredEdges {
+		return nil
+	}
+	return fmt.Errorf("graph: %s would store more than MaxStoredEdges (%d) edges",
+		fmt.Sprintf(format, args...), MaxStoredEdges)
+}
+
+// Complete returns the complete graph K_n, for n(n-1)/2 <= MaxStoredEdges.
 func Complete(n int, seed int64) (*Graph, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("graph: complete needs n >= 2, got %d", n)
 	}
-	// The n > 2^16 pre-check keeps n*(n-1) far from int overflow.
-	if m := n * (n - 1) / 2; n > 1<<16 || m > MaxCompleteEdges {
-		return nil, fmt.Errorf("graph: complete on %d nodes needs %d edges, above the %d cap (see MaxCompleteEdges)",
-			n, m, MaxCompleteEdges)
+	if err := checkStored(edgeCount(uint64(n), uint64(n-1), 0)/2, "complete:%d", n); err != nil {
+		return nil, err
 	}
 	var edges []Edge
 	for i := 0; i < n; i++ {
@@ -55,10 +80,20 @@ func Complete(n int, seed int64) (*Graph, error) {
 
 // RandomConnected returns a connected graph on n nodes with exactly
 // n-1+extra edges: a random attachment spanning tree plus extra distinct
-// random chords. extra is clamped to the number of available non-edges.
+// random chords. extra is clamped to the number of available non-edges
+// (and a negative extra to 0).
 func RandomConnected(n, extra int, seed int64) (*Graph, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("graph: random connected needs n >= 2, got %d", n)
+	}
+	// A tree under the cap keeps n(n-1)/2 far from overflow; extra is then
+	// clamped before it sizes anything.
+	if err := checkStored(uint64(n-1), "random:%d,%d", n, extra); err != nil {
+		return nil, err
+	}
+	extra = min(max(extra, 0), n*(n-1)/2-(n-1))
+	if err := checkStored(uint64(n-1+extra), "random:%d,%d", n, extra); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	seen := make(map[[2]NodeID]bool, n-1+extra)
@@ -80,10 +115,6 @@ func RandomConnected(n, extra int, seed int64) (*Graph, error) {
 		v := NodeID(order[rng.Intn(i)])
 		add(u, v)
 	}
-	maxExtra := n*(n-1)/2 - (n - 1)
-	if extra > maxExtra {
-		extra = maxExtra
-	}
 	for added := 0; added < extra; {
 		u := NodeID(rng.Intn(n))
 		v := NodeID(rng.Intn(n))
@@ -100,6 +131,9 @@ func RandomConnected(n, extra int, seed int64) (*Graph, error) {
 func Ray(rays, rayLen int, seed int64) (*Graph, error) {
 	if rays < 1 || rayLen < 1 {
 		return nil, fmt.Errorf("graph: ray needs rays, rayLen >= 1, got %d, %d", rays, rayLen)
+	}
+	if err := checkStored(edgeCount(uint64(rays), uint64(rayLen), 0), "ray:%d,%d", rays, rayLen); err != nil {
+		return nil, err
 	}
 	n := 1 + rays*rayLen
 	var edges []Edge

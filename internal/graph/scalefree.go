@@ -22,8 +22,12 @@ func BarabasiAlbert(n, attach int, seed int64) (*Graph, error) {
 	if attach < 1 {
 		return nil, fmt.Errorf("graph: barabasi-albert needs attach >= 1, got %d", attach)
 	}
-	if n < attach+2 {
+	if n < 2 || n-2 < attach {
 		return nil, fmt.Errorf("graph: barabasi-albert needs n >= attach+2, got n=%d attach=%d", n, attach)
+	}
+	clique := edgeCount(uint64(attach), uint64(attach+1), 0) / 2
+	if err := checkStored(edgeCount(uint64(n-attach-1), uint64(attach), clique), "ba:%d,%d", n, attach); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var edges []Edge
@@ -73,11 +77,14 @@ func WattsStrogatz(n, k int, beta float64, seed int64) (*Graph, error) {
 	if k < 2 || k%2 != 0 {
 		return nil, fmt.Errorf("graph: watts-strogatz needs even k >= 2, got %d", k)
 	}
-	if n < k+2 {
+	if n < 2 || n-2 < k {
 		return nil, fmt.Errorf("graph: watts-strogatz needs n >= k+2, got n=%d k=%d", n, k)
 	}
 	if beta < 0 || beta > 1 {
 		return nil, fmt.Errorf("graph: watts-strogatz needs beta in [0,1], got %g", beta)
+	}
+	if err := checkStored(edgeCount(uint64(n), uint64(k/2), 0), "ws:%d,%d,%g", n, k, beta); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	seen := make(map[[2]NodeID]bool, n*k/2)

@@ -85,6 +85,9 @@ func Materialize(t Topology) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: materialize: n must be positive, got %d", n)
 	}
+	if err := checkStored(uint64(m), "materializing %d nodes", n); err != nil {
+		return nil, err
+	}
 	g := &Graph{
 		n:     n,
 		edges: make([]Edge, m),

@@ -246,17 +246,6 @@ func TestImplicitConstructorErrors(t *testing.T) {
 	}
 }
 
-// TestCompleteCap: the OOM guard rejects oversized complete graphs with a
-// clear error and accepts sizes under the cap.
-func TestCompleteCap(t *testing.T) {
-	if _, err := Complete(1_000_000, 1); err == nil {
-		t.Fatal("complete n=10^6 accepted; want cap error")
-	}
-	if _, err := Complete(64, 1); err != nil {
-		t.Fatalf("complete n=64: %v", err)
-	}
-}
-
 // TestImplicitScaleConstantMemory spot-checks the point of the exercise: a
 // 10^7-node implicit ring answers queries without materializing anything.
 func TestImplicitScaleConstantMemory(t *testing.T) {
