@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/difftest"
@@ -41,9 +42,7 @@ var diffFaultPlans = []string{
 // diffTuple is one generated differential test case.
 type diffTuple struct {
 	proto   difftest.Protocol
-	graph   string
-	n       int
-	extra   int
+	spec    string // graph.ParseSpec spec, built with gseed
 	gseed   int64
 	seed    int64
 	workers int
@@ -51,66 +50,31 @@ type diffTuple struct {
 }
 
 func (d diffTuple) String() string {
-	return fmt.Sprintf("%s/%s-n%d-gs%d-s%d-w%d-f%q",
-		d.proto.Name, d.graph, d.n, d.gseed, d.seed, d.workers, d.plan)
+	return fmt.Sprintf("%s/%s-gs%d-s%d-w%d-f%q",
+		d.proto.Name, d.spec, d.gseed, d.seed, d.workers, d.plan)
+}
+
+// tupleSpecs are the topologies tuples draw from, indexed by topoSel. The
+// positions are fixed so corpus entries map stably onto cases: selectors
+// 0-3 keep their historical families (mat: keeps the ring, path and star
+// stored), and the committed corpus predates the implicit and
+// heavy-tailed additions in 4-7.
+var tupleSpecs = []string{
+	"mat:ring:%d", "mat:path:%d", "random:%[1]d,%[1]d", "mat:star:%d",
+	"ring:%d", "btree:%d", "ba:%d,2", "ws:%d,4,0.25",
 }
 
 // makeTuple derives a tuple from raw draws (shared by the seeded table and
-// the fuzz target, so corpus entries map stably onto cases; selectors 0-3
-// keep their historical meaning — the committed corpus predates the
-// implicit/heavy-tailed additions in 4-7).
+// the fuzz target).
 func makeTuple(protoSel, topoSel, nSel uint8, gseed, seed int64, workerSel, planSel uint8) diffTuple {
 	protos := difftest.Protocols()
-	t := diffTuple{
+	return diffTuple{
 		proto:   protos[int(protoSel)%len(protos)],
-		n:       10 + int(nSel)%30,
+		spec:    fmt.Sprintf(tupleSpecs[int(topoSel)%len(tupleSpecs)], 10+int(nSel)%30),
 		gseed:   1 + gseed%100,
 		seed:    1 + seed%100,
 		workers: []int{1, 2, 5}[int(workerSel)%3],
 		plan:    diffFaultPlans[int(planSel)%len(diffFaultPlans)],
-	}
-	switch topoSel % 8 {
-	case 0:
-		t.graph = "ring"
-	case 1:
-		t.graph = "path"
-	case 2:
-		t.graph = "random"
-		t.extra = t.n
-	case 3:
-		t.graph = "star"
-	case 4:
-		t.graph = "ring-implicit"
-	case 5:
-		t.graph = "btree-implicit"
-	case 6:
-		t.graph = "ba"
-	default:
-		t.graph = "ws"
-	}
-	return t
-}
-
-func (d diffTuple) makeGraph() (graph.Topology, error) {
-	switch d.graph {
-	case "ring":
-		return graph.ImplicitRing(d.n, d.gseed)
-	case "path":
-		return graph.ImplicitPath(d.n, d.gseed)
-	case "random":
-		return graph.RandomConnected(d.n, d.extra, d.gseed)
-	case "star":
-		return graph.ImplicitStar(d.n, d.gseed)
-	case "ring-implicit":
-		return graph.ImplicitRing(d.n, d.gseed)
-	case "btree-implicit":
-		return graph.ImplicitBinaryTree(d.n, d.gseed)
-	case "ba":
-		return graph.BarabasiAlbert(d.n, 2, d.gseed)
-	case "ws":
-		return graph.WattsStrogatz(d.n, 4, 0.25, d.gseed)
-	default:
-		return nil, fmt.Errorf("unknown graph %q", d.graph)
 	}
 }
 
@@ -128,7 +92,7 @@ func (d diffTuple) pairedWorkers() int {
 // on any divergence.
 func checkTuple(t *testing.T, d diffTuple) {
 	t.Helper()
-	g, err := d.makeGraph()
+	g, err := graph.ParseSpec(d.spec, d.gseed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +130,8 @@ func reduceDivergence(d diffTuple, g graph.Topology, plan *fault.Plan) string {
 	prog, err := replay.Program(d.proto.Name)
 	if err != nil {
 		fmt.Fprintf(&buf, "auto-reduce: %s is a multi-run protocol, and state bisection covers only the single-run census|estimate; try:\n"+
-			"  go run ./cmd/mmreplay -bisect -algo census -graph %s -n %d -seed %d -faults %q -workers-a 1 -workers-b %d\n",
-			d.proto.Name, d.graph, d.n, d.seed, d.plan, wb)
+			"  go run ./cmd/mmreplay -bisect -algo census -graph %s -seed %d -faults %q -workers-a 1 -workers-b %d\n",
+			d.proto.Name, d.spec, d.gseed, d.plan, wb)
 		return buf.String()
 	}
 	fmt.Fprintf(&buf, "auto-reduce (state bisection, workers 1 vs %d):\n", wb)
@@ -175,6 +139,32 @@ func reduceDivergence(d diffTuple, g graph.Topology, plan *fault.Plan) string {
 		fmt.Fprintf(&buf, "bisect failed: %v\n", err)
 	}
 	return buf.String()
+}
+
+// TestDivergenceHintRebuildsGraph: the repro command reduceDivergence
+// prints for a multi-run protocol names the tuple's own graph, a spec that
+// graph.ParseSpec (and so mmreplay) builds with the printed graph seed.
+func TestDivergenceHintRebuildsGraph(t *testing.T) {
+	protoSel := -1
+	for i, p := range difftest.Protocols() {
+		if _, err := replay.Program(p.Name); err != nil {
+			protoSel = i
+			break
+		}
+	}
+	if protoSel < 0 {
+		t.Fatal("no multi-run protocol in the registry")
+	}
+	for topoSel := range tupleSpecs {
+		d := makeTuple(uint8(protoSel), uint8(topoSel), 7, 41, 12, 0, 0)
+		if _, err := graph.ParseSpec(d.spec, d.gseed); err != nil {
+			t.Errorf("topoSel %d: spec %q: %v", topoSel, d.spec, err)
+		}
+		want := fmt.Sprintf("-graph %s -seed %d ", d.spec, d.gseed)
+		if hint := reduceDivergence(d, nil, nil); !strings.Contains(hint, want) {
+			t.Errorf("topoSel %d: hint lacks %q:\n%s", topoSel, want, hint)
+		}
+	}
 }
 
 // TestSeededRandomDifferential draws a fixed table of tuples from a seeded
