@@ -26,16 +26,11 @@ func runE9(w io.Writer, full bool) error {
 	}
 	for _, n := range sizes {
 		for _, name := range []string{"ring", "grid"} {
-			var (
-				g   graph.Topology
-				err error
-			)
-			if name == "ring" {
-				g, err = graph.ImplicitRing(n, 1)
-			} else {
-				side := sqrtSide(n)
-				g, err = graph.ImplicitGrid(side, side, 1)
+			spec := fmt.Sprintf("ring:%d", n)
+			if name == "grid" {
+				spec = fmt.Sprintf("grid:%dx%[1]d", sqrtSide(n))
 			}
+			g, err := graph.ParseSpec(spec, 1)
 			if err != nil {
 				return err
 			}

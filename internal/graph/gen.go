@@ -12,20 +12,13 @@ import (
 // 1..m, matching the paper's w.l.o.g. distinct-weight assumption while
 // keeping weights independent of the topology's construction order.
 
-// assignWeights overwrites edge weights with a seeded permutation of 1..m.
-func assignWeights(edges []Edge, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(len(edges))
-	for i := range edges {
-		edges[i].Weight = Weight(perm[i] + 1)
-	}
-}
-
+// buildFrom builds the graph of n nodes and the given edges, weighted by a
+// seeded permutation of 1..m in edge order.
 func buildFrom(n int, edges []Edge, seed int64) (*Graph, error) {
-	assignWeights(edges, seed)
+	perm := rand.New(rand.NewSource(seed)).Perm(len(edges))
 	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(e.U, e.V, e.Weight)
+	for i, e := range edges {
+		b.AddEdge(e.U, e.V, Weight(perm[i]+1))
 	}
 	return b.Build()
 }
