@@ -1,11 +1,10 @@
-// Command mmexp regenerates the experiment tables recorded in
-// EXPERIMENTS.md: one table per paper claim (see DESIGN.md §5 for the
-// index).
+// Command mmexp regenerates the experiment tables: one table per paper
+// claim (-list prints the index).
 //
 // Usage:
 //
 //	mmexp                # quick sweep (seconds)
-//	mmexp -full          # full sweep used for EXPERIMENTS.md (minutes)
+//	mmexp -full          # full sweep (minutes)
 //	mmexp -only E3       # a single experiment
 //	mmexp -only E9       # step-engine scaling table (10⁶ nodes with -full)
 //	mmexp -only E10      # chaos: degradation under crash/jam fault plans

@@ -8,7 +8,7 @@ import (
 	"repro/internal/partition"
 )
 
-// runA4 quantifies the DESIGN.md ablation A4: sequential (GHS-style)
+// runA4 quantifies ablation A4: sequential (GHS-style)
 // minimum-outgoing-edge testing charges each rejected edge once overall,
 // keeping messages at O(m + n·log n·log*n), while parallel testing re-tests
 // accepted edges every phase (O(m·log n) messages) in exchange for fewer

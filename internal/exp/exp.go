@@ -1,8 +1,8 @@
 // Package exp defines the experiment suite that reproduces every
 // complexity claim of the paper as an empirical scaling table (the paper is
-// theory-only, so its theorems play the role of its evaluation section; see
-// DESIGN.md §5 for the experiment index). Each experiment prints the table
-// recorded in EXPERIMENTS.md; cmd/mmexp regenerates them all.
+// theory-only, so its theorems play the role of its evaluation section).
+// Each experiment prints one table; cmd/mmexp regenerates them all, and
+// `mmexp -list` prints the index.
 package exp
 
 import (

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Ablation A4 (DESIGN.md): the alternative MWOE search that tests all
+// Ablation A4 (`mmexp -only A4`): the alternative MWOE search that tests all
 // untested edges in parallel instead of sequentially in weight order. It
 // finishes in O(1) rounds plus the convergecast instead of O(1 + rejects),
 // but re-tests accepted edges every phase, so its message complexity grows
