@@ -1,6 +1,7 @@
 // Benchmarks that regenerate every experiment table (`go run ./cmd/mmexp
 // -list` prints the index): one bench per table/claim, each running the
-// quick parameter sweep per iteration. Run the full sweeps with `go run ./cmd/mmexp -full`.
+// quick parameter sweep per iteration. Run the full sweeps with
+// `go run ./cmd/mmexp -full`.
 package repro
 
 import (
