@@ -13,8 +13,7 @@ var equivalenceTopologies = []struct {
 	name string
 	mk   func() (*graph.Graph, error)
 }{
-	// WattsStrogatz(n, 2, 0, s) is the ring with its historical permutation
-	// weights, which the committed ring48 fixtures were recorded on.
+	// The fixtures' ring: WattsStrogatz(n, 2, 0, s) is the legacy Ring(n, s+1).
 	{"ring48", func() (*graph.Graph, error) { return graph.WattsStrogatz(48, 2, 0, 1) }},
 	{"random33", func() (*graph.Graph, error) { return graph.RandomConnected(33, 66, 10) }},
 	{"ray4x4", func() (*graph.Graph, error) { return graph.Ray(4, 4, 9) }},

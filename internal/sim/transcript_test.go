@@ -62,8 +62,7 @@ func runTranscript(t *testing.T, g graph.Topology, opts ...Option) []byte {
 // TestTranscriptPinned holds transcriptMachine's stream and outcome to
 // committed fixtures, fault-free and faulted, at 1 and 4 workers.
 func TestTranscriptPinned(t *testing.T) {
-	// WattsStrogatz(n, 2, 0, s) is the 8-ring with the permutation weights
-	// the pins were recorded on.
+	// The pins' ring: WattsStrogatz(n, 2, 0, s) is the legacy Ring(n, s+1).
 	g, err := graph.WattsStrogatz(8, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
