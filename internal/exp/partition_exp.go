@@ -16,8 +16,8 @@ func partitionGraphs(n int) (map[string]graph.Topology, error) {
 	if gs["ring"], err = graph.ImplicitRing(n, 1); err != nil {
 		return nil, err
 	}
-	side := int(math.Round(math.Sqrt(float64(n))))
-	if gs["grid"], err = graph.ImplicitGrid(side, (n+side-1)/side, 2); err != nil {
+	// grid:N picks near-square sides with at least n nodes.
+	if gs["grid"], err = graph.ParseSpec(fmt.Sprintf("grid:%d", n), 2); err != nil {
 		return nil, err
 	}
 	if gs["random"], err = graph.RandomConnected(n, 2*n, 3); err != nil {
