@@ -24,13 +24,14 @@ func buildFrom(n int, edges []Edge, seed int64) (*Graph, error) {
 }
 
 // MaxStoredEdges caps every stored graph, whether a generator builds it or
-// Materialize copies an implicit form. A stored graph keeps each edge in
-// its edge list and twice in adjacency, 48 bytes an edge, and building one
-// through the Builder costs several times that in transient lists and
-// maps. Past the cap a spec such as mat:ring:100000000 or complete:1000000
-// returns an error instead of exhausting memory. The largest stored graphs
-// the module builds, mat:ring:1000000 and E12b's ba:200000,3, stay more
-// than 30 times below it.
+// Materialize copies an implicit form, and the implicit star's cached hub
+// list. A stored graph keeps each edge in its edge list and twice in
+// adjacency, 48 bytes an edge, and building one through the Builder costs
+// several times that in transient lists and maps. Past the cap a spec such
+// as mat:ring:100000000 or complete:1000000 returns an error instead of
+// exhausting memory. The largest stored graphs the module builds,
+// mat:ring:1000000 and E12b's ba:200000,3, stay more than 30 times below
+// it.
 const MaxStoredEdges = 1 << 25
 
 // edgeCount returns a*b + c, saturating at math.MaxUint64, so an edge count

@@ -287,10 +287,14 @@ func ImplicitHypercube(dim int, seed int64) (*Implicit, error) {
 // ImplicitStar returns the implicit star with center 0: edge i joins 0 and
 // i+1. The center's n-1 links cannot be weight-ordered in O(1), so its
 // sorted adjacency is cached at construction — O(n) memory for the hub,
-// O(1) for every leaf.
+// O(1) for every leaf — and, like any stored list, capped by
+// MaxStoredEdges.
 func ImplicitStar(n int, seed int64) (*Implicit, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("graph: star needs n >= 2, got %d", n)
+	}
+	if err := checkStored(uint64(n-1), "star:%d", n); err != nil {
+		return nil, err
 	}
 	t, err := newImplicit(fmt.Sprintf("star:%d", n), n, n-1, seed)
 	if err != nil {

@@ -48,9 +48,11 @@ func allocatedBy(f func()) uint64 {
 // TestStoredSpecsCapped: every stored form, generated or materialized,
 // rejects a size past MaxStoredEdges before it allocates for it. Each spec
 // below used to exhaust memory; the ray's edge count wraps to 0 in 64 bits.
+// The implicit star is capped too, because it stores its hub's adjacency.
 func TestStoredSpecsCapped(t *testing.T) {
 	const limit = 1 << 20
 	for _, spec := range []string{
+		"star:100000000",
 		"mat:torus:777777381",
 		"mat:ring:100000000",
 		"random:400000000,0",
@@ -80,5 +82,8 @@ func TestStoredSpecsCapped(t *testing.T) {
 	}
 	if _, err := Complete(64, 1); err != nil {
 		t.Errorf("complete n=64: %v", err)
+	}
+	if _, err := ParseSpec("star:1000", 1); err != nil {
+		t.Errorf("star:1000: %v", err)
 	}
 }
