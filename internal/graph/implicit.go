@@ -119,10 +119,16 @@ func ImplicitRing(n int, seed int64) (*Implicit, error) {
 	}
 	t.deg = func(NodeID) int { return 2 }
 	t.nbrs = func(v NodeID, buf []nbr) []nbr {
-		prev := (int(v) + n - 1) % n
+		prev, next := int(v)-1, int(v)+1
+		if prev < 0 {
+			prev = n - 1
+		}
+		if next == n {
+			next = 0
+		}
 		return append(buf,
 			nbr{to: NodeID(prev), id: prev},
-			nbr{to: NodeID((int(v) + 1) % n), id: int(v)})
+			nbr{to: NodeID(next), id: int(v)})
 	}
 	t.ends = func(id int) (NodeID, NodeID) { return NodeID(id), NodeID((id + 1) % n) }
 	return t, nil
@@ -230,14 +236,27 @@ func ImplicitTorus(rows, cols int, seed int64) (*Implicit, error) {
 	}
 	t.deg = func(NodeID) int { return 4 }
 	t.nbrs = func(v NodeID, buf []nbr) []nbr {
-		r, c := int(v)/cols, int(v)%cols
-		left := r*cols + (c+cols-1)%cols
-		up := ((r+rows-1)%rows)*cols + c
+		// Wrap by compare: one remainder finds the column, and each
+		// neighbour is v±1 or v±cols folded back into its row or column.
+		u, c := int(v), int(v)%cols
+		left, right, up, down := u-1, u+1, u-cols, u+cols
+		if c == 0 {
+			left += cols
+		}
+		if c == cols-1 {
+			right -= cols
+		}
+		if up < 0 {
+			up += n
+		}
+		if down >= n {
+			down -= n
+		}
 		return append(buf,
 			nbr{to: NodeID(left), id: left},
-			nbr{to: NodeID(r*cols + (c+1)%cols), id: int(v)},
+			nbr{to: NodeID(right), id: u},
 			nbr{to: NodeID(up), id: n + up},
-			nbr{to: NodeID(((r+1)%rows)*cols + c), id: n + int(v)})
+			nbr{to: NodeID(down), id: n + u})
 	}
 	t.ends = func(id int) (NodeID, NodeID) {
 		if id < n {

@@ -118,9 +118,25 @@ func Materialize(t Topology) (*Graph, error) {
 	return g, nil
 }
 
-// sortHalves orders one adjacency list by ascending weight.
+// insertionSortMax is the longest adjacency list sortHalves insertion-sorts
+// in place. Every implicit family but the star hub and the hypercube past
+// dimension 12 stays at or below it; longer lists take the generic sort.
+const insertionSortMax = 12
+
+// sortHalves orders one adjacency list by ascending weight. Weights are
+// pairwise distinct, so both sorts produce the one sorted order.
 func sortHalves(adj []Half) {
-	slices.SortFunc(adj, func(a, b Half) int { return cmp.Compare(a.Weight, b.Weight) })
+	if len(adj) > insertionSortMax {
+		slices.SortFunc(adj, func(a, b Half) int { return cmp.Compare(a.Weight, b.Weight) })
+		return
+	}
+	for i := 1; i < len(adj); i++ {
+		h, j := adj[i], i
+		for ; j > 0 && adj[j-1].Weight > h.Weight; j-- {
+			adj[j] = adj[j-1]
+		}
+		adj[j] = h
+	}
 }
 
 // ConnectedTopo reports whether t is connected (Graph.Connected for any

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -374,6 +377,30 @@ func TestParseSpec(t *testing.T) {
 	for _, bad := range []string{"nope:4", "ring", "ring:x", "grid:axb", "ws:10,4", "ba:10", ""} {
 		if _, err := ParseSpec(bad, 1); err == nil {
 			t.Errorf("spec %q accepted", bad)
+		}
+	}
+}
+
+// TestSortHalvesMatchesSortFunc: on every length from 0 to 40, on both sides
+// of insertionSortMax, sortHalves orders distinct weights exactly as the
+// generic sort does.
+func TestSortHalvesMatchesSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 40; n++ {
+		for trial := 0; trial < 20; trial++ {
+			adj := make([]Half, n)
+			for i := range adj {
+				// The edge id in the low bits keeps random weights distinct,
+				// as implicitWeight does.
+				w := Weight(rng.Int63n(1<<30)<<31 | int64(i))
+				adj[i] = Half{To: NodeID(i), Weight: w, EdgeID: int32(i)}
+			}
+			want := slices.Clone(adj)
+			slices.SortFunc(want, func(a, b Half) int { return cmp.Compare(a.Weight, b.Weight) })
+			sortHalves(adj)
+			if !slices.Equal(adj, want) {
+				t.Fatalf("length %d, trial %d: sortHalves = %v, want %v", n, trial, adj, want)
+			}
 		}
 	}
 }
