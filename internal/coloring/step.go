@@ -22,7 +22,8 @@ type colorMachine struct {
 }
 
 func (m *colorMachine) send() {
-	p := cCol{Color: m.st.col, Root: m.st.isRoot}
+	// Box the payload once; every link carries the same value.
+	var p sim.Payload = cCol{Color: m.st.col, Root: m.st.isRoot}
 	if m.parentLink != -1 {
 		m.c.Send(m.parentLink, p)
 	}

@@ -33,13 +33,13 @@ package sim
 // (asleep/pulseWake/scheduled/halted/crashed), the Machine interface, the
 // recorded result, and the (offset, length) of the node's window in its
 // shard's inbox arena — instead of a fat per-node struct. The StepCtx a
-// machine captures is a 16-byte handle (node id + engine pointer); every
-// StepCtx method resolves per-node state through the arrays. Round-scoped
-// scratch that the old layout kept per node (staged sends, the channel
-// write, the duplicate-send guard, the RNG generator, the high-degree
-// neighbor index, the adjacency memo) lives once per shard: shards are
-// single-threaded within a phase and machines step one at a time, so one
-// node's scratch can be recycled for the next. Per-node RNG state is the
+// machine captures is a 16-byte handle (node id, shard index, engine
+// pointer); every StepCtx method resolves per-node state through the
+// arrays. Round-scoped scratch that the old layout kept per node (staged
+// sends, the channel write, the duplicate-send guard, the RNG generator,
+// the high-degree neighbor index, the adjacency memo) lives once per shard:
+// shards are single-threaded within a phase and machines step one at a
+// time, so one node's scratch can be recycled for the next. Per-node RNG state is the
 // raw SplitMix64 (state word, draw count) pair in two lazily allocated
 // per-shard arrays — see rng.go — not a boxed generator per node.
 //
@@ -157,16 +157,17 @@ const (
 	flagCrashed // fault-crashed (revivable by a restart rule), not a normal halt
 )
 
-// StepCtx is a node's handle to the network. It is a 16-byte (id, engine)
-// pair — all per-node state lives
-// in the engine's parallel arrays and the shard's scratch. All methods must
-// be called only from the node's Machine during Step (or from its
-// StepProgram during construction, for the read-only ones). Methods panic
-// on model violations; a panic aborts the run with an error naming the
-// node.
+// StepCtx is a node's handle to the network. It is a 16-byte (id, shard,
+// engine) triple — the shard index fills the padding after the id — and all
+// per-node state lives in the engine's parallel arrays and the shard's
+// scratch. All methods must be called only from the node's Machine during
+// Step (or from its StepProgram during construction, for the read-only
+// ones). Methods panic on model violations; a panic aborts the run with an
+// error naming the node.
 type StepCtx struct {
-	id  graph.NodeID
-	eng *stepEngine
+	id       graph.NodeID
+	shardIdx int32 // index of the owning shard in eng.shards
+	eng      *stepEngine
 }
 
 // ID returns this node's identifier.
@@ -185,7 +186,7 @@ func (c *StepCtx) Topo() graph.Topology { return c.eng.topo }
 //
 //mmlint:noalloc
 func (c *StepCtx) shard() *stepShard {
-	return &c.eng.shards[int(c.id)/c.eng.shardSize]
+	return &c.eng.shards[c.shardIdx]
 }
 
 // Adj returns this node's incident links sorted by ascending weight, as a
@@ -563,17 +564,23 @@ func (e *stepEngine) seedOf(v graph.NodeID) int64 {
 }
 
 // inboxOf returns node v's undelivered inbox: its window of the owning
-// shard's arena. The full slice expression caps the window, so a program
-// appending to an Input's Msgs reallocates instead of bleeding into the
-// next recipient's window.
+// shard's arena.
 //
 //mmlint:noalloc
 func (e *stepEngine) inboxOf(v graph.NodeID) []Message {
+	return e.inboxIn(e.shardOf(v), v)
+}
+
+// inboxIn is inboxOf for a caller that already holds v's shard sd. The full
+// slice expression caps the window, so a program appending to an Input's
+// Msgs reallocates instead of bleeding into the next recipient's window.
+//
+//mmlint:noalloc
+func (e *stepEngine) inboxIn(sd *stepShard, v graph.NodeID) []Message {
 	l := e.inboxLen[v]
 	if l == 0 {
 		return nil
 	}
-	sd := e.shardOf(v)
 	off := e.inboxOff[v]
 	return sd.inboxArena[off : off+l : off+l]
 }
@@ -692,6 +699,7 @@ func newStepEngine(g graph.Topology, program StepProgram, cfg config) (*stepEngi
 	for v := 0; v < n; v++ {
 		sc := &e.nodes[v]
 		sc.id = graph.NodeID(v)
+		sc.shardIdx = int32(v / e.shardSize)
 		sc.eng = e
 		e.flags[v] = flagScheduled
 		if err := func() (err error) {
@@ -1282,7 +1290,7 @@ func (e *stepEngine) stepNodes(s *stepShard, start int) (next int) {
 			continue
 		}
 		e.flags[v] = fl &^ (flagScheduled | flagAsleep | flagPulseWake)
-		in := Input{Round: round, Msgs: e.inboxOf(graph.NodeID(v)), Slot: slot}
+		in := Input{Round: round, Msgs: e.inboxIn(s, graph.NodeID(v)), Slot: slot}
 		if e.roundBase != nil && e.roundBase[v] != 0 {
 			// A restarted incarnation counts rounds from its revival: its
 			// first step is a local round 0 — no messages, a zero slot —
@@ -1318,7 +1326,8 @@ func (e *stepEngine) stepNodes(s *stepShard, start int) (next int) {
 
 // commitNode commits the stepping node's staged sends and channel write —
 // accumulated in its shard's scratch — into the destination buckets and
-// write summary, clearing the duplicate-send guard link by link.
+// write summary, clearing the duplicate-send guard link by link. A send
+// within the sender's own shard takes the shard index from its StepCtx.
 //
 //mmlint:noalloc
 func (e *stepEngine) commitNode(s *stepShard, id graph.NodeID) {
@@ -1328,9 +1337,13 @@ func (e *stepEngine) commitNode(s *stepShard, id graph.NodeID) {
 		s.writerPayload = s.chWrite
 		s.chPending, s.chWrite = false, nil
 	}
+	own := int(e.nodes[id].shardIdx)
 	for _, o := range s.stage {
 		s.sentBits[o.link>>6] &^= uint64(1) << (o.link & 63)
-		d := int(o.to) / e.shardSize
+		d := own
+		if to := int(o.to); to < s.lo || to >= s.hi {
+			d = to / e.shardSize
+		}
 		s.out[d] = append(s.out[d], delivered{to: o.to, from: id, edgeID: o.edgeID, payload: o.payload})
 	}
 	s.stage = s.stage[:0]
@@ -1451,7 +1464,7 @@ func (e *stepEngine) deliverShard(d int) {
 	}
 	for _, v := range sd.touched {
 		sd.counts[int(v)-sd.lo] = 0
-		if box := e.inboxOf(graph.NodeID(v)); len(box) > 1 {
+		if box := e.inboxIn(sd, graph.NodeID(v)); len(box) > 1 {
 			sortInbox(box)
 		}
 		// Wake the recipient, in first-arrival order.

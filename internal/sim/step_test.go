@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -32,6 +33,36 @@ func TestStepImmediateHalt(t *testing.T) {
 	}
 	if res.Metrics.Rounds != 1 || res.Metrics.Messages != 0 || res.Metrics.SlotsIdle != 1 {
 		t.Errorf("metrics = %+v", res.Metrics)
+	}
+}
+
+// TestStepCtxHandle: the handle every machine captures stays 16 bytes, and
+// the shard index it carries names the shard that id / shardSize does, at
+// worker counts that leave a short last shard on 10 nodes.
+func TestStepCtxHandle(t *testing.T) {
+	if size := unsafe.Sizeof(StepCtx{}); size != 16 {
+		t.Errorf("StepCtx is %d bytes, want 16", size)
+	}
+	for _, w := range []int{1, 3, 4} {
+		var bad []string
+		_, err := RunStep(ring(t, 10), func(c *StepCtx) Machine {
+			return &stepFuncs{step: func(Input) bool {
+				v := int(c.ID())
+				if want := v / c.eng.shardSize; int(c.shardIdx) != want {
+					bad = append(bad, fmt.Sprintf("node %d: shard %d, want %d", v, c.shardIdx, want))
+				}
+				if sd := c.shard(); v < sd.lo || v >= sd.hi {
+					bad = append(bad, fmt.Sprintf("node %d: shard spans [%d,%d)", v, sd.lo, sd.hi))
+				}
+				return true
+			}}
+		}, WithWorkers(w))
+		if err != nil {
+			t.Fatalf("w%d: %v", w, err)
+		}
+		if len(bad) > 0 {
+			t.Errorf("w%d: %s", w, strings.Join(bad, "; "))
+		}
 	}
 }
 
