@@ -114,15 +114,23 @@ func (m *bfsMachine) forward(v int) {
 // step consumes one round's input; true means the node is finished.
 func (m *bfsMachine) step(in sim.Input) (halt bool) {
 	// Adoption: among this round's explores pick the least sender; links
-	// that carried an explore lead to already-adopted nodes.
+	// that carried an explore lead to already-adopted nodes. Each explore's
+	// link is resolved once, here, and kept for its ack below; an inbox of
+	// up to 8 messages keeps the links on the stack.
 	bestLink := -1
 	bestEdge := -1
 	var bestFrom graph.NodeID
 	var skipMask uint64
 	var skipBig map[int]bool
-	for _, msg := range in.Msgs {
+	var linkBuf [8]int
+	links := linkBuf[:]
+	if len(in.Msgs) > len(linkBuf) {
+		links = make([]int, len(in.Msgs))
+	}
+	for i, msg := range in.Msgs {
 		if _, ok := msg.Payload.(fExplore); ok {
 			l := m.c.LinkOf(msg.EdgeID)
+			links[i] = l
 			if l < 64 {
 				skipMask |= uint64(1) << l
 			} else {
@@ -143,10 +151,10 @@ func (m *bfsMachine) step(in sim.Input) (halt bool) {
 		m.explore(skipMask, skipBig)
 	}
 	parentLinkBusy := false
-	for _, msg := range in.Msgs {
-		l := m.c.LinkOf(msg.EdgeID)
+	for i, msg := range in.Msgs {
 		switch p := msg.Payload.(type) {
 		case fExplore:
+			l := links[i]
 			m.c.Send(l, fAck{Child: adoptedNow && l == m.parentLink})
 			if l == m.parentLink {
 				parentLinkBusy = true
@@ -154,7 +162,7 @@ func (m *bfsMachine) step(in sim.Input) (halt bool) {
 		case fAck:
 			m.acksPending--
 			if p.Child {
-				m.childLinks = append(m.childLinks, l)
+				m.childLinks = append(m.childLinks, m.c.LinkOf(msg.EdgeID))
 			}
 		case fValue:
 			m.size += p.N

@@ -143,13 +143,22 @@ func (m *p2pMachine) Step(in sim.Input) bool {
 	// that carried an explore this round lead to nodes that are already
 	// adopted, so exploring them is pointless and would collide with the
 	// mandatory ack on the same link.
+	//
+	// Each explore's link is resolved once, here, and kept for its ack
+	// below; an inbox of up to 8 messages keeps the links on the stack.
 	bestLink := -1
 	var bestFrom graph.NodeID
 	var skipMask uint64
 	var skipBig map[int]bool
-	for _, msg := range in.Msgs {
+	var linkBuf [8]int
+	links := linkBuf[:]
+	if len(in.Msgs) > len(linkBuf) {
+		links = make([]int, len(in.Msgs))
+	}
+	for i, msg := range in.Msgs {
 		if _, ok := msg.Payload.(p2pExplore); ok {
 			l := m.c.LinkOf(msg.EdgeID)
+			links[i] = l
 			if l < 64 {
 				skipMask |= uint64(1) << l
 			} else {
@@ -171,10 +180,10 @@ func (m *p2pMachine) Step(in sim.Input) bool {
 		m.explore(skipMask, skipBig)
 	}
 	parentLinkBusy := false
-	for _, msg := range in.Msgs {
-		l := m.c.LinkOf(msg.EdgeID)
+	for i, msg := range in.Msgs {
 		switch p := msg.Payload.(type) {
 		case p2pExplore:
+			l := links[i]
 			m.c.Send(l, p2pAck{Child: adoptedNow && int32(l) == m.parentLink})
 			if int32(l) == m.parentLink {
 				parentLinkBusy = true
@@ -182,7 +191,7 @@ func (m *p2pMachine) Step(in sim.Input) bool {
 		case p2pAck:
 			m.acksPending--
 			if p.Child {
-				m.addChild(l)
+				m.addChild(m.c.LinkOf(msg.EdgeID))
 			}
 		case p2pValue:
 			m.partial = m.sh.op.Combine(m.partial, p.V)
