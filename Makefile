@@ -10,11 +10,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-## lint: the repo's own determinism/zero-alloc analyzer suite (cmd/mmlint),
-## plus staticcheck and govulncheck when installed (CI installs pinned
-## versions; locally they are optional — mmlint itself needs nothing beyond
-## the Go toolchain)
+## lint: gofmt over every tracked .go file (fails listing any file it would
+## reformat), the repo's own determinism/zero-alloc analyzer suite
+## (cmd/mmlint), plus staticcheck and govulncheck when installed (CI installs
+## pinned versions; locally they are optional — mmlint itself needs nothing
+## beyond the Go toolchain)
 lint:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "lint: gofmt would reformat:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/mmlint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
