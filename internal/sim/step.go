@@ -39,9 +39,9 @@ package sim
 // sends, the channel write, the duplicate-send guard, the RNG generator,
 // the high-degree neighbor index, the adjacency memo) lives once per shard:
 // shards are single-threaded within a phase and machines step one at a
-// time, so one node's scratch can be recycled for the next. Per-node RNG state is the
-// raw SplitMix64 (state word, draw count) pair in two lazily allocated
-// per-shard arrays — see rng.go — not a boxed generator per node.
+// time, so one node's scratch can be recycled for the next. Per-node RNG
+// state is the raw SplitMix64 (state word, draw count) pair in two lazily
+// allocated per-shard arrays — see rng.go — not a boxed generator per node.
 //
 // Ownership rules this layout imposes (all were already part of the
 // documented Machine contract, now load-bearing): an Input and its Msgs are
