@@ -316,7 +316,7 @@ func (e *stepEngine) writeCheckpoint(round int) error {
 		N:         n,
 		Graph:     e.graphDigest(),
 		Seed:      e.cfg.seed,
-		Plan:      e.cfg.planString(),
+		Plan:      e.cfg.faults.String(),
 		MaxRounds: e.cfg.maxRounds,
 		Alive:     e.alive,
 		Met:       e.met,
@@ -516,7 +516,7 @@ func (e *stepEngine) restore(cp *Checkpoint) error {
 // checkpoint and, stitched onto the original's prefix, is byte-identical to
 // an uninterrupted run's.
 func Resume(g graph.Topology, program StepProgram, cp *Checkpoint, opts ...Option) (*Result, error) {
-	cfg := config{seed: cp.Seed}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}

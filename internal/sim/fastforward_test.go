@@ -3,9 +3,11 @@ package sim
 // fastforward_test.go locks down the quiescent-round fast-forward: every
 // scenario is run twice, once on the normal per-round path (the
 // disableFastForward hook) and once with fast-forward enabled, and the full
-// observable outcome — results, metrics, or the error — must be identical.
+// observable outcome — results, metrics, or the error — must be identical,
+// and so must the transcript of each side.
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -21,24 +23,30 @@ type ffOutcome struct {
 	err string
 }
 
-// runFFBoth runs the program with and without fast-forward and requires
-// bit-identical outcomes, returning the fast-forwarded one.
+// runFFBoth runs the program with and without fast-forward, each side once
+// untraced and once with a transcript, and requires bit-identical outcomes
+// and byte-identical transcripts, returning the fast-forwarded outcome. The
+// two runs of a side take fastForward's two branches.
 func runFFBoth(t *testing.T, g graph.Topology, prog StepProgram, opts ...Option) ffOutcome {
 	t.Helper()
-	capture := func() ffOutcome {
+	capture := func() (ffOutcome, []byte) {
+		tr, _, _ := runStepTranscript(t, g, prog, opts...)
 		res, err := RunStep(g, prog, opts...)
 		if err != nil {
-			return ffOutcome{err: err.Error()}
+			return ffOutcome{err: err.Error()}, tr
 		}
-		return ffOutcome{res: res}
+		return ffOutcome{res: res}, tr
 	}
 	disableFastForward = true
-	slow := capture()
+	slow, slowTr := capture()
 	disableFastForward = false
-	fast := capture()
+	fast, fastTr := capture()
 	if !reflect.DeepEqual(slow, fast) {
 		t.Fatalf("fast-forward diverges from per-round path:\n slow: %+v %q\n fast: %+v %q",
 			slow.res, slow.err, fast.res, fast.err)
+	}
+	if !bytes.Equal(slowTr, fastTr) {
+		t.Fatalf("fast-forward transcript (%d bytes) differs from the per-round path's (%d bytes)", len(fastTr), len(slowTr))
 	}
 	return fast
 }

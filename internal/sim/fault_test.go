@@ -6,6 +6,7 @@ package sim
 // outcomes at any worker count, pinned bytes for the stress program).
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -544,6 +545,51 @@ func TestFaultRestart(t *testing.T) {
 	if res.Metrics.Crashed != 1 || res.Metrics.Restarted != 1 {
 		t.Errorf("Crashed, Restarted = %d, %d, want 1, 1",
 			res.Metrics.Crashed, res.Metrics.Restarted)
+	}
+}
+
+// TestFaultRestartInitRule checks that a revived node's init hook is held to
+// the rule of the first build: node 2's hook sends on one of its builds, and
+// the run fails naming node 2 with identical transcripts at every worker
+// count. The send must not ride out under another node's id either.
+func TestFaultRestartInitRule(t *testing.T) {
+	g := path(t, 3)
+	for _, tc := range []struct {
+		name   string
+		plan   string
+		sendAt int // which of node 2's builds sends
+	}{
+		{"first", "", 1},
+		{"restart", "crash:2@3;restart:2@6", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := fault.Parse(tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ref []byte
+			for _, w := range []int{1, 3, 4} {
+				builds := 0
+				prog := func(c *StepCtx) Machine {
+					if c.ID() == 2 {
+						if builds++; builds == tc.sendAt {
+							c.SendTo(1, "early")
+						}
+					}
+					return &stepFuncs{step: func(in Input) bool { return in.Round == 12 }}
+				}
+				tr, _, err := runStepTranscript(t, g, prog, WithFaults(plan), WithWorkers(w))
+				const want = "sim: step program for node 2 sent or wrote the channel during init"
+				if err == nil || err.Error() != want {
+					t.Fatalf("w%d: err = %v, want %q", w, err, want)
+				}
+				if ref == nil {
+					ref = tr
+				} else if !bytes.Equal(tr, ref) {
+					t.Fatalf("w%d transcript differs from w1's", w)
+				}
+			}
+		})
 	}
 }
 

@@ -3,8 +3,8 @@ package sim
 // linkof_test.go pins the engine's link lookups — StepCtx.LinkOf, Link,
 // Send and SendTo — on both topology forms: every link resolves both ways,
 // and every misuse fails the run with its documented wording. Degrees of 16
-// and above (the star hub, complete:20, the BA hubs) take Link's sorted
-// peer index and LinkOf's weight binary search.
+// and above (the star hub, complete:20, the BA hubs) take LinkOf's weight
+// binary search; Link scans the adjacency memo at every degree.
 
 import (
 	"fmt"

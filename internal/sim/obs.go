@@ -103,15 +103,6 @@ func WithRecorder(r Recorder) Option {
 	return func(c *config) { c.rec = r }
 }
 
-// recorder resolves the run's recorder: the WithRecorder option when given,
-// DefaultRecorder otherwise.
-func (c *config) recorder() Recorder {
-	if c.rec != nil {
-		return c.rec
-	}
-	return DefaultRecorder
-}
-
 // Sub subtracts other from m field by field — the delta form recorders use
 // to turn two cumulative snapshots into one round's (or window's) counts.
 // Covered, like Add, by the reflection drift test: a Metrics field added

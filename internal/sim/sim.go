@@ -185,30 +185,19 @@ func (m Metrics) MarshalJSON() ([]byte, error) {
 // protocol.
 var ErrMaxRounds = errors.New("sim: maximum round count exceeded")
 
+// config holds a run's settings: the options given, then the defaults
+// runStepEngine fills in for the rest.
 type config struct {
 	seed      int64
 	maxRounds int
 	workers   int
-	faults    *fault.Plan
+	faults    *fault.Plan // nil = fault-free
 	faultsSet bool
 	sync      bool
-	rec       Recorder
-	tw        *TranscriptWriter
+	rec       Recorder          // nil = observability off (the zero-cost path)
+	tw        *TranscriptWriter // nil = transcripts off; emission is coordinator-only
 	ckpt      *CheckpointSpec
 	resume    *Checkpoint
-}
-
-// caps derives the fault capabilities this run's layer supports: clock skew
-// exists only under the §7.1 synchronizer.
-func (c *config) caps() fault.Caps { return fault.Caps{Skew: c.sync} }
-
-// plan resolves the run's fault plan: the WithFaults option when given,
-// DefaultFaults otherwise. A nil plan means a fault-free run.
-func (c *config) plan() *fault.Plan {
-	if c.faultsSet {
-		return c.faults
-	}
-	return DefaultFaults
 }
 
 // Option configures a run.
@@ -227,18 +216,6 @@ func WithMaxRounds(r int) Option { return func(c *config) { c.maxRounds = r } }
 // per-graph default.
 var DefaultMaxRounds int
 
-// resolveMaxRounds fills the config's round budget after options applied.
-func (c *config) resolveMaxRounds(g graph.Topology) {
-	if c.maxRounds > 0 {
-		return
-	}
-	if DefaultMaxRounds > 0 {
-		c.maxRounds = DefaultMaxRounds
-		return
-	}
-	c.maxRounds = defaultMaxRounds(g)
-}
-
 // WithWorkers sets the engine's worker count; 0 means DefaultWorkers (and,
 // if that is also 0, GOMAXPROCS). By the determinism contract the worker
 // count never changes a run's transcript, only its wall-clock time.
@@ -246,7 +223,7 @@ func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 
 // DefaultFaults is the fault plan a run uses when no WithFaults option is
 // given; nil (the default) means fault-free. Commands set it from their
-// -faults/-crash/-jam flags so every run a protocol performs — including
+// -faults flag so every run a protocol performs — including
 // the inner runs of multi-stage algorithms — executes under the plan, with
 // each run's fault rounds counted from its own round 0.
 var DefaultFaults *fault.Plan
@@ -280,10 +257,4 @@ func (tw *TranscriptWriter) finalFrame(met *Metrics, results []any, runErr error
 		f.Err = runErr.Error()
 	}
 	tw.WriteFinal(&f)
-}
-
-// defaultMaxRounds budgets generously above any algorithm in this module:
-// all are O(n · polylog n) rounds at worst.
-func defaultMaxRounds(g graph.Topology) int {
-	return 200*g.N() + 20_000
 }

@@ -37,7 +37,7 @@ package sim
 // pointer); every StepCtx method resolves per-node state through the
 // arrays. Round-scoped scratch that the old layout kept per node (staged
 // sends, the channel write, the duplicate-send guard, the RNG generator,
-// the high-degree neighbor index, the adjacency memo) lives once per shard:
+// the adjacency memo) lives once per shard:
 // shards are single-threaded within a phase and machines step one at a
 // time, so one node's scratch can be recycled for the next. Per-node RNG
 // state is the raw SplitMix64 (state word, draw count) pair in two lazily
@@ -139,13 +139,6 @@ type delivered struct {
 	from    graph.NodeID
 	edgeID  int32
 	payload Payload
-}
-
-// peerLink is one entry of a shard's high-degree neighbor index, sorted by
-// peer id for binary search.
-type peerLink struct {
-	peer graph.NodeID
-	link int32
 }
 
 // Per-node scheduler flags, packed into one byte of stepEngine.flags.
@@ -256,38 +249,19 @@ func (c *StepCtx) LinkOf(edgeID int) int {
 	panic(fmt.Sprintf("sim: node %d has no link with edge id %d", c.id, edgeID))
 }
 
-// linkIndexThreshold: below this degree a linear Adj scan beats building
-// and searching the sorted neighbor index.
+// linkIndexThreshold: below this degree LinkOf's linear memo scan beats a
+// binary search of the edge's weight.
 const linkIndexThreshold = 16
 
-// Link returns the local link index leading to the given neighbor. For
-// high-degree nodes the lookup is O(log d) through a sorted neighbor index
-// cached in the shard (one index, keyed by the node that built it — a star
-// hub answering n-1 SendTo calls rebuilds it at most once per round).
+// Link returns the local link index leading to the given neighbor: a scan
+// of the shard's adjacency memo.
 func (c *StepCtx) Link(to graph.NodeID) (int, bool) {
-	sd := c.shard()
-	adj := c.eng.shardAdj(sd, c.id)
-	if len(adj) < linkIndexThreshold {
-		for l, h := range adj {
-			if h.To == to {
-				return l, true
-			}
+	for l, h := range c.eng.shardAdj(c.shard(), c.id) {
+		if h.To == to {
+			return l, true
 		}
-		return 0, false
 	}
-	if sd.idxNode != int32(c.id) {
-		sd.peerIdx = sd.peerIdx[:0]
-		for l, h := range adj {
-			sd.peerIdx = append(sd.peerIdx, peerLink{peer: h.To, link: int32(l)})
-		}
-		slices.SortFunc(sd.peerIdx, func(a, b peerLink) int { return cmp.Compare(a.peer, b.peer) })
-		sd.idxNode = int32(c.id)
-	}
-	i, ok := slices.BinarySearchFunc(sd.peerIdx, to, func(e peerLink, t graph.NodeID) int { return cmp.Compare(e.peer, t) })
-	if !ok {
-		return 0, false
-	}
-	return int(sd.peerIdx[i].link), true
+	return 0, false
 }
 
 // Send queues a message on the link with the given local index for delivery
@@ -440,11 +414,8 @@ type stepShard struct {
 	rngSrc   shardRNG
 	rng      *rand.Rand
 
-	// Single-entry caches keyed by node id: the high-degree neighbor index
-	// (Link) and the adjacency memo (Degree/Send/Link/LinkOf), each rebuilt
-	// only when a different node of the shard needs it.
-	idxNode    int32
-	peerIdx    []peerLink
+	// Single-entry adjacency memo keyed by node id (Degree/Send/Link/LinkOf),
+	// rebuilt only when a different node of the shard needs it.
 	memoNode   int32
 	memoAdj    []graph.Half
 	adjScratch graph.AdjScratch
@@ -502,12 +473,10 @@ const (
 
 type stepEngine struct {
 	topo    graph.Topology
-	cfg     config
-	program StepProgram       // the init hook, kept for crash-restart revival
-	inj     *fault.Injector   // nil for fault-free runs
-	rec     Recorder          // nil = observability off (the zero-cost path)
-	tw      *TranscriptWriter // nil = transcripts off; emission is coordinator-only
-	ck      *ckptState        // nil = checkpoints off
+	cfg     config          // resolved by runStepEngine
+	program StepProgram     // the init hook, kept for crash-restart revival
+	inj     *fault.Injector // nil for fault-free runs
+	ck      *ckptState      // nil = checkpoints off
 
 	topoDigest uint64 // lazy topologyDigest cache (0 = not yet computed)
 
@@ -529,7 +498,6 @@ type stepEngine struct {
 
 	shards    []stepShard
 	shardSize int
-	workers   int
 
 	round      int
 	slot       Slot
@@ -613,13 +581,38 @@ func RunStep(g graph.Topology, program StepProgram, opts ...Option) (*Result, er
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cfg.resolveMaxRounds(g)
 	return runStepEngine(g, program, cfg)
 }
 
-// runStepEngine builds the engine, applies a resume checkpoint when one is
-// configured, and runs the round loop from the appropriate round.
+// runStepEngine resolves the defaults of every setting no option gave, builds
+// the engine, applies a resume checkpoint when one is configured, and runs
+// the round loop from the appropriate round.
 func runStepEngine(g graph.Topology, program StepProgram, cfg config) (*Result, error) {
+	if !cfg.faultsSet {
+		cfg.faults = DefaultFaults
+	}
+	if cfg.maxRounds <= 0 {
+		cfg.maxRounds = DefaultMaxRounds
+	}
+	if cfg.maxRounds <= 0 {
+		// Generous above any algorithm in this module: all are
+		// O(n · polylog n) rounds at worst.
+		cfg.maxRounds = 200*g.N() + 20_000
+	}
+	if cfg.workers <= 0 {
+		cfg.workers = DefaultWorkers
+	}
+	if cfg.workers <= 0 {
+		//mmlint:nondet sizes the worker pool only; transcripts are worker-count-invariant (difftest-enforced)
+		cfg.workers = runtime.GOMAXPROCS(0)
+	}
+	cfg.workers = max(min(cfg.workers, g.N()), 1)
+	if cfg.rec == nil {
+		cfg.rec = DefaultRecorder
+	}
+	if cfg.tw == nil {
+		cfg.tw = DefaultTranscript
+	}
 	e, err := newStepEngine(g, program, cfg)
 	if err != nil {
 		return nil, err
@@ -637,40 +630,23 @@ func runStepEngine(g graph.Topology, program StepProgram, cfg config) (*Result, 
 // newStepEngine compiles the fault plan, sizes the shards, and runs the
 // init hook — everything up to (but not including) round 0.
 func newStepEngine(g graph.Topology, program StepProgram, cfg config) (*stepEngine, error) {
-	inj, err := fault.CompileFor(cfg.plan(), g, cfg.caps())
+	// Clock skew exists only under the §7.1 synchronizer.
+	inj, err := fault.CompileFor(cfg.faults, g, fault.Caps{Skew: cfg.sync})
 	if err != nil {
 		return nil, err
 	}
 	n := g.N()
-	workers := cfg.workers
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
-	if workers <= 0 {
-		//mmlint:nondet sizes the worker pool only; transcripts are worker-count-invariant (difftest-enforced)
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	e := &stepEngine{
 		topo:     g,
 		cfg:      cfg,
 		program:  program,
 		inj:      inj,
-		rec:      cfg.recorder(),
-		tw:       cfg.transcript(),
 		nodes:    make([]StepCtx, n),
 		flags:    make([]uint8, n),
 		machines: make([]Machine, n),
 		results:  make([]any, n),
 		inboxOff: make([]int32, n),
 		inboxLen: make([]int32, n),
-		workers:  workers,
 		alive:    n,
 	}
 	if inj.HasRestarts() {
@@ -680,7 +656,7 @@ func newStepEngine(g graph.Topology, program StepProgram, cfg config) (*stepEngi
 	if cfg.ckpt != nil {
 		e.ck = newCkptState(cfg.ckpt)
 	}
-	e.shardSize = (n + workers - 1) / workers
+	e.shardSize = (n + cfg.workers - 1) / cfg.workers
 	shardCount := (n + e.shardSize - 1) / e.shardSize
 	e.shards = make([]stepShard, shardCount)
 	for i := range e.shards {
@@ -689,7 +665,7 @@ func newStepEngine(g graph.Topology, program StepProgram, cfg config) (*stepEngi
 		s.hi = min(s.lo+e.shardSize, n)
 		s.out = make([][]delivered, shardCount)
 		s.awake = make([]int32, 0, s.hi-s.lo)
-		s.idxNode, s.memoNode = -1, -1
+		s.memoNode = -1
 		for v := s.lo; v < s.hi; v++ {
 			s.awake = append(s.awake, int32(v))
 		}
@@ -702,25 +678,32 @@ func newStepEngine(g graph.Topology, program StepProgram, cfg config) (*stepEngi
 		sc.shardIdx = int32(v / e.shardSize)
 		sc.eng = e
 		e.flags[v] = flagScheduled
-		if err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = nodeFailure(sc.id, r)
-				}
-			}()
-			e.machines[v] = program(sc)
-			return nil
-		}(); err != nil {
+		if err := e.build(sc.id); err != nil {
 			return nil, err
-		}
-		if e.machines[v] == nil {
-			return nil, fmt.Errorf("sim: step program returned a nil machine for node %d", sc.id)
-		}
-		if sd := sc.shard(); len(sd.stage) > 0 || sd.chPending {
-			return nil, fmt.Errorf("sim: step program for node %d sent or wrote the channel during init", sc.id)
 		}
 	}
 	return e, nil
+}
+
+// build runs the init hook for node v, as a fresh run does and a restart
+// does again: the hook must return a machine without panicking, and must not
+// send or write the channel. Anything it staged is left in the shard's
+// scratch for the caller to commit or discard.
+func (e *stepEngine) build(v graph.NodeID) (err error) {
+	sc := &e.nodes[v]
+	defer func() {
+		if r := recover(); r != nil {
+			err = nodeFailure(v, r)
+		}
+	}()
+	e.machines[v] = e.program(sc)
+	if e.machines[v] == nil {
+		return fmt.Errorf("sim: step program returned a nil machine for node %d", v)
+	}
+	if sd := sc.shard(); len(sd.stage) > 0 || sd.chPending {
+		return fmt.Errorf("sim: step program for node %d sent or wrote the channel during init", v)
+	}
+	return nil
 }
 
 // run executes the round loop from the given round (0 for a fresh run, the
@@ -728,13 +711,13 @@ func newStepEngine(g graph.Topology, program StepProgram, cfg config) (*stepEngi
 // fails.
 func (e *stepEngine) run(start int) (res *Result, err error) {
 	n := e.topo.N()
-	if rec := e.rec; rec != nil {
-		rec.RunStart(n, EngineStep, e.workers, len(e.shards))
+	if rec := e.cfg.rec; rec != nil {
+		rec.RunStart(n, EngineStep, e.cfg.workers, len(e.shards))
 	}
-	if tw := e.tw; tw != nil {
-		tw.begin(n, e.cfg.seed, e.cfg.planString())
+	if tw := e.cfg.tw; tw != nil {
+		tw.begin(n, e.cfg.seed, e.cfg.faults.String())
 	}
-	if e.workers > 1 {
+	if e.cfg.workers > 1 {
 		e.startWorkers()
 		defer e.stopWorkers()
 	}
@@ -846,10 +829,10 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 		for i := range e.shards {
 			awakeTotal += len(e.shards[i].awake)
 		}
-		if e.tw != nil && e.continuing {
+		if e.cfg.tw != nil && e.continuing {
 			e.emitRound(round)
 		}
-		if rec := e.rec; rec != nil {
+		if rec := e.cfg.rec; rec != nil {
 			rec.RoundEnd(round+1, awakeTotal, slot.State, &e.met)
 		}
 		if !e.continuing {
@@ -863,23 +846,16 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 			// stretches — including a genuine wedge spinning to ErrMaxRounds
 			// — cost O(1) instead of O(shards) per round while keeping
 			// transcripts and Metrics bit-identical with the per-round path.
-			// With a transcript installed the traced variant synthesizes the
-			// skipped rounds' frames instead, so the stream stays
-			// byte-identical to a per-round engine's.
-			if e.tw != nil {
-				round = e.fastForwardTraced(round)
-			} else {
-				round = e.fastForward(round)
-			}
+			round = e.fastForward(round)
 		}
 	}
 
-	if rec := e.rec; rec != nil {
+	if rec := e.cfg.rec; rec != nil {
 		rec.RunEnd(&e.met)
 	}
 	res = &Result{Metrics: e.met, Results: make([]any, n)}
 	copy(res.Results, e.results)
-	if tw := e.tw; tw != nil {
+	if tw := e.cfg.tw; tw != nil {
 		tw.finalFrame(&e.met, res.Results, e.err())
 	}
 	if err := e.err(); err != nil {
@@ -912,22 +888,11 @@ func (e *stepEngine) reviveRestarts(round int) {
 			i := int(v) - sd.lo
 			sd.rngWord[i], sd.rngDraws[i] = 0, 0
 		}
-		sc := &e.nodes[v]
-		if err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = nodeFailure(sc.id, r)
-				}
-			}()
-			e.machines[v] = e.program(sc)
-			return nil
-		}(); err != nil {
-			e.recordErr(sc.id, err)
-			e.flags[v] = flagHalted
-			continue
-		}
-		if e.machines[v] == nil {
-			e.recordErr(sc.id, fmt.Errorf("sim: step program returned a nil machine for node %d", sc.id))
+		if err := e.build(graph.NodeID(v)); err != nil {
+			// As after a Step panic: what the hook staged leaves under its
+			// own id, so no other node of the shard commits it.
+			e.recordErr(graph.NodeID(v), err)
+			e.commitNode(sd, graph.NodeID(v))
 			e.flags[v] = flagHalted
 			continue
 		}
@@ -944,7 +909,7 @@ func (e *stepEngine) reviveRestarts(round int) {
 // writer installed the lists are cleared inside the delivery phase itself
 // and this function is never reached.
 func (e *stepEngine) emitRound(round int) {
-	tw := e.tw
+	tw := e.cfg.tw
 	f := RoundFrame{Round: round + 1, Slot: e.slot.State, Alive: e.alive, Met: e.met}
 	if e.slot.State == SlotSuccess {
 		f.From = e.slot.From
@@ -983,7 +948,10 @@ func (e *stepEngine) emitRound(round int) {
 // or the round budget (iteration maxRounds records ErrMaxRounds). Every
 // iteration before the earliest such event just resolves a writer-free slot
 // — idle, or a jammed collision — so the engine skips them and accrues
-// those slots arithmetically.
+// those slots arithmetically. With a transcript installed the skipped
+// rounds' frames are written one by one instead, so the stream stays
+// byte-identical to a per-round engine's; that per-round cost is paid only
+// when a transcript is on.
 //
 //mmlint:noalloc
 func (e *stepEngine) fastForward(r int) int {
@@ -992,11 +960,25 @@ func (e *stepEngine) fastForward(r int) int {
 		return r
 	}
 	// Iterations r+1 .. R-1 resolve slots r+2 .. R, all writer-free.
-	skipped := int64(R - r - 1)
-	jammed := e.inj.CountJammed(r+2, R)
-	e.met.SlotsJammed += jammed
-	e.met.SlotsIdle += skipped - jammed
-	if rec := e.rec; rec != nil {
+	if tw := e.cfg.tw; tw != nil {
+		for s := r + 2; s <= R; s++ {
+			state := SlotIdle
+			if e.inj.Jammed(s) {
+				e.met.SlotsJammed++
+				state = SlotCollision
+			} else {
+				e.met.SlotsIdle++
+			}
+			e.met.Rounds = s
+			f := RoundFrame{Round: s, Slot: state, Alive: e.alive, Met: e.met}
+			tw.WriteRound(&f)
+		}
+	} else {
+		jammed := e.inj.CountJammed(r+2, R)
+		e.met.SlotsJammed += jammed
+		e.met.SlotsIdle += int64(R-r-1) - jammed
+	}
+	if rec := e.cfg.rec; rec != nil {
 		rec.FastForward(r+2, R)
 	}
 	return R - 1
@@ -1004,7 +986,7 @@ func (e *stepEngine) fastForward(r int) int {
 
 // ffTarget computes the fast-forward target: the earliest iteration after r
 // that can change any state — and must therefore execute per-round — with
-// everything before it writer-free. Shared by the plain and traced forms.
+// everything before it writer-free.
 //
 //mmlint:noalloc
 func (e *stepEngine) ffTarget(r int) int {
@@ -1053,34 +1035,6 @@ func (e *stepEngine) ffTarget(r int) int {
 	return R
 }
 
-// fastForwardTraced is fastForward with a transcript installed: the skipped
-// rounds' frames are synthesized one by one — slot resolution per skipped
-// round, incremental metrics — so the emitted stream is byte-identical to
-// an engine that executed every round. The per-round cost this reintroduces
-// is the price of observation, paid only when a transcript is on.
-func (e *stepEngine) fastForwardTraced(r int) int {
-	R := e.ffTarget(r)
-	if R <= r+1 {
-		return r
-	}
-	for s := r + 2; s <= R; s++ {
-		state := SlotIdle
-		if e.inj.Jammed(s) {
-			e.met.SlotsJammed++
-			state = SlotCollision
-		} else {
-			e.met.SlotsIdle++
-		}
-		e.met.Rounds = s
-		f := RoundFrame{Round: s, Slot: state, Alive: e.alive, Met: e.met}
-		e.tw.WriteRound(&f)
-	}
-	if rec := e.rec; rec != nil {
-		rec.FastForward(r+2, R)
-	}
-	return R - 1
-}
-
 // hasPulseSleepers reports whether any node is parked awaiting the pulse,
 // compacting entries invalidated by an early message wake or a crash.
 //
@@ -1125,7 +1079,7 @@ func (e *stepEngine) runPhase(phase int8, stepped []int, awakeTotal int) {
 	}
 	e.gate.release(phase)
 	e.phaseShard(phase, 0)
-	if rec := e.rec; rec != nil {
+	if rec := e.cfg.rec; rec != nil {
 		// The coordinator's barrier wait: its own shard is done, the round
 		// cannot advance until the last worker arrives.
 		t0 := rec.BeginPhase(PhaseBarrier, 0)
@@ -1142,27 +1096,25 @@ func (e *stepEngine) runPhase(phase int8, stepped []int, awakeTotal int) {
 //
 //mmlint:noalloc
 func (e *stepEngine) phaseShard(phase int8, i int) {
-	switch phase {
-	case phaseStep:
-		if len(e.shards[i].awake) > 0 {
-			if rec := e.rec; rec != nil {
-				t0 := rec.BeginPhase(PhaseStep, i)
-				e.stepShard(&e.shards[i])
-				rec.EndPhase(PhaseStep, i, e.round, t0)
-				return
-			}
-			e.stepShard(&e.shards[i])
-		}
-	case phaseDeliver:
-		if e.needsDelivery(i) {
-			if rec := e.rec; rec != nil {
-				t0 := rec.BeginPhase(PhaseDeliver, i)
-				e.deliverShard(i)
-				rec.EndPhase(PhaseDeliver, i, e.round, t0)
-				return
-			}
-			e.deliverShard(i)
-		}
+	p, idle := PhaseStep, len(e.shards[i].awake) == 0
+	if phase == phaseDeliver {
+		p, idle = PhaseDeliver, !e.needsDelivery(i)
+	}
+	if idle {
+		return
+	}
+	rec := e.cfg.rec
+	var t0 int64
+	if rec != nil {
+		t0 = rec.BeginPhase(p, i)
+	}
+	if p == PhaseStep {
+		e.stepShard(&e.shards[i])
+	} else {
+		e.deliverShard(i)
+	}
+	if rec != nil {
+		rec.EndPhase(p, i, e.round, t0)
 	}
 }
 
@@ -1201,7 +1153,7 @@ func (e *stepEngine) startWorkers() {
 // workerLoop is one persistent worker: woken by the gate for each phase, it
 // runs its shard's slice and reports completion, until told to exit.
 func (e *stepEngine) workerLoop(shard int) {
-	rec := e.rec
+	rec := e.cfg.rec
 	var epoch uint32
 	for {
 		var t0 int64
@@ -1474,7 +1426,7 @@ func (e *stepEngine) deliverShard(d int) {
 			sd.awake = append(sd.awake, v)
 		}
 	}
-	if e.tw == nil {
+	if e.cfg.tw == nil {
 		// With a transcript on, the coordinator digests and clears the
 		// touched lists after the phase (emitRound); the hot path never
 		// does transcript work.

@@ -612,20 +612,3 @@ var DefaultTranscript *TranscriptWriter
 func WithTranscript(tw *TranscriptWriter) Option {
 	return func(c *config) { c.tw = tw }
 }
-
-// transcript resolves the run's transcript writer.
-func (c *config) transcript() *TranscriptWriter {
-	if c.tw != nil {
-		return c.tw
-	}
-	return DefaultTranscript
-}
-
-// planString renders the run's fault plan for transcript and checkpoint
-// headers ("" when fault-free).
-func (c *config) planString() string {
-	if p := c.plan(); p != nil {
-		return p.String()
-	}
-	return ""
-}
