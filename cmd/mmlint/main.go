@@ -3,35 +3,19 @@
 // over Go package patterns — the build-time half of the contracts the
 // difftest/golden/alloc gates assert at runtime.
 //
-// Standalone (the `make lint` path):
+// Usage (the `make lint` path):
 //
 //	mmlint ./...             # lint the whole module, exit 1 on findings
 //	mmlint -dir /repo ./...  # lint another module
 //	mmlint -json ./...       # machine-readable findings
-//
-// As a vet tool (the unitchecker protocol):
-//
-//	go vet -vettool=$(which mmlint) ./...
-//
-// In vet mode the go command hands the tool one *.cfg JSON file per
-// package, with the dependency graph already compiled to export data; the
-// tool type-checks from that, runs the suite, and reports findings on
-// stderr with a non-zero exit, which `go vet` relays per package.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
-	"runtime"
-	"strings"
 
 	"repro/internal/analysis"
 )
@@ -41,22 +25,6 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// The go vet driver probes its tool with -V=full (version fingerprint
-	// for build caching) and -flags (supported analyzer flags) before
-	// handing it package configs; answer both, then detect config mode.
-	if len(args) == 1 {
-		switch {
-		case strings.HasPrefix(args[0], "-V"):
-			fmt.Fprintln(stdout, "mmlint version mmlint-1.0")
-			return 0
-		case args[0] == "-flags":
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			return runVet(args[0], stderr)
-		}
-	}
-
 	fs := flag.NewFlagSet("mmlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", ".", "module directory to resolve patterns in")
@@ -98,108 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "mmlint: %d finding(s)\n", len(diags))
 		return 1
-	}
-	return 0
-}
-
-// vetConfig is the slice of the unitchecker protocol's per-package config
-// file mmlint needs.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVet executes one unitchecker-protocol invocation: type-check the
-// package from the export data the go command prepared, run the suite, and
-// report findings like `go vet` expects (stderr + exit 2).
-func runVet(cfgPath string, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "mmlint: reading vet config: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "mmlint: parsing vet config %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The facts output must exist even though mmlint's analyzers exchange
-	// no facts — the go command caches and replays it for dependents.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("mmlint-no-facts\n"), 0o666); err != nil {
-			fmt.Fprintf(stderr, "mmlint: writing facts: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintf(stderr, "mmlint: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	compilerImporter := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	sizes := types.SizesFor("gc", runtime.GOARCH)
-	conf := types.Config{Importer: compilerImporter, Sizes: sizes}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(stderr, "mmlint: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	pkg := &analysis.Package{
-		Path:  cfg.ImportPath,
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-		Sizes: sizes,
-	}
-	diags, err := analysis.RunAnalyzers([]*analysis.Package{pkg}, analysis.All())
-	if err != nil {
-		fmt.Fprintf(stderr, "mmlint: %v\n", err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintf(stderr, "%s: %s\n", d.Pos, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
 	}
 	return 0
 }
