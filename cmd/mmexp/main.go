@@ -3,13 +3,13 @@
 //
 // Usage:
 //
-//	mmexp                # quick sweep (seconds)
-//	mmexp -full          # full sweep (minutes)
-//	mmexp -only E3       # a single experiment
-//	mmexp -only E9       # step-engine scaling table (10⁶ nodes with -full)
-//	mmexp -only E10      # chaos: degradation under crash/jam fault plans
-//	mmexp -jam 0.2       # every experiment under a 20% channel-jamming plan
-//	mmexp -list          # list the registry
+//	mmexp                      # quick sweep (seconds)
+//	mmexp -full                # full sweep (minutes)
+//	mmexp -only E3             # a single experiment
+//	mmexp -only E9             # step-engine scaling table (10⁶ nodes with -full)
+//	mmexp -only E10            # chaos: degradation under crash/jam fault plans
+//	mmexp -faults jam:1-/p0.2  # every experiment under a 20% channel-jamming plan
+//	mmexp -list                # list the registry
 package main
 
 import (
@@ -41,10 +41,7 @@ func run(args []string, w io.Writer) error {
 		only      = fs.String("only", "", "run a single experiment by id (e.g. E3)")
 		list      = fs.Bool("list", false, "list experiments and exit")
 		workers   = fs.Int("workers", 0, "step-engine worker count (0 = GOMAXPROCS)")
-		faults    = fs.String("faults", "", "fault plan DSL applied to every experiment (E10 installs its own plans)")
-		crashFrac = fs.Float64("crash", 0, "crash-stop this fraction of nodes at round 1 in every run")
-		jamRate   = fs.Float64("jam", 0, "jam every channel slot with this probability")
-		faultSeed = fs.Int64("fault-seed", 1, "seed for the fault plan's probabilistic rules")
+		faults    = fs.String("faults", "", "fault plan DSL applied to every experiment (E10 installs its own plans); seed 1 unless it pins seed:N")
 		maxRounds = fs.Int("max-rounds", 0, "round budget per run (0 = graph-derived default); bound wedged faulted runs")
 
 		tracePath   = fs.String("trace", "", "write engine phase spans across every run as Chrome trace_event JSON to this file")
@@ -57,7 +54,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	plan, err := fault.FromFlags(*faults, *crashFrac, *jamRate, *faultSeed)
+	plan, err := fault.FromFlag(*faults)
 	if err != nil {
 		return err
 	}

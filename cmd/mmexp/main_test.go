@@ -47,7 +47,7 @@ func TestRunFaultedExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	// E8's protocols tolerate mild jamming (collision-resolution stages
 	// retry); the runs must still complete and print the table.
-	if err := run([]string{"-only", "E8", "-jam", "0.1", "-max-rounds", "20000"}, &buf); err != nil {
+	if err := run([]string{"-only", "E8", "-faults", "jam:1-/p0.1", "-max-rounds", "20000"}, &buf); err != nil {
 		t.Fatalf("faulted E8: %v\n%s", err, buf.String())
 	}
 	if !strings.Contains(buf.String(), "== E8") {

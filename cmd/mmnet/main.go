@@ -10,7 +10,7 @@
 //	mmnet -graph ring:100 -algo count
 //	mmnet -graph ring:256 -algo mst -workers 4
 //	mmnet -graph ring:1000000 -algo census
-//	mmnet -graph ring:100000 -algo census -jam 1
+//	mmnet -graph ring:100000 -algo census -faults jam:1-
 //	mmnet -graph random:256,256 -algo sum -faults 'jam:1-40/p0.5;drop:3@2-'
 //	mmnet -graph ring:64 -algo count -json
 //
@@ -38,6 +38,7 @@ import (
 	"repro/internal/mst"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/replay"
 	"repro/internal/resolve"
 	"repro/internal/sim"
 	"repro/internal/size"
@@ -103,10 +104,7 @@ func run(args []string, w io.Writer) error {
 		stage     = fs.String("stage", "cap", "global stage: cap|mb")
 		workers   = fs.Int("workers", 0, "step-engine worker count (0 = GOMAXPROCS)")
 		jsonOut   = fs.Bool("json", false, "emit the run as one machine-readable JSON object on stdout")
-		faults    = fs.String("faults", "", "fault plan DSL, e.g. 'crash:7@10;jam:4-12/p0.5;drop:3@5-' (see README, Fault model)")
-		crashFrac = fs.Float64("crash", 0, "crash-stop this fraction of nodes at round 1 (seeded-random victims)")
-		jamRate   = fs.Float64("jam", 0, "jam every channel slot with this probability")
-		faultSeed = fs.Int64("fault-seed", 1, "seed for the fault plan's probabilistic rules (unless the DSL pins seed:N)")
+		faults    = fs.String("faults", "", "fault plan DSL, e.g. 'crash:7@10;jam:4-12/p0.5;drop:3@5-'; seed 1 unless it pins seed:N (see README, Fault model)")
 		maxRounds = fs.Int("max-rounds", 0, "round budget per run (0 = graph-derived default); bound wedged faulted runs")
 
 		transcriptPath = fs.String("transcript", "", "stream the run's binary transcript to this file (.gz suffix = gzip); single-run protocols (census|estimate) only")
@@ -127,7 +125,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	plan, err := fault.FromFlags(*faults, *crashFrac, *jamRate, *faultSeed)
+	plan, err := fault.FromFlag(*faults)
 	if err != nil {
 		return err
 	}
@@ -371,14 +369,9 @@ func runResume(algo string, g graph.Topology, path string, opts []sim.Option) (*
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	var prog sim.StepProgram
-	switch algo {
-	case "census":
-		prog = globalfunc.P2PStepProgram(globalfunc.Sum, func(graph.NodeID) int64 { return 1 })
-	case "estimate":
-		prog = size.GLStepProgram()
-	default:
-		return nil, fmt.Errorf("-resume supports census|estimate, not %q", algo)
+	prog, err := replay.Program(algo)
+	if err != nil {
+		return nil, err
 	}
 	res, err := sim.Resume(g, prog, cp, opts...)
 	if err != nil {

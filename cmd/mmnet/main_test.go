@@ -72,7 +72,7 @@ func TestRunErrors(t *testing.T) {
 // the result and the full metrics encoding.
 func TestRunJSON(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-graph", "ring:12", "-algo", "census", "-jam", "1", "-json"}, &buf)
+	err := run([]string{"-graph", "ring:12", "-algo", "census", "-faults", "jam:1-", "-json"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +93,8 @@ func TestRunJSON(t *testing.T) {
 	if obj.Result["n"] != float64(12) {
 		t.Errorf("result.n = %v, want 12", obj.Result["n"])
 	}
-	if obj.Faults != "jam:1-/p1" && !strings.Contains(obj.Faults, "jam:1-") {
-		t.Errorf("faults = %q, want a jam rule", obj.Faults)
+	if obj.Faults != "seed:1;jam:1-" {
+		t.Errorf("faults = %q, want the jam rule under the default seed 1", obj.Faults)
 	}
 	// The census never writes the channel, so every slot of the jammed run
 	// is a jammed one and the writer-slot counters stay zero.

@@ -348,31 +348,16 @@ func (r *Rule) validate(g graph.Topology, caps Caps) error {
 	return nil
 }
 
-// FromFlags assembles the plan the commands' fault flags describe: the
-// parsed -faults DSL (may be empty) plus the -crash and -jam conveniences —
-// crash a seeded-random fraction of nodes at round 1, jam every slot with
-// the given rate. A nil plan (no faults at all) is returned when every part
-// is empty.
-func FromFlags(dsl string, crashFrac, jamRate float64, seed int64) (*Plan, error) {
+// FromFlag parses the plan a command's -faults flag describes: the DSL, with
+// seed 1 when it has no seed:N item. An empty plan parses to nil (no
+// faults).
+func FromFlag(dsl string) (*Plan, error) {
 	p, err := Parse(dsl)
-	if err != nil {
+	if p == nil {
 		return nil, err
 	}
-	if p == nil {
-		p = &Plan{}
-	}
 	if p.Seed == 0 {
-		// The flag seed applies unless the DSL pinned one with seed:N.
-		p.Seed = seed
-	}
-	if crashFrac > 0 {
-		p.Add(Rule{Kind: CrashFrac, Frac: crashFrac, From: 1})
-	}
-	if jamRate > 0 {
-		p.Add(Rule{Kind: Jam, From: 1, Until: Forever, Prob: jamRate})
-	}
-	if p.Empty() {
-		return nil, nil
+		p.Seed = 1
 	}
 	return p, nil
 }

@@ -260,23 +260,26 @@ func TestCrashProbCompile(t *testing.T) {
 	}
 }
 
-func TestFromFlags(t *testing.T) {
-	p, err := FromFlags("", 0, 0, 1)
-	if err != nil || p != nil {
-		t.Errorf("FromFlags all-empty = %v, %v, want nil, nil", p, err)
+func TestFromFlag(t *testing.T) {
+	for _, dsl := range []string{"", "seed:9"} {
+		if p, err := FromFlag(dsl); err != nil || p != nil {
+			t.Errorf("FromFlag(%q) = %v, %v, want nil, nil", dsl, p, err)
+		}
 	}
-	p, err = FromFlags("drop:1@2", 0.1, 0.25, 9)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := FromFlag("nope:1@2"); err == nil {
+		t.Error("FromFlag accepted an unknown rule kind")
 	}
-	if len(p.Rules) != 3 {
-		t.Fatalf("rules = %d, want 3 (dsl + crash + jam)", len(p.Rules))
-	}
-	if p.Rules[1].Kind != CrashFrac || p.Rules[1].Frac != 0.1 {
-		t.Errorf("crash rule = %+v", p.Rules[1])
-	}
-	if p.Rules[2].Kind != Jam || p.Rules[2].Prob != 0.25 || p.Rules[2].Until != Forever {
-		t.Errorf("jam rule = %+v", p.Rules[2])
+	for _, tc := range []struct{ dsl, want string }{
+		{"drop:1@2", "seed:1;drop:1@2"},
+		{"seed:9;drop:1@2", "seed:9;drop:1@2"},
+	} {
+		p, err := FromFlag(tc.dsl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.String(); got != tc.want {
+			t.Errorf("FromFlag(%q) = %q, want %q", tc.dsl, got, tc.want)
+		}
 	}
 }
 

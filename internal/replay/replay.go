@@ -182,8 +182,8 @@ func DiffMetrics(a, b *sim.Metrics) (string, int64, int64) {
 	return "", 0, 0
 }
 
-// Program resolves the re-runnable native step protocols a state bisection
-// can drive.
+// Program resolves the re-runnable native step protocols a checkpoint
+// resume or a state bisection can drive.
 func Program(algo string) (sim.StepProgram, error) {
 	switch algo {
 	case "census":
@@ -191,7 +191,7 @@ func Program(algo string) (sim.StepProgram, error) {
 	case "estimate":
 		return size.GLStepProgram(), nil
 	default:
-		return nil, fmt.Errorf("bisect supports the single-run protocols census|estimate, not %q", algo)
+		return nil, fmt.Errorf("resume and bisect support the single-run protocols census|estimate, not %q", algo)
 	}
 }
 
