@@ -15,7 +15,6 @@ import (
 	"io"
 
 	"repro/internal/coloring"
-	"repro/internal/fault"
 	"repro/internal/forest"
 	"repro/internal/globalfunc"
 	"repro/internal/graph"
@@ -39,10 +38,7 @@ func runE13(w io.Writer, full bool) error {
 	if err != nil {
 		return err
 	}
-	protos := []struct {
-		name string
-		run  func() (int64, *sim.Metrics, error)
-	}{
+	protos := []chaosProto{
 		{"census", func() (int64, *sim.Metrics, error) {
 			res, err := size.Census(g, 1)
 			if err != nil {
@@ -89,7 +85,7 @@ func runE13(w io.Writer, full bool) error {
 			return int64(len(used)), &bmet, nil
 		}},
 	}
-	plans := []struct{ name, dsl string }{
+	plans := []chaosPlan{
 		{"none", ""},
 		{"part early", "seed:7;partition:2@3-6"},
 		{"part late", "seed:7;partition:2@12-14"},
@@ -98,41 +94,14 @@ func runE13(w io.Writer, full bool) error {
 		{"restart mid", "seed:7;crash:2@3;restart:2@9"},
 		{"restart storm", "seed:7;crash:2@3;restart:2@9;crash:5@4;restart:5@12;crash:9@5;restart:9@15"},
 	}
-
-	// Wedged runs livelock until the round budget ends; bound it so every
-	// cell costs at most a few thousand rounds (same guard as E10).
-	oldFaults, oldMax := sim.DefaultFaults, sim.DefaultMaxRounds
-	sim.DefaultMaxRounds = 4000
-	defer func() { sim.DefaultFaults, sim.DefaultMaxRounds = oldFaults, oldMax }()
-
-	for _, proto := range protos {
-		var baseline int64
-		for _, p := range plans {
-			plan, err := fault.Parse(p.dsl)
-			if err != nil {
-				return err
-			}
-			sim.DefaultFaults = plan
-			value, met, err := proto.run()
-			sim.DefaultFaults = oldFaults
-			outcome := chaosOutcome(err)
-			if p.name == "none" {
-				if err != nil {
-					return fmt.Errorf("E13 %s baseline: %w", proto.name, err)
-				}
-				baseline = value
-			}
-			if err != nil {
-				t.Add(proto.name, p.name, outcome, "-", baseline, "-", "-", "-", "-")
-				continue
-			}
-			t.Add(proto.name, p.name, outcome, value, baseline,
-				met.Rounds, met.PartitionedDrop, met.Restarted, met.Crashed)
-		}
+	if err := chaosTable(t, protos, plans, func(met *sim.Metrics) []any {
+		return []any{met.PartitionedDrop, met.Restarted, met.Crashed}
+	}); err != nil {
+		return err
 	}
 	t.Fprint(w)
 	fmt.Fprintln(w, "  outcome: ok = completed; wedged = round budget exhausted (livelock);")
-	fmt.Fprintln(w, "  quiescent = step engine detected a dead network; failed = protocol-level error.")
+	fmt.Fprintln(w, "  failed = protocol-level error.")
 	fmt.Fprintln(w, "  A restarted node re-runs its protocol from local round 0 with a fresh RNG")
 	fmt.Fprintln(w, "  incarnation stream; survival therefore means the protocol tolerates a")
 	fmt.Fprintln(w, "  mid-run joiner, not merely a lost station. The deterministic wavefront")

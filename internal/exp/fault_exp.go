@@ -13,14 +13,12 @@ package exp
 //  2. Protocols that assume the fault-free model degrade legibly: each
 //     (protocol, fault plan) cell reports whether the run completed, its
 //     result drift from the fault-free baseline, and what it cost. Wedged
-//     runs are cut off by a bounded round budget, quiescent (partitioned)
-//     runs are detected by the step engine's liveness check.
+//     runs are cut off by a bounded round budget.
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/globalfunc"
@@ -90,11 +88,63 @@ func chaosOutcome(err error) string {
 		return "ok"
 	case errors.Is(err, sim.ErrMaxRounds):
 		return "wedged"
-	case strings.Contains(err.Error(), "quiescent"):
-		return "quiescent"
 	default:
 		return "failed"
 	}
+}
+
+// chaosProto is one protocol of a chaos degradation table: run executes it
+// under the process-default fault plan and reports its value and cost.
+type chaosProto struct {
+	name string
+	run  func() (int64, *sim.Metrics, error)
+}
+
+// chaosPlan is one fault plan of a chaos degradation table.
+type chaosPlan struct{ name, dsl string }
+
+// chaosTable runs every protocol under every plan, installed as
+// sim.DefaultFaults, and adds one row per (protocol, plan) to t: outcome,
+// value, the protocol's baseline value, rounds, then the metric columns
+// cols reads from a completed run. The first plan is the fault-free
+// baseline, which every protocol must complete.
+func chaosTable(t *Table, protos []chaosProto, plans []chaosPlan, cols func(*sim.Metrics) []any) error {
+	// Wedged runs livelock until the round budget ends; bound it so every
+	// cell costs at most a few thousand rounds. Fault-free baselines on
+	// these sizes finish far below the cap.
+	oldFaults, oldMax := sim.DefaultFaults, sim.DefaultMaxRounds
+	sim.DefaultMaxRounds = 4000
+	defer func() { sim.DefaultFaults, sim.DefaultMaxRounds = oldFaults, oldMax }()
+
+	for _, proto := range protos {
+		var baseline int64
+		for i, p := range plans {
+			plan, err := fault.Parse(p.dsl)
+			if err != nil {
+				return err
+			}
+			sim.DefaultFaults = plan
+			value, met, err := proto.run()
+			sim.DefaultFaults = oldFaults
+			if i == 0 {
+				if err != nil {
+					return fmt.Errorf("%s baseline: %w", proto.name, err)
+				}
+				baseline = value
+			}
+			row := []any{proto.name, p.name, chaosOutcome(err)}
+			if err != nil {
+				row = append(row, "-", baseline)
+				for len(row) < len(t.Header) {
+					row = append(row, "-")
+				}
+			} else {
+				row = append(append(row, value, baseline, met.Rounds), cols(met)...)
+			}
+			t.Add(row...)
+		}
+	}
+	return nil
 }
 
 // runE10Degradation is the degradation half: partition, census, and the
@@ -113,10 +163,7 @@ func runE10Degradation(w io.Writer, full bool) error {
 	if err != nil {
 		return err
 	}
-	protos := []struct {
-		name string
-		run  func() (int64, *sim.Metrics, error)
-	}{
+	protos := []chaosProto{
 		{"partition-det", func() (int64, *sim.Metrics, error) {
 			f, met, _, err := partition.Deterministic(g, 1)
 			if err != nil {
@@ -140,7 +187,7 @@ func runE10Degradation(w io.Writer, full bool) error {
 			return res.Value, &res.Total, nil
 		}},
 	}
-	plans := []struct{ name, dsl string }{
+	plans := []chaosPlan{
 		{"none", ""},
 		{"crash 5%", "seed:7;crashfrac:0.05@1"},
 		{"crash 15%", "seed:7;crashfrac:0.15@1"},
@@ -148,41 +195,13 @@ func runE10Degradation(w io.Writer, full bool) error {
 		{"loss 2%", "seed:7;drop:*@1-/p0.02"},
 		{"crash5+jam30", "seed:7;crashfrac:0.05@1;jam:1-/p0.3"},
 	}
-
-	// Wedged runs livelock until the round budget ends; bound it so every
-	// cell costs at most a few thousand rounds. Fault-free baselines on
-	// these sizes finish far below the cap.
-	oldFaults, oldMax := sim.DefaultFaults, sim.DefaultMaxRounds
-	sim.DefaultMaxRounds = 4000
-	defer func() { sim.DefaultFaults, sim.DefaultMaxRounds = oldFaults, oldMax }()
-
-	for _, proto := range protos {
-		var baseline int64
-		for _, p := range plans {
-			plan, err := fault.Parse(p.dsl)
-			if err != nil {
-				return err
-			}
-			sim.DefaultFaults = plan
-			value, met, err := proto.run()
-			sim.DefaultFaults = oldFaults
-			outcome := chaosOutcome(err)
-			if p.name == "none" {
-				if err != nil {
-					return fmt.Errorf("E10 %s baseline: %w", proto.name, err)
-				}
-				baseline = value
-			}
-			if err != nil {
-				t.Add(proto.name, p.name, outcome, "-", baseline, "-", "-", "-", "-")
-				continue
-			}
-			t.Add(proto.name, p.name, outcome, value, baseline,
-				met.Rounds, met.Crashed, met.DroppedFault, met.SlotsJammed)
-		}
+	if err := chaosTable(t, protos, plans, func(met *sim.Metrics) []any {
+		return []any{met.Crashed, met.DroppedFault, met.SlotsJammed}
+	}); err != nil {
+		return err
 	}
 	t.Fprint(w)
 	fmt.Fprintln(w, "  outcome: ok = completed; wedged = round budget exhausted (livelock);")
-	fmt.Fprintln(w, "  quiescent = step engine detected a dead partition; value vs baseline = drift")
+	fmt.Fprintln(w, "  value vs baseline = drift")
 	return nil
 }
