@@ -31,9 +31,6 @@ type Options struct {
 	// Trace enables the phase tracer (per-shard span rings, rendered by
 	// WriteTrace).
 	Trace bool
-	// TraceCap overrides the per-shard span-ring capacity
-	// (DefaultTraceCap when zero).
-	TraceCap int
 	// Series, when non-nil, streams one NDJSON row per round (or per
 	// SeriesEvery-round window) to the writer. Close flushes it.
 	Series io.Writer
@@ -48,9 +45,6 @@ type Options struct {
 	// PprofLabels tags each goroutine with its current engine phase via
 	// runtime/pprof labels, so CPU profiles break down by phase.
 	PprofLabels bool
-	// Registry, when non-nil, receives this Obs's instruments; otherwise a
-	// fresh registry is created (exposed by Registry()).
-	Registry *Registry
 }
 
 // Obs implements sim.Recorder, fanning engine events out to the tracer,
@@ -73,7 +67,7 @@ type Obs struct {
 	phaseNs [int(sim.NumPhases)][]int64
 
 	// Registry instruments. prevReg snapshots the current run's cumulative
-	// metrics at the last RoundEnd so counters advance by deltas and stay
+	// metrics at the last advance so counters advance by deltas and stay
 	// monotone across runs.
 	prevReg     sim.Metrics
 	runs        *Counter
@@ -90,10 +84,7 @@ type Obs struct {
 // New builds an Obs from opts. If opts.Series is set the header line is
 // written immediately.
 func New(opts Options) *Obs {
-	reg := opts.Registry
-	if reg == nil {
-		reg = NewRegistry()
-	}
+	reg := NewRegistry()
 	o := &Obs{
 		reg: reg,
 		// //mmlint:nondet — wall-clock origin for observability timestamps
@@ -102,7 +93,7 @@ func New(opts Options) *Obs {
 		labels: opts.PprofLabels,
 	}
 	if opts.Trace {
-		o.tr = newTracer(opts.TraceCap)
+		o.tr = newTracer(traceCap)
 	}
 	if opts.Series != nil {
 		o.col = newCollector(opts.Series, opts.SeriesEvery)
@@ -198,8 +189,9 @@ func (o *Obs) FastForward(fromRound, toRound int) {
 	}
 }
 
-// RoundEnd implements sim.Recorder.
-func (o *Obs) RoundEnd(round, awake int, slot sim.SlotState, m *sim.Metrics) {
+// advance moves the registry counters by what m, the run's cumulative
+// metrics, gained since the previous call.
+func (o *Obs) advance(m *sim.Metrics) {
 	delta := *m
 	delta.Sub(&o.prevReg)
 	o.prevReg = *m
@@ -217,6 +209,11 @@ func (o *Obs) RoundEnd(round, awake int, slot sim.SlotState, m *sim.Metrics) {
 	o.faults[5].Add(delta.Restarted)
 	o.faults[6].Add(delta.Skewed)
 	o.droppedHalt.Add(delta.DroppedHalted)
+}
+
+// RoundEnd implements sim.Recorder.
+func (o *Obs) RoundEnd(round, awake int, slot sim.SlotState, m *sim.Metrics) {
+	o.advance(m)
 	o.awake.Set(int64(awake))
 	if o.col != nil {
 		o.col.roundEnd(round, awake, slot, m, &o.phaseNs)
@@ -232,25 +229,7 @@ func (o *Obs) RoundEnd(round, awake int, slot sim.SlotState, m *sim.Metrics) {
 // that never reached a RoundEnd (an abort can move counters mid-round) and
 // flushes the collector's tail window.
 func (o *Obs) RunEnd(m *sim.Metrics) {
-	if o.prevReg != *m {
-		tail := *m
-		tail.Sub(&o.prevReg)
-		o.rounds.Add(int64(tail.Rounds))
-		o.messages.Add(tail.Messages)
-		o.slots[0].Add(tail.SlotsIdle)
-		o.slots[1].Add(tail.SlotsSuccess)
-		o.slots[2].Add(tail.SlotsCollision)
-		o.slots[3].Add(tail.SlotsJammed)
-		o.faults[0].Add(tail.Crashed)
-		o.faults[1].Add(tail.DroppedFault)
-		o.faults[2].Add(tail.Delayed)
-		o.faults[3].Add(tail.Duplicated)
-		o.faults[4].Add(tail.PartitionedDrop)
-		o.faults[5].Add(tail.Restarted)
-		o.faults[6].Add(tail.Skewed)
-		o.droppedHalt.Add(tail.DroppedHalted)
-		o.prevReg = *m
-	}
+	o.advance(m)
 	if o.col != nil {
 		o.col.runEnd(m)
 	}

@@ -70,10 +70,9 @@ func (r *shardRing) ordered() []span {
 	return out
 }
 
-// DefaultTraceCap is the per-shard span-ring capacity when Options.TraceCap
-// is zero: 32768 spans ≈ 10⁴ rounds of step+deliver+barrier per shard,
-// ~0.75 MiB per shard.
-const DefaultTraceCap = 1 << 15
+// traceCap is the per-shard span-ring capacity: 32768 spans ≈ 10⁴ rounds
+// of step+deliver+barrier per shard, ~0.75 MiB per shard.
+const traceCap = 1 << 15
 
 // tracer owns the per-shard rings and the fast-forward instants.
 type tracer struct {
@@ -84,9 +83,6 @@ type tracer struct {
 }
 
 func newTracer(capacity int) *tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCap
-	}
 	return &tracer{cap: capacity}
 }
 
