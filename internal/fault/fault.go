@@ -353,7 +353,7 @@ func (r *Rule) validate(g graph.Topology, caps Caps) error {
 // faults).
 func FromFlag(dsl string) (*Plan, error) {
 	p, err := Parse(dsl)
-	if p == nil {
+	if err != nil || p == nil {
 		return nil, err
 	}
 	if p.Seed == 0 {
