@@ -30,8 +30,9 @@ func (m dietMachine) Step(in Input) bool {
 
 func (m dietMachine) Result() any { return nil }
 
-// dietRingN is above inlineThreshold, so multi-worker runs use the gate.
-const dietRingN = 1024
+// dietRingN is inlineThreshold, the smallest ring whose rounds fan out, so
+// multi-worker runs use the gate.
+const dietRingN = inlineThreshold
 
 // dietForm is one topology form the gate runs on.
 type dietForm struct {

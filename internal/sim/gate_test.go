@@ -131,3 +131,40 @@ func TestPhaseGateStaleWorkerWake(t *testing.T) {
 		t.Fatalf("await returned epoch %d, want 2", v)
 	}
 }
+
+// barrierCounter is a Recorder that counts the coordinator's barrier spans:
+// one per phase fanned out to the worker pool, none for a phase run inline.
+type barrierCounter struct{ spans atomic.Int64 }
+
+func (*barrierCounter) RunStart(int, Engine, int, int) {}
+func (*barrierCounter) BeginPhase(Phase, int) int64    { return 0 }
+func (c *barrierCounter) EndPhase(p Phase, shard, _ int, _ int64) {
+	if p == PhaseBarrier && shard == 0 {
+		c.spans.Add(1)
+	}
+}
+func (*barrierCounter) FastForward(int, int)                   {}
+func (*barrierCounter) RoundEnd(int, int, SlotState, *Metrics) {}
+func (*barrierCounter) RunEnd(*Metrics)                        {}
+
+// TestFanOutThreshold pins the fan-out rule: a round's two phases run on the
+// worker pool when at least inlineThreshold nodes are awake, and inline on
+// the coordinator below that.
+func TestFanOutThreshold(t *testing.T) {
+	for _, tc := range []struct{ n, perRound int }{
+		{inlineThreshold - 1, 0},
+		{inlineThreshold, 2},
+	} {
+		var c barrierCounter
+		res, err := RunStep(ring(t, tc.n), func(sc *StepCtx) Machine {
+			return dietMachine{c: sc, rounds: 10}
+		}, WithWorkers(2), WithRecorder(&c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.spans.Load(), int64(tc.perRound*res.Metrics.Rounds); got != want {
+			t.Errorf("ring:%d at 2 workers: %d fanned-out phases in %d rounds, want %d",
+				tc.n, got, res.Metrics.Rounds, want)
+		}
+	}
+}

@@ -467,8 +467,17 @@ const (
 	phaseStep int8 = iota + 1
 	phaseDeliver
 	// inlineThreshold: with fewer awake nodes than this, the coordinator
-	// steps them itself rather than paying the worker fan-out/fan-in.
-	inlineThreshold = 256
+	// steps them itself rather than waking the worker pool. A fanned-out
+	// phase parks and wakes every worker, and only a phase with enough
+	// node steps to split pays that back. 2,048 is about where the
+	// cheapest step breaks even: a one-send relay on a ring, every node
+	// stepping every round, always fanned out, ran at 2 workers 0.7–0.8×
+	// as fast as at 1 on 1,024 nodes, 1.0× on 2,048, 1.1–1.2× on 4,096
+	// and 1.3–1.6× on 8,192 (2-vCPU host, best of 7 runs of 400 rounds).
+	// At 256, the §6 MST plus §5 sum on random:512,1024 took 1.6–1.8× as
+	// long at 2 workers as at 1, because most of its rounds have 256–511
+	// awake nodes.
+	inlineThreshold = 2048
 )
 
 type stepEngine struct {
