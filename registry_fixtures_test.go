@@ -19,6 +19,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/difftest"
@@ -95,6 +97,81 @@ func TestRegistryFixtures(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// fannedOutProtocols are the registry entries TestRegistryFannedOut runs on
+// torus:64x64. Every fixture topology has under 50 nodes, so all of the
+// fixtures' rounds run inline on the coordinator; these entries have rounds
+// with all 4,096 nodes awake, which the engine fans out to the worker pool.
+var fannedOutProtocols = []string{"coloring", "partition-rand", "sync-sum", "elect"}
+
+// barrierCounter is a sim.Recorder that counts the coordinator's barrier
+// spans: one per phase fanned out to the worker pool, none for a phase run
+// inline.
+type barrierCounter struct{ spans atomic.Int64 }
+
+func (*barrierCounter) RunStart(int, sim.Engine, int, int) {}
+func (*barrierCounter) BeginPhase(sim.Phase, int) int64    { return 0 }
+func (c *barrierCounter) EndPhase(p sim.Phase, shard, _ int, _ int64) {
+	if p == sim.PhaseBarrier && shard == 0 {
+		c.spans.Add(1)
+	}
+}
+func (*barrierCounter) FastForward(int, int)                           {}
+func (*barrierCounter) RoundEnd(int, int, sim.SlotState, *sim.Metrics) {}
+func (*barrierCounter) RunEnd(*sim.Metrics)                            {}
+
+// TestRegistryFannedOut holds rounds that run on the worker pool to the
+// byte-identity contract: at every worker count, each cell's transcript
+// stream and outcome must equal the 1-worker cell's, and past one worker at
+// least one phase must have fanned out.
+func TestRegistryFannedOut(t *testing.T) {
+	g, err := graph.ParseSpec("torus:64x64", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, workerCounts := registryPlans, harnessWorkers
+	if testing.Short() {
+		plans, workerCounts = registryPlans[:1], []int{1, 4}
+	}
+	for _, proto := range difftest.Protocols() {
+		if !slices.Contains(fannedOutProtocols, proto.Name) {
+			continue
+		}
+		for _, p := range plans {
+			t.Run(proto.Name+"/"+p.name, func(t *testing.T) {
+				var plan *fault.Plan
+				if p.plan != "" {
+					if plan, err = fault.Parse(p.plan); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cell := func(workers int) (string, int64) {
+					var c barrierCounter
+					oldW, oldR := sim.DefaultWorkers, sim.DefaultRecorder
+					sim.DefaultWorkers, sim.DefaultRecorder = workers, &c
+					defer func() { sim.DefaultWorkers, sim.DefaultRecorder = oldW, oldR }()
+					return registryCell(t, proto, g, plan), c.spans.Load()
+				}
+				want, spans := cell(1)
+				if spans != 0 {
+					t.Errorf("step-w1: %d phases fanned out, want 0", spans)
+				}
+				for _, workers := range workerCounts {
+					if workers == 1 {
+						continue
+					}
+					got, spans := cell(workers)
+					if got != want {
+						t.Errorf("step-w%d deviates from step-w1:\n got:  %s want: %s", workers, got, want)
+					}
+					if spans == 0 {
+						t.Errorf("step-w%d: no phase fanned out to the worker pool", workers)
+					}
+				}
+			})
 		}
 	}
 }
