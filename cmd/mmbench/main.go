@@ -163,13 +163,6 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	// Phase-breakdown rows: where a relay round's time goes — step compute
-	// vs delivery vs barrier wait — per worker count. This is the
-	// measurement the ROADMAP's multicore campaign reads.
-	if err := phaseRows(w, rep, ring, *nodes); err != nil {
-		return err
-	}
-
 	// Scale rows: the E11 configurations, one timed run each on the step
 	// engine.
 	scaleN := *nodes
@@ -307,41 +300,6 @@ func compareReports(w io.Writer, cur *Report, baselinePath string) error {
 		return fmt.Errorf("%d row(s) failed the gate vs %s: %v", len(regressions), baselinePath, regressions)
 	}
 	fmt.Fprintf(w, "compare: no row regressed >%.0f%% vs %s\n", (1-regressionTolerance)*100, baselinePath)
-	return nil
-}
-
-// phaseRows runs the native relay once per worker count with an obs
-// recorder attached and emits one row per engine phase: ns_per_op is the
-// phase's total nanoseconds across the run, and the note carries the
-// per-span p50/p95/max from the duration histogram. nodes_per_sec is 0 so
-// the -compare wall-clock gate skips these rows (phase splits shift with
-// hardware shape; the trajectory is informational). The observed run is
-// separate from the relay benchmark rows above, whose timings stay
-// recorder-free.
-func phaseRows(w io.Writer, rep *Report, g graph.Topology, n int) error {
-	for _, workers := range []int{1, 4} {
-		o := obs.New(obs.Options{})
-		if _, err := sim.RunStep(g, func(c *sim.StepCtx) sim.Machine { return relayMachine{c: c} },
-			sim.WithWorkers(workers), sim.WithRecorder(o)); err != nil {
-			return err
-		}
-		for p := sim.Phase(0); p < sim.NumPhases; p++ {
-			s := o.PhaseSummary(p)
-			if s.Count == 0 {
-				// The inline (workers=1) path has no barrier phase.
-				continue
-			}
-			name := fmt.Sprintf("phase/relay-native-w%d/%s", workers, p)
-			rep.Rows = append(rep.Rows, Row{
-				Name: name, Nodes: n, Workers: workers,
-				NsPerOp: s.Sum, Rounds: relayRounds,
-				Note: fmt.Sprintf("total %s ns over one observed relay run; per span p50=%d p95=%d max=%d ns (%d spans)",
-					p, s.P50, s.P95, s.Max, s.Count),
-			})
-			fmt.Fprintf(w, "%-32s %12d ns total  (p50=%d p95=%d max=%d ns/span, %d spans)\n",
-				name, s.Sum, s.P50, s.P95, s.Max, s.Count)
-		}
-	}
 	return nil
 }
 
