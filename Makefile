@@ -71,11 +71,13 @@ fuzz:
 	$(GO) test -fuzz FuzzEngineEquivalence -fuzztime 60s -run '^$$' .
 
 ## fuzz-decoders: 30 s each of the MMCP checkpoint and MMTR transcript
-## decoder fuzz targets (plain and gzip seeds, hostile lengths included);
-## their seeds alone already run under `go test ./...`
+## decoder fuzz targets (plain and gzip seeds, hostile lengths included)
+## and of the fault-plan parser's target (round trip, compile without
+## panic); their seeds alone already run under `go test ./...`
 fuzz-decoders:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTranscriptReader$$' -fuzztime 30s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 30s ./internal/fault
 
 ## golden: regenerate the committed transcript fixtures (intentional
 ## determinism changes only)

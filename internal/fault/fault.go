@@ -207,10 +207,10 @@ func ruleString(r *Rule) string {
 	}
 	from, until := r.window()
 	switch {
+	case until == from: // before Forever: a single round at MaxInt stays one
+		fmt.Fprintf(&b, "%d", from)
 	case until == Forever:
 		fmt.Fprintf(&b, "%d-", from)
-	case until == from:
-		fmt.Fprintf(&b, "%d", from)
 	default:
 		fmt.Fprintf(&b, "%d-%d", from, until)
 	}

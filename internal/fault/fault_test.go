@@ -46,6 +46,57 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParsePlan holds the fault DSL to two properties: a plan that parses
+// renders to a string that parses back to the same string (Parse then
+// String is a fixed point after one step), and compiling any parsed plan
+// returns an injector or an error, never a panic.
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range []string{
+		// The registry chaos plan and the differential fault plans.
+		"seed:5;crash:5@4;jam:2-3;drop:0@2-8/p0.5",
+		"seed:3;crash:2@3",
+		"seed:7;jam:1-6/p0.5",
+		"seed:9;drop:*@2-12/p0.3",
+		"seed:11;crash:4@5;jam:3-4;dup:*@2-9/p0.2/d2",
+		"seed:13;delay:*@1-14/p0.4/d3",
+		"seed:15;partition:2@3-8",
+		"seed:19;crash:3@4;restart:3@9",
+		"seed:21;drop:*@2-4/e8/p0.5;jam:3-4/e6",
+		"seed:23;partition:3@2-5;crash:2@3;restart:2@10;delay:*@1-12/p0.2/d2",
+		// The crash-restart plans of the chaos smoke.
+		"seed:7;crash:5@2;restart:5@4",
+		"seed:7;crash:5@1;restart:5@2",
+		// The examples in parse.go's header.
+		"crash:7@10", "drop:3@5-", "delay:*@1-/d2/p0.1", "jam:4-12/p0.5",
+		"seed:42;crashfrac:0.1@1-20", "partition:3@10-19", "jam:5-8/e20",
+		"crash:7@10;restart:7@25", "skew:2@5-30/d3",
+		// A single round at MaxInt once rendered as an open window, which
+		// a crash rejects.
+		"crash:1@9223372036854775807",
+	} {
+		f.Add(s)
+	}
+	g, err := graph.ImplicitRing(16, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil {
+			return
+		}
+		s1 := p.String()
+		p1, err := Parse(s1)
+		if err != nil {
+			t.Fatalf("Parse(%q).String() = %q does not parse: %v", s, s1, err)
+		}
+		if s2 := p1.String(); s2 != s1 {
+			t.Fatalf("Parse(%q).String() = %q, but it renders again as %q", s, s1, s2)
+		}
+		_, _ = CompileFor(p, g, Caps{Skew: true}) // an error is fine; a panic fails
+	})
+}
+
 func TestParseEmpty(t *testing.T) {
 	for _, s := range []string{"", "  ", ";;", " ; "} {
 		p, err := Parse(s)
