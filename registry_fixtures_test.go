@@ -101,12 +101,6 @@ func TestRegistryFixtures(t *testing.T) {
 	}
 }
 
-// fannedOutProtocols are the registry entries TestRegistryFannedOut runs on
-// torus:64x64. Every fixture topology has under 50 nodes, so all of the
-// fixtures' rounds run inline on the coordinator; these entries have rounds
-// with all 4,096 nodes awake, which the engine fans out to the worker pool.
-var fannedOutProtocols = []string{"coloring", "partition-rand", "sync-sum", "elect"}
-
 // barrierCounter is a sim.Recorder that counts the coordinator's barrier
 // spans: one per phase fanned out to the worker pool, none for a phase run
 // inline.
@@ -124,10 +118,14 @@ func (*barrierCounter) RoundEnd(int, int, sim.SlotState, *sim.Metrics) {}
 func (*barrierCounter) RunEnd(*sim.Metrics)                            {}
 
 // TestRegistryFannedOut holds rounds that run on the worker pool to the
-// byte-identity contract: at every worker count, each cell's transcript
-// stream and outcome must equal the 1-worker cell's, and past one worker at
-// least one phase must have fanned out.
+// byte-identity contract. No fixture topology has more than 48 nodes, so
+// every fixture round runs inline on the coordinator. On torus:64x64 (4,096
+// nodes) a round with every node awake fans out; these four entries have
+// such rounds and run in about 2 s together. At every worker count, each
+// cell's transcript stream and outcome must equal the 1-worker cell's, and
+// past one worker at least one phase must have fanned out.
 func TestRegistryFannedOut(t *testing.T) {
+	protos := []string{"coloring", "partition-rand", "sync-sum", "elect"}
 	g, err := graph.ParseSpec("torus:64x64", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +135,7 @@ func TestRegistryFannedOut(t *testing.T) {
 		plans, workerCounts = registryPlans[:1], []int{1, 4}
 	}
 	for _, proto := range difftest.Protocols() {
-		if !slices.Contains(fannedOutProtocols, proto.Name) {
+		if !slices.Contains(protos, proto.Name) {
 			continue
 		}
 		for _, p := range plans {
