@@ -475,7 +475,7 @@ const (
 	// as fast as at 1 on 1,024 nodes, 1.0× on 2,048, 1.1–1.2× on 4,096
 	// and 1.3–1.6× on 8,192 (2-vCPU host, best of 7 runs of 400 rounds).
 	// At 256, the §6 MST plus §5 sum on random:512,1024 took 1.6–1.8× as
-	// long at 2 workers as at 1, because most of its rounds have 256–511
+	// long at 2 workers as at 1, because most of its rounds have 256–512
 	// awake nodes.
 	inlineThreshold = 2048
 )
