@@ -61,40 +61,105 @@ func TestRegistryFixtures(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					var plan *fault.Plan
-					if p.plan != "" {
-						if plan, err = fault.Parse(p.plan); err != nil {
-							t.Fatal(err)
-						}
-					}
 					path := filepath.Join("testdata", "registry", proto.Name, topo.name+"-"+p.name+".golden")
-					want, err := os.ReadFile(path)
-					missing := errors.Is(err, fs.ErrNotExist)
-					if err != nil && !missing {
-						t.Fatal(err)
-					}
-					for _, workers := range harnessWorkers {
-						t.Run(fmt.Sprintf("step-w%d", workers), func(t *testing.T) {
-							oldW := sim.DefaultWorkers
-							sim.DefaultWorkers = workers
-							defer func() { sim.DefaultWorkers = oldW }()
-							got := registryCell(t, proto, g, plan)
-							if missing {
-								if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-									t.Fatal(err)
-								}
-								if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-									t.Fatal(err)
-								}
-								t.Errorf("wrote missing fixture %s from step-w%d; commit it", path, workers)
-								want, missing = []byte(got), false
-								return
-							}
-							if got != string(want) {
-								t.Errorf("deviates from %s:\n got:  %s want: %s", path, got, want)
-							}
-						})
-					}
+					pinCells(t, path, harnessWorkers, func(t *testing.T) string {
+						return registryCell(t, proto, g, mustPlan(t, p.plan))
+					})
+				})
+			}
+		}
+	}
+}
+
+// mustPlan parses a fault plan; "" is the fault-free plan (nil).
+func mustPlan(t *testing.T, spec string) *fault.Plan {
+	t.Helper()
+	if spec == "" {
+		return nil
+	}
+	plan, err := fault.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// pinCells renders one cell per worker count, each as its own step-wN
+// subtest, and holds it to the fixture at path. A missing fixture is
+// written from the first worker count (which then fails, asking for the
+// file to be committed) and the remaining counts are held to it; an
+// existing fixture is never rewritten.
+func pinCells(t *testing.T, path string, workerCounts []int, cell func(t *testing.T) string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	missing := errors.Is(err, fs.ErrNotExist)
+	if err != nil && !missing {
+		t.Fatal(err)
+	}
+	for _, workers := range workerCounts {
+		t.Run(fmt.Sprintf("step-w%d", workers), func(t *testing.T) {
+			oldW := sim.DefaultWorkers
+			sim.DefaultWorkers = workers
+			defer func() { sim.DefaultWorkers = oldW }()
+			got := cell(t)
+			if missing {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Errorf("wrote missing fixture %s from step-w%d; commit it", path, workers)
+				want, missing = []byte(got), false
+				return
+			}
+			if got != string(want) {
+				t.Errorf("deviates from %s:\n got:  %s want: %s", path, got, want)
+			}
+		})
+	}
+}
+
+// scalePlans are the fault plans of TestRegistryPartitionScale. Under
+// "drop", partition-lv on grid256 restarts once within the registry's
+// 2,000-round budget.
+var scalePlans = []struct{ name, plan string }{
+	{"clean", ""},
+	{"delay-dup-restart", "seed:11;delay:*@1-60/p0.2/d3;dup:*@5-40/p0.1/d2;crash:7@20;restart:7@150"},
+	{"drop", "seed:9;drop:*@1-400/p0.05"},
+}
+
+// TestRegistryPartitionScale pins the §4 randomized partition, alone, with
+// its Las Vegas verification, and under the §5 global stage, on graphs
+// where its BFS trees reach a depth of several rounds and its iterations
+// run hundreds of rounds, so the machine's per-phase timing shows in the
+// transcript: the fixture graphs of TestRegistryFixtures are too small for
+// that. Under -short it runs w1 and w4 on the first two plans.
+func TestRegistryPartitionScale(t *testing.T) {
+	topos := []struct{ name, spec string }{
+		{"random512", "random:512,1024"},
+		{"grid256", "grid:256"},
+	}
+	plans, workerCounts := scalePlans, harnessWorkers
+	if testing.Short() {
+		plans, workerCounts = scalePlans[:2], []int{1, 4}
+	}
+	protos := []string{"partition-rand", "partition-lv", "min-rand-mb"}
+	for _, proto := range difftest.Protocols() {
+		if !slices.Contains(protos, proto.Name) {
+			continue
+		}
+		for _, topo := range topos {
+			g, err := graph.ParseSpec(topo.spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range plans {
+				t.Run(proto.Name+"/"+topo.name+"/"+p.name, func(t *testing.T) {
+					path := filepath.Join("testdata", "registry", proto.Name, topo.name+"-"+p.name+".golden")
+					pinCells(t, path, workerCounts, func(t *testing.T) string {
+						return registryCell(t, proto, g, mustPlan(t, p.plan))
+					})
 				})
 			}
 		}
@@ -140,12 +205,7 @@ func TestRegistryFannedOut(t *testing.T) {
 		}
 		for _, p := range plans {
 			t.Run(proto.Name+"/"+p.name, func(t *testing.T) {
-				var plan *fault.Plan
-				if p.plan != "" {
-					if plan, err = fault.Parse(p.plan); err != nil {
-						t.Fatal(err)
-					}
-				}
+				plan := mustPlan(t, p.plan)
 				cell := func(workers int) (string, int64) {
 					var c barrierCounter
 					oldW, oldR := sim.DefaultWorkers, sim.DefaultRecorder
