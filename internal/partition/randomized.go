@@ -94,8 +94,12 @@ const (
 )
 
 // rMachine is one node's state in the randomized partition. Iterations run
-// for a precomputed number of rounds, so the machine counts rounds and is
-// stepped every round: it never sleeps.
+// for a precomputed number of rounds, so the machine derives its position
+// from Round(). Between the positions whose step acts without input
+// (nextWake) it parks with SleepUntilRound, and a message wakes it for the
+// steps the message drives; a fully parked network fast-forwards to the
+// next wake. The Las Vegas verification observes the channel every round
+// and stays awake.
 type rMachine struct {
 	c  *sim.StepCtx
 	sh *randShared
@@ -115,7 +119,7 @@ type rMachine struct {
 	attempt  int
 	restarts int
 	iter     int // index into probs
-	pos      int // rounds of the current iteration begun so far
+	start    int // local round the current attempt began in
 
 	or       bool // Phase D: subtree has a link to an unlabeled free node
 	reports  int
@@ -175,18 +179,43 @@ func (m *rMachine) Step(in sim.Input) bool {
 		}
 		return m.verified()
 	}
-	if m.pos > 0 {
-		m.receive(m.pos-1, in)
+	k, l := m.c.Round()-m.start, m.sh.iterLen
+	if k > 0 {
+		m.receive((k-1)%l, in)
 	}
-	if m.pos == m.sh.iterLen {
-		if m.iter+1 == len(m.sh.probs) {
-			return m.attemptDone()
-		}
-		m.iter, m.pos = m.iter+1, 0
+	if m.iter = k / l; m.iter == len(m.sh.probs) {
+		return m.attemptDone()
 	}
-	m.send(m.pos)
-	m.pos++
+	m.send(k % l)
+	m.park(k % l)
 	return false
+}
+
+// park sleeps from round pos of the iteration until nextWake, unless that is
+// the very next round.
+func (m *rMachine) park(pos int) {
+	if next := m.nextWake(pos); next > pos+1 {
+		m.c.SleepUntilRound(m.c.Round() + next - pos)
+	}
+}
+
+// nextWake returns the first position after pos whose step acts without
+// input: a pending announcement in Phase B, the status send, the status
+// receive (which resets the Phase D state, and leaves a leaf's report up),
+// the roots' decision, the unfree announcement, and the next iteration's
+// coin flip (or the attempt's end) at iterLen. The steps in between only
+// consume messages, and a message wakes the node.
+func (m *rMachine) nextWake(pos int) int {
+	d := m.sh.dmax
+	if m.pendingAnnounce && pos < d+1 {
+		return pos + 1
+	}
+	for _, w := range [...]int{d + 2, d + 3, 2*d + 5, 3*d + 7} {
+		if w > pos {
+			return w
+		}
+	}
+	return m.sh.iterLen
 }
 
 // An iteration with head probability p takes exactly 3·dmax + 8 rounds on
@@ -408,8 +437,9 @@ func (m *rMachine) verified() bool {
 	m.attempt++
 	m.reset()
 	m.verify = nil
-	m.iter, m.pos = 0, 1
+	m.iter, m.start = 0, m.c.Round()
 	m.send(0)
+	m.park(0)
 	return false
 }
 

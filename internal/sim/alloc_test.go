@@ -52,24 +52,55 @@ func dietForms(t *testing.T) []dietForm {
 	return []dietForm{{"stored", stored}, {"implicit", imp}}
 }
 
-func stepAllocsPerRound(t *testing.T, g graph.Topology, workers int) float64 {
+// timedDietMachine parks every node in stretches of three rounds: the node
+// sends on link 0 when its timer wakes it, and the message wakes the
+// recipient early, which parks again for the round it already holds. Wake
+// buckets are filled, drained and recycled every three rounds.
+type timedDietMachine struct {
+	c      *StepCtx
+	rounds int
+}
+
+func (m timedDietMachine) Step(in Input) bool {
+	if in.Round >= m.rounds {
+		return true
+	}
+	if in.Round%3 == 0 {
+		m.c.Send(0, struct{}{})
+	}
+	m.c.SleepUntilRound((in.Round/3 + 1) * 3)
+	return false
+}
+
+func (m timedDietMachine) Result() any { return nil }
+
+// allocsPerRound is the allocation count of one steady-state round: the
+// difference between a long and a short run of the machine mk builds,
+// divided by the extra rounds. sends is how many messages one node sends
+// in a run of the given length.
+func allocsPerRound(t *testing.T, g graph.Topology, workers int, mk func(c *StepCtx, rounds int) Machine, sends func(rounds int) int) float64 {
 	t.Helper()
 	n := g.N()
 	allocsAt := func(rounds int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			res, err := RunStep(g, func(c *StepCtx) Machine {
-				return dietMachine{c: c, rounds: rounds}
-			}, WithWorkers(workers))
+			res, err := RunStep(g, func(c *StepCtx) Machine { return mk(c, rounds) }, WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Metrics.Messages != int64(n*rounds) {
+			if res.Metrics.Messages != int64(n*sends(rounds)) {
 				t.Fatalf("messages = %d", res.Metrics.Messages)
 			}
 		})
 	}
 	const short, long = 50, 1050
 	return (allocsAt(long) - allocsAt(short)) / float64(long-short)
+}
+
+func stepAllocsPerRound(t *testing.T, g graph.Topology, workers int) float64 {
+	t.Helper()
+	return allocsPerRound(t, g, workers,
+		func(c *StepCtx, rounds int) Machine { return dietMachine{c: c, rounds: rounds} },
+		func(rounds int) int { return rounds })
 }
 
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
@@ -86,6 +117,24 @@ func TestStepSteadyStateZeroAllocMultiWorker(t *testing.T) {
 	for _, f := range dietForms(t) {
 		if perRound := stepAllocsPerRound(t, f.g, 4); perRound > 0.05 {
 			t.Errorf("%s: steady-state 4-worker round allocates %.3f objects/round, want 0", f.name, perRound)
+		}
+	}
+}
+
+func TestTimedSleepSteadyStateZeroAlloc(t *testing.T) {
+	// Parking with SleepUntilRound, and waking on the timer or early by a
+	// message, allocates nothing once the shard's wake buckets exist.
+	// The budgets are the two gates' above.
+	g := ring(t, dietRingN)
+	for _, tc := range []struct {
+		workers int
+		budget  float64
+	}{{1, 0.01}, {4, 0.05}} {
+		perRound := allocsPerRound(t, g, tc.workers,
+			func(c *StepCtx, rounds int) Machine { return timedDietMachine{c: c, rounds: rounds} },
+			func(rounds int) int { return (rounds + 2) / 3 })
+		if perRound > tc.budget {
+			t.Errorf("w%d: steady-state round of timed sleepers allocates %.3f objects/round, want 0", tc.workers, perRound)
 		}
 	}
 }

@@ -18,9 +18,11 @@ package sim
 // byte-identical checkpoints at any worker count, which is what
 // cmd/mmreplay's bisector compares.
 //
-// What cannot checkpoint: machines that do not implement Snapshotter; such a
-// run fails at its first capture with a diagnostic naming the node, and a
-// resume rejects a checkpoint that carries no state for a live node.
+// What cannot checkpoint: machines that do not implement Snapshotter, and
+// nodes parked by SleepUntilRound, whose wake round the format does not
+// carry; such a run fails at its first capture with a diagnostic naming the
+// node, and a resume rejects a checkpoint that carries no state for a live
+// node.
 //
 // # Wire format (version 1)
 //
@@ -350,6 +352,9 @@ func (e *stepEngine) writeCheckpoint(round int) error {
 		ns.Result = e.results[v]
 		if ns.Halted {
 			continue // dead machines are never stepped again; no state needed
+		}
+		if fl&(flagAsleep|flagRoundWake) == flagAsleep|flagRoundWake {
+			return fmt.Errorf("node %d is parked by SleepUntilRound, which a checkpoint cannot record", v)
 		}
 		snap, ok := e.machines[v].(Snapshotter)
 		if !ok {

@@ -303,6 +303,24 @@ func (m *sleeperMachine) Result() any        { return nil }
 func (m *sleeperMachine) SnapshotState() any { return nil }
 func (m *sleeperMachine) RestoreState(any)   {}
 
+// timedSleeperMachine has node 0 step every round and every other node park
+// until round 5; all halt there.
+type timedSleeperMachine struct{ c *StepCtx }
+
+func (m *timedSleeperMachine) Step(in Input) bool {
+	if in.Round == 5 {
+		return true
+	}
+	if m.c.ID() != 0 {
+		m.c.SleepUntilRound(5)
+	}
+	return false
+}
+
+func (m *timedSleeperMachine) Result() any        { return nil }
+func (m *timedSleeperMachine) SnapshotState() any { return nil }
+func (m *timedSleeperMachine) RestoreState(any)   {}
+
 // exportedStateMachine keeps all its state in exported fields but does not
 // implement Snapshotter, so it cannot checkpoint.
 type exportedStateMachine struct {
@@ -340,6 +358,11 @@ func TestCheckpointRejectedModes(t *testing.T) {
 		}, "sim: checkpoint at round 2: machine *sim.stepFuncs of node 0 is not a sim.Snapshotter"},
 		{"exported fields", func(c *StepCtx) Machine { return &exportedStateMachine{c: c} },
 			"sim: checkpoint at round 2: machine *sim.exportedStateMachine of node 0 is not a sim.Snapshotter"},
+		// A node parked by SleepUntilRound holds a wake round the format
+		// does not carry, so capture fails even though the machine is a
+		// Snapshotter.
+		{"timed sleeper", func(c *StepCtx) Machine { return &timedSleeperMachine{c: c} },
+			"sim: checkpoint at round 2: node 1 is parked by SleepUntilRound, which a checkpoint cannot record"},
 	} {
 		_, err := RunStep(g, tc.prog, WithCheckpoints(&CheckpointSpec{At: []int{2}, Sink: func(*Checkpoint) error { return nil }}))
 		if err == nil || err.Error() != tc.want {

@@ -208,6 +208,57 @@ func TestFastForwardProbabilisticJamAccrual(t *testing.T) {
 	}
 }
 
+// ffCounter is a Recorder that counts the rounds the fast-forward skips.
+type ffCounter struct{ skipped int }
+
+func (*ffCounter) RunStart(int, Engine, int, int)         {}
+func (*ffCounter) BeginPhase(Phase, int) int64            { return 0 }
+func (*ffCounter) EndPhase(Phase, int, int, int64)        {}
+func (c *ffCounter) FastForward(from, to int)             { c.skipped += to - from + 1 }
+func (*ffCounter) RoundEnd(int, int, SlotState, *Metrics) {}
+func (*ffCounter) RunEnd(*Metrics)                        {}
+
+func TestFastForwardTimedWake(t *testing.T) {
+	// Timed sleepers are the only thing that can wake a fully parked ring:
+	// the skip must stop at the iteration before each wake, under a
+	// probabilistic jam whose slots it accrues arithmetically.
+	g := ring(t, 6)
+	plan := (&fault.Plan{Seed: 3}).Add(fault.Rule{Kind: fault.Jam, From: 1, Until: fault.Forever, Prob: 0.3})
+	prog := func(c *StepCtx) Machine {
+		// Node v wakes at 40+7v and then every 25 rounds, sending to its
+		// successor, and halts at its third wake. The message wakes the
+		// successor early, and it parks for the same round again.
+		wakes, due := 0, 40+7*int(c.ID())
+		return &stepFuncs{
+			step: func(in Input) bool {
+				if in.Round == due {
+					if wakes++; wakes == 3 {
+						return true
+					}
+					c.SendTo(graph.NodeID((int(c.ID())+1)%c.N()), in.Round)
+					due += 25
+				}
+				c.SleepUntilRound(due)
+				return false
+			},
+			result: func() any { return wakes },
+		}
+	}
+	var rec ffCounter
+	out := runFFBoth(t, g, prog, WithFaults(plan), WithMaxRounds(400), WithRecorder(&rec))
+	if out.err != "" {
+		t.Fatalf("run failed: %s", out.err)
+	}
+	if m := out.res.Metrics; m.Rounds != 126 || m.Messages != 12 {
+		// Every node sends at its first two wakes; node 5's third is at
+		// 40+35+50 = 125: 126 rounds.
+		t.Errorf("metrics = %+v, want Rounds=126 Messages=12", m)
+	}
+	if rec.skipped == 0 {
+		t.Error("the fast-forward skipped no round")
+	}
+}
+
 func TestFastForwardWedgeHitsBudget(t *testing.T) {
 	// A genuine wedge — everyone parked, nothing ever due — must report the
 	// exact same ErrMaxRounds as the per-round spin, and must do so

@@ -20,11 +20,14 @@ package sim
 // by a shared need-check. All buffers (inbox arenas, outboxes, awake lists)
 // are reused across rounds, so a steady-state round allocates nothing beyond
 // what machines themselves allocate. Machines that have nothing to do until
-// a message arrives call StepCtx.Sleep; combined with the awake lists this
-// makes the per-round cost proportional to the number of active nodes, not
-// n. When every live node is parked the engine does not even spin empty
-// rounds: it fast-forwards straight to the next event that can wake a
-// machine (fastForward below), so fully quiescent stretches cost zero.
+// a message arrives call StepCtx.Sleep, and a machine that also waits for
+// the channel barrier's pulse or for a known round calls SleepUntilPulse or
+// SleepUntilRound; combined with the awake lists this makes the per-round
+// cost proportional to the number of active nodes, not n. When every live
+// node is parked the engine does not even spin empty rounds: it
+// fast-forwards straight to the next event that can wake a machine — a due
+// delivery, a crash or restart, a pulse, a timed wake (fastForward below) —
+// so fully quiescent stretches cost zero.
 //
 // # Memory layout
 //
@@ -147,7 +150,8 @@ const (
 	flagPulseWake                   // set by SleepUntilPulse: also wake on an idle slot
 	flagScheduled                   // already on some shard's awake list for the next round
 	flagHalted
-	flagCrashed // fault-crashed (revivable by a restart rule), not a normal halt
+	flagCrashed   // fault-crashed (revivable by a restart rule), not a normal halt
+	flagRoundWake // set by SleepUntilRound: also wake at the shard's wakeAt round
 )
 
 // StepCtx is a node's handle to the network. It is a 16-byte (id, shard,
@@ -317,8 +321,10 @@ func (c *StepCtx) SentThisRound() bool { return len(c.shard().stage) > 0 }
 // stepped with that round's input. A sleeping node does not observe the
 // channel, so only protocols that synchronize by messages may use it; it is
 // what makes wavefront protocols on million-node graphs cost O(work), not
-// O(n·rounds). Sleeping with no message ever due wedges the protocol; the
-// engine detects the fully quiescent case and fails the run.
+// O(n·rounds). A protocol synchronized by the §7.1 barrier parks with
+// SleepUntilPulse instead, and one synchronized by a known round with
+// SleepUntilRound. Sleeping with no message ever due wedges the protocol;
+// the engine detects the fully quiescent case and fails the run.
 func (c *StepCtx) Sleep() { c.eng.flags[c.id] |= flagAsleep }
 
 // SleepUntilPulse parks this node like Sleep, but additionally wakes it on
@@ -331,6 +337,24 @@ func (c *StepCtx) Sleep() { c.eng.flags[c.id] |= flagAsleep }
 // before the pulse is stepped normally; if it parks again it must call
 // SleepUntilPulse again.
 func (c *StepCtx) SleepUntilPulse() { c.eng.flags[c.id] |= flagAsleep | flagPulseWake }
+
+// SleepUntilRound parks this node like Sleep, but additionally wakes it at
+// the start of its round r (Round's numbering, so a restarted node counts
+// from its revival), whichever comes first. It is the sparse-activation
+// primitive for protocols synchronized by a precomputed round count: a node
+// that will act without input only at known rounds parks between them
+// instead of stepping through every idle round. A node woken by a message
+// before r is stepped normally, and is not woken at r unless it parks for r
+// again. r must be later than the current round; a run that checkpoints
+// while a node is parked this way fails at the capture.
+func (c *StepCtx) SleepUntilRound(r int) {
+	now := c.Round()
+	if r <= now {
+		panic(fmt.Sprintf("sim: node %d parked until round %d in round %d", c.id, r, now))
+	}
+	c.eng.flags[c.id] |= flagAsleep | flagRoundWake
+	c.shard().parkUntil(c.id, c.eng.round+r-now)
+}
 
 // failError carries a protocol-level failure out of a Machine via panic;
 // the engine records it verbatim instead of as a node panic.
@@ -379,6 +403,17 @@ type stepShard struct {
 	// invalidated: a node woken early by a message clears its pulseWake flag
 	// on its next step, so stale entries are skipped when the pulse fires.
 	pulseSleepers []int32
+
+	// Nodes of this shard parked by SleepUntilRound, bucketed by the global
+	// round they wake in; the delivery phase before that round wakes them.
+	// wakeAt (indexed by node-lo) is each node's latest requested wake. An
+	// entry is stale — an early message, a crash, a restart or a later park
+	// left it behind — unless its node is still parked with roundWake set and
+	// wakeAt matches. Drained buckets are recycled through timedFree. All
+	// three are allocated on the shard's first timed park.
+	timed     map[int][]int32
+	timedFree [][]int32
+	wakeAt    []int
 
 	out     [][]delivered // staged messages, bucketed by destination shard
 	touched []int32       // nodes that received mail this round (sort + reuse)
@@ -440,6 +475,27 @@ func (sd *stepShard) ensureRNG() {
 	sd.rngDraws = make([]uint64, sd.hi-sd.lo)
 	sd.rngSrc = shardRNG{sd: sd}
 	sd.rng = rand.New(&sd.rngSrc)
+}
+
+// parkUntil files node v in the bucket of global round wake. A node that
+// parks again for the wake it already holds keeps its entry: that bucket is
+// drained only by the delivery phase before wake, which has not run yet.
+func (sd *stepShard) parkUntil(v graph.NodeID, wake int) {
+	if sd.wakeAt == nil {
+		sd.wakeAt = make([]int, sd.hi-sd.lo)
+		sd.timed = make(map[int][]int32)
+	}
+	i := int(v) - sd.lo
+	if sd.wakeAt[i] == wake {
+		return
+	}
+	sd.wakeAt[i] = wake
+	lst, ok := sd.timed[wake]
+	if !ok && len(sd.timedFree) > 0 {
+		last := len(sd.timedFree) - 1
+		lst, sd.timedFree = sd.timedFree[last], sd.timedFree[:last]
+	}
+	sd.timed[wake] = append(lst, int32(v))
 }
 
 // growSentBits extends the duplicate-send bitmap to cover word index w;
@@ -849,8 +905,8 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 		}
 		if awakeTotal == 0 && !disableFastForward {
 			// Fully parked network, nothing staged: no machine can run until
-			// a delayed delivery, a crash, a pulse, or the round budget
-			// fires. Jump straight to that event, accruing the skipped
+			// a delayed delivery, a crash, a pulse, a timed wake, or the
+			// round budget fires. Jump straight to that event, accruing the skipped
 			// rounds' writer-free slots arithmetically, so quiescent
 			// stretches — including a genuine wedge spinning to ErrMaxRounds
 			// — cost O(1) instead of O(shards) per round while keeping
@@ -954,7 +1010,8 @@ func (e *stepEngine) emitRound(round int) {
 // delayed/duplicated messages due at round q+1 (deposited by iteration q),
 // crashes scheduled at q+1 (applied by iteration q), a pulse waking
 // SleepUntilPulse-parked nodes (the first slot from q+1 on resolving idle),
-// or the round budget (iteration maxRounds records ErrMaxRounds). Every
+// SleepUntilRound-parked nodes due at round q+1 (woken by iteration q), or
+// the round budget (iteration maxRounds records ErrMaxRounds). Every
 // iteration before the earliest such event just resolves a writer-free slot
 // — idle, or a jammed collision — so the engine skips them and accrues
 // those slots arithmetically. With a transcript installed the skipped
@@ -1001,15 +1058,20 @@ func (e *stepEngine) fastForward(r int) int {
 func (e *stepEngine) ffTarget(r int) int {
 	// The budget fails at iteration maxRounds (round+1 > maxRounds there).
 	R := e.cfg.maxRounds
-	// Delayed/duplicated messages due at round p are deposited by
-	// iteration p-1.
+	// Delayed/duplicated messages due at round p are deposited, and nodes
+	// parked until round p woken, by iteration p-1.
 	for i := range e.shards {
 		s := &e.shards[i]
-		if s.pendingN == 0 {
-			continue
+		if s.pendingN > 0 {
+			//mmlint:commutative min reduction over due rounds; order-free
+			for p := range s.pending {
+				if p-1 < R {
+					R = p - 1
+				}
+			}
 		}
-		//mmlint:commutative min reduction over due rounds; order-free
-		for p := range s.pending {
+		//mmlint:commutative min reduction over wake rounds; order-free
+		for p := range s.timed {
 			if p-1 < R {
 				R = p - 1
 			}
@@ -1129,13 +1191,16 @@ func (e *stepEngine) phaseShard(phase int8, i int) {
 
 // needsDelivery reports whether a destination shard has anything to do in
 // the delivery phase: fresh buckets staged for it, delayed messages due
-// this round, or pulse-parked nodes to wake. Shared by the inline and
-// worker paths, so empty shards are never drained on either.
+// this round, or pulse-parked or timed sleepers to wake. Shared by the
+// inline and worker paths, so empty shards are never drained on either.
 //
 //mmlint:noalloc
 func (e *stepEngine) needsDelivery(d int) bool {
 	sd := &e.shards[d]
 	if sd.pendingN > 0 && len(sd.pending[e.round+1]) > 0 {
+		return true
+	}
+	if len(sd.timed) > 0 && len(sd.timed[e.round+1]) > 0 {
 		return true
 	}
 	if e.pulseFired && len(sd.pulseSleepers) > 0 {
@@ -1250,7 +1315,7 @@ func (e *stepEngine) stepNodes(s *stepShard, start int) (next int) {
 			// Crash-stopped between being scheduled and this round.
 			continue
 		}
-		e.flags[v] = fl &^ (flagScheduled | flagAsleep | flagPulseWake)
+		e.flags[v] = fl &^ (flagScheduled | flagAsleep | flagPulseWake | flagRoundWake)
 		in := Input{Round: round, Msgs: e.inboxIn(s, graph.NodeID(v)), Slot: slot}
 		if e.roundBase != nil && e.roundBase[v] != 0 {
 			// A restarted incarnation counts rounds from its revival: its
@@ -1273,7 +1338,7 @@ func (e *stepEngine) stepNodes(s *stepShard, start int) (next int) {
 			s.halts++
 		case e.flags[v]&flagAsleep != 0:
 			// Parked until a message (or, with pulseWake, an idle slot)
-			// wakes it.
+			// wakes it; a timed sleeper is already in its wake bucket.
 			if e.flags[v]&flagPulseWake != 0 {
 				s.pulseSleepers = append(s.pulseSleepers, v)
 			}
@@ -1311,7 +1376,8 @@ func (e *stepEngine) commitNode(s *stepShard, id graph.NodeID) {
 }
 
 // deliverShard runs the delivery phase for one destination shard: wake
-// pulse-parked nodes if the pulse fired, then land the round's messages —
+// pulse-parked nodes if the pulse fired and timed sleepers due next round,
+// then land the round's messages —
 // delayed deliveries due now first, then every source shard's bucket in
 // shard order — in the shard's inbox arena: survivors are gathered in
 // arrival order, counted per recipient, and laid out as one contiguous
@@ -1345,6 +1411,9 @@ func (e *stepEngine) deliverShard(d int) {
 			e.flags[v] = fl
 		}
 		sd.pulseSleepers = sd.pulseSleepers[:0]
+	}
+	if len(sd.timed) > 0 {
+		e.wakeTimed(sd, deliverRound)
 	}
 
 	// Pass A: route everything due this round through the fault hook,
@@ -1441,6 +1510,31 @@ func (e *stepEngine) deliverShard(d int) {
 		// does transcript work.
 		sd.touched = sd.touched[:0]
 	}
+}
+
+// wakeTimed wakes the shard's nodes parked by SleepUntilRound until round
+// r, skipping stale entries, and recycles the drained bucket.
+//
+//mmlint:noalloc
+func (e *stepEngine) wakeTimed(sd *stepShard, r int) {
+	due, ok := sd.timed[r]
+	if !ok {
+		return
+	}
+	delete(sd.timed, r)
+	for _, v := range due {
+		fl := e.flags[v]
+		if fl&(flagHalted|flagRoundWake) != flagRoundWake || sd.wakeAt[int(v)-sd.lo] != r {
+			continue
+		}
+		fl &^= flagRoundWake
+		if fl&flagScheduled == 0 {
+			fl = (fl | flagScheduled) &^ flagAsleep
+			sd.awake = append(sd.awake, v)
+		}
+		e.flags[v] = fl
+	}
+	sd.timedFree = append(sd.timedFree, due[:0])
 }
 
 // ensureCounts allocates the shard's per-recipient count array; called once
