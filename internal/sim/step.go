@@ -72,6 +72,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -574,6 +575,7 @@ type stepEngine struct {
 	errMu    sync.Mutex
 	errNode  graph.NodeID
 	firstErr error
+	failed   atomic.Bool // set with firstErr; the round loop's lock-free check
 
 	gate *phaseGate // nil when single-worker
 }
@@ -864,7 +866,7 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 			e.met.Crashed++
 		}
 
-		failed := e.err() != nil
+		failed := e.failed.Load()
 		if e.alive > 0 && !failed && round+1 > e.cfg.maxRounds {
 			e.recordErr(-1, fmt.Errorf("%w: budget %d", ErrMaxRounds, e.cfg.maxRounds))
 			failed = true
@@ -1631,6 +1633,7 @@ func (e *stepEngine) recordErr(node graph.NodeID, err error) {
 	if e.firstErr == nil || node < e.errNode {
 		e.errNode, e.firstErr = node, err
 	}
+	e.failed.Store(true)
 }
 
 func (e *stepEngine) err() error {
