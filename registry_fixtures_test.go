@@ -185,12 +185,13 @@ func (*barrierCounter) RunEnd(*sim.Metrics)                            {}
 // TestRegistryFannedOut holds rounds that run on the worker pool to the
 // byte-identity contract. No fixture topology has more than 48 nodes, so
 // every fixture round runs inline on the coordinator. On torus:64x64 (4,096
-// nodes) a round with every node awake fans out; these four entries have
-// such rounds and run in about 2 s together. At every worker count, each
-// cell's transcript stream and outcome must equal the 1-worker cell's, and
-// past one worker at least one phase must have fanned out.
+// nodes) a round with every node awake fans out; these five entries have
+// such rounds — partition-lv's include its channel verification — and run
+// in about 2 s together. At every worker count, each cell's transcript
+// stream and outcome must equal the 1-worker cell's, and past one worker at
+// least one phase must have fanned out.
 func TestRegistryFannedOut(t *testing.T) {
-	protos := []string{"coloring", "partition-rand", "sync-sum", "elect"}
+	protos := []string{"coloring", "partition-rand", "partition-lv", "sync-sum", "elect"}
 	g, err := graph.ParseSpec("torus:64x64", 1)
 	if err != nil {
 		t.Fatal(err)
