@@ -261,16 +261,19 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// printPhases appends the per-phase duration digest to the human report.
+// printPhases appends the per-phase duration digest to the human report,
+// then the workers' idle time at the phase gate.
 func printPhases(w io.Writer, o *obs.Obs) {
-	for p := sim.Phase(0); p < sim.NumPhases; p++ {
-		s := o.PhaseSummary(p)
-		if s.Count == 0 {
-			continue
+	line := func(label string, s obs.Summary) {
+		if s.Count > 0 {
+			fmt.Fprintf(w, "%-13s p50=%s p95=%s max=%s total=%s (%d spans)\n",
+				label, ns(s.P50), ns(s.P95), ns(s.Max), ns(s.Sum), s.Count)
 		}
-		fmt.Fprintf(w, "phase %-7s p50=%s p95=%s max=%s total=%s (%d spans)\n",
-			p.String(), ns(s.P50), ns(s.P95), ns(s.Max), ns(s.Sum), s.Count)
 	}
+	for p := sim.Phase(0); p < sim.NumPhases; p++ {
+		line("phase "+p.String(), o.PhaseSummary(p))
+	}
+	line("idle", o.IdleSummary())
 }
 
 // ns renders a nanosecond count with a unit suffix.

@@ -4,7 +4,8 @@ package main
 // same checks CI's obs-smoke job runs: a census on a 10⁴ ring with -trace
 // and -series produces a parseable Chrome trace and exactly one series row
 // per round, and the series header line matches its golden fixture
-// (regenerate with -update, like the transcript goldens).
+// (regenerate with -update, like the transcript goldens); the report's
+// phase digest prints a barrier line only for runs that fan out.
 
 import (
 	"bufio"
@@ -117,5 +118,33 @@ func TestObsSmoke(t *testing.T) {
 	}
 	if string(want) != header+"\n" {
 		t.Errorf("series header deviates from %s:\n got:  %s\n want: %s", goldenPath, header, want)
+	}
+}
+
+// TestPhaseLinesBookWorkerWaitsAsIdle checks the report's phase digest: a
+// run in which no phase fans out to the worker pool prints no barrier line
+// and books the workers' gate waits on the idle line; a run on 4,096 nodes
+// fans out and prints a barrier line.
+func TestPhaseLinesBookWorkerWaitsAsIdle(t *testing.T) {
+	for _, tc := range []struct {
+		graph, algo string
+		barrier     bool
+	}{
+		{"random:512,1024", "mst", false},
+		{"torus:64x64", "coloring", true},
+	} {
+		var out bytes.Buffer
+		args := []string{"-graph", tc.graph, "-algo", tc.algo, "-workers", "2",
+			"-trace", filepath.Join(t.TempDir(), "trace.json")}
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%s %s: %v", tc.graph, tc.algo, err)
+		}
+		text := out.String()
+		if got := strings.Contains(text, "\nphase barrier "); got != tc.barrier {
+			t.Errorf("%s %s: barrier line printed: %v, want %v:\n%s", tc.graph, tc.algo, got, tc.barrier, text)
+		}
+		if !strings.Contains(text, "\nidle ") {
+			t.Errorf("%s %s: no idle line:\n%s", tc.graph, tc.algo, text)
+		}
 	}
 }

@@ -59,7 +59,7 @@ type Obs struct {
 	base     time.Time // monotonic origin for all span timestamps
 	labels   bool
 	baseCtx  context.Context
-	labelCtx [int(sim.NumPhases)]context.Context
+	labelCtx [int(phaseIdle) + 1]context.Context
 
 	// Per-round, per-shard phase-duration accumulators: written by
 	// EndPhase (single writer per shard, ordered by the engine's phase
@@ -79,6 +79,30 @@ type Obs struct {
 	ffRounds    *Counter
 	awake       *Gauge
 	phaseHist   [int(sim.NumPhases)]*Histogram
+	idleHist    *Histogram
+}
+
+// phaseIdle is obs's name for a worker's (shard ≥ 1) PhaseBarrier span. A
+// worker waits at the phase gate through the coordinator's sequential
+// section, every round run inline and the run's exit, so only the
+// coordinator's wait, which is on the critical path, is barrier time.
+const phaseIdle = sim.NumPhases
+
+// spanKind is the phase a span is booked under: PhaseBarrier from a worker
+// is phaseIdle.
+func spanKind(p sim.Phase, shard int) sim.Phase {
+	if p == sim.PhaseBarrier && shard > 0 {
+		return phaseIdle
+	}
+	return p
+}
+
+// spanName is the trace's name for a span kind.
+func spanName(p sim.Phase) string {
+	if p == phaseIdle {
+		return "idle"
+	}
+	return p.String()
 }
 
 // New builds an Obs from opts. If opts.Series is set the header line is
@@ -101,8 +125,8 @@ func New(opts Options) *Obs {
 	}
 	if o.labels {
 		o.baseCtx = context.Background()
-		for p := sim.Phase(0); p < sim.NumPhases; p++ {
-			o.labelCtx[p] = pprof.WithLabels(o.baseCtx, pprof.Labels("phase", p.String()))
+		for p := range o.labelCtx {
+			o.labelCtx[p] = pprof.WithLabels(o.baseCtx, pprof.Labels("phase", spanName(sim.Phase(p))))
 		}
 	}
 
@@ -121,6 +145,7 @@ func New(opts Options) *Obs {
 	for p := sim.Phase(0); p < sim.NumPhases; p++ {
 		o.phaseHist[p] = reg.Histogram("mm_phase_duration_ns", "Engine phase durations in nanoseconds, per shard-phase execution.", Labels("phase", p.String()))
 	}
+	o.idleHist = reg.Histogram("mm_worker_idle_ns", "Worker waits at the phase gate outside fanned-out phases, in nanoseconds, per wait.", "")
 	return o
 }
 
@@ -161,20 +186,27 @@ func (o *Obs) RunStart(n int, engine sim.Engine, workers, shards int) {
 // BeginPhase may overlap the coordinator's RoundEnd harvest.
 func (o *Obs) BeginPhase(p sim.Phase, shard int) int64 {
 	if o.labels {
-		pprof.SetGoroutineLabels(o.labelCtx[p])
+		pprof.SetGoroutineLabels(o.labelCtx[spanKind(p, shard)])
 	}
 	return o.now()
 }
 
-// EndPhase implements sim.Recorder.
+// EndPhase implements sim.Recorder. A worker's barrier span is booked as
+// idle (phaseIdle): it stays out of the barrier histogram and the per-shard
+// sums behind the series' barrier column.
 func (o *Obs) EndPhase(p sim.Phase, shard, round int, start int64) {
 	dur := o.now() - start
-	o.phaseHist[p].Observe(dur)
-	if ns := o.phaseNs[p]; shard < len(ns) {
-		ns[shard] += dur
+	k := spanKind(p, shard)
+	if k == phaseIdle {
+		o.idleHist.Observe(dur)
+	} else {
+		o.phaseHist[p].Observe(dur)
+		if ns := o.phaseNs[p]; shard < len(ns) {
+			ns[shard] += dur
+		}
 	}
 	if o.tr != nil {
-		o.tr.record(p, shard, round, start, dur)
+		o.tr.record(k, shard, round, start, dur)
 	}
 	if o.labels {
 		pprof.SetGoroutineLabels(o.baseCtx)
@@ -239,6 +271,12 @@ func (o *Obs) RunEnd(m *sim.Metrics) {
 // p95, max in nanoseconds) — the per-phase breakdown mmbench reports.
 func (o *Obs) PhaseSummary(p sim.Phase) Summary {
 	return o.phaseHist[p].Summarize()
+}
+
+// IdleSummary digests the workers' waits at the phase gate outside
+// fanned-out phases, which PhaseSummary(sim.PhaseBarrier) leaves out.
+func (o *Obs) IdleSummary() Summary {
+	return o.idleHist.Summarize()
 }
 
 // WriteTrace renders the recorded spans as Chrome trace_event JSON. Call

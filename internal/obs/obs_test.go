@@ -266,7 +266,7 @@ func validateChromeTrace(t *testing.T, r io.Reader, wantShards int) map[string]i
 			if _, ok := ev.Args["round"]; !ok {
 				t.Errorf("event %d: span without round arg", i)
 			}
-			if ev.Name != "step" && ev.Name != "deliver" && ev.Name != "barrier" {
+			if ev.Name != "step" && ev.Name != "deliver" && ev.Name != "barrier" && ev.Name != "idle" {
 				t.Errorf("event %d: unknown span name %q", i, ev.Name)
 			}
 		case "i":
@@ -280,14 +280,18 @@ func validateChromeTrace(t *testing.T, r io.Reader, wantShards int) map[string]i
 	return phases
 }
 
-// TestTraceChromeJSON runs the step engine at 4 workers with tracing on and
+// TestTraceChromeJSON runs the step engine at 4 workers with tracing on, on
+// a ring large enough for every round to fan out to the worker pool, and
 // validates the rendered trace.
 func TestTraceChromeJSON(t *testing.T) {
-	g, plan := testGraphAndPlan(t)
-	o := New(Options{Trace: true})
-	_, err := sim.RunStep(g, relayProgram(40),
-		sim.WithSeed(7), sim.WithFaults(plan), sim.WithRecorder(o), sim.WithWorkers(4))
+	_, plan := testGraphAndPlan(t)
+	g, err := graph.ImplicitRing(2048, 1)
 	if err != nil {
+		t.Fatal(err)
+	}
+	o := New(Options{Trace: true})
+	if _, err := sim.RunStep(g, relayProgram(40),
+		sim.WithSeed(7), sim.WithFaults(plan), sim.WithRecorder(o), sim.WithWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -295,9 +299,35 @@ func TestTraceChromeJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	phases := validateChromeTrace(t, &buf, 4)
-	for _, want := range []string{"step", "deliver", "barrier"} {
+	for _, want := range []string{"step", "deliver", "barrier", "idle"} {
 		if phases[want] == 0 {
 			t.Errorf("no %q spans in trace (got %v)", want, phases)
+		}
+	}
+}
+
+// TestWorkerWaitIsIdle checks where a worker's gate wait is booked: as
+// barrier time only when the coordinator waits on a fanned-out phase. A
+// 64-node ring never fans out, so at 4 workers it has idle time and no
+// barrier time; a 2,048-node ring fans out every round.
+func TestWorkerWaitIsIdle(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		barrier bool
+	}{{64, false}, {2048, true}} {
+		g, err := graph.ImplicitRing(tc.n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := New(Options{})
+		if _, err := sim.RunStep(g, relayProgram(20), sim.WithRecorder(o), sim.WithWorkers(4)); err != nil {
+			t.Fatal(err)
+		}
+		if got := o.PhaseSummary(sim.PhaseBarrier).Count > 0; got != tc.barrier {
+			t.Errorf("ring:%d: barrier spans %d, want any: %v", tc.n, o.PhaseSummary(sim.PhaseBarrier).Count, tc.barrier)
+		}
+		if o.IdleSummary().Count == 0 {
+			t.Errorf("ring:%d: no idle spans from the 3 workers", tc.n)
 		}
 	}
 }

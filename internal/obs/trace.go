@@ -4,9 +4,9 @@ package obs
 // the engine's phase boundaries and rendered as Chrome trace_event JSON —
 // the format about:tracing and https://ui.perfetto.dev load directly. Each
 // shard is one "thread" in the viewer, so a step-engine run reads as a
-// swimlane per shard with step/deliver/barrier spans and fast-forward
-// instants, which is exactly the picture the multicore campaign needs to
-// see barrier wait versus shard work.
+// swimlane per shard with step/deliver/barrier/idle spans and fast-forward
+// instants: the coordinator's barrier wait, and the workers' idle time,
+// against shard work.
 //
 // Concurrency: each shard's ring has exactly one writer at a time — the
 // goroutine running that shard's slice of the current phase — and writes
@@ -28,7 +28,7 @@ type span struct {
 	start int64
 	dur   int64
 	round int32
-	phase sim.Phase
+	phase sim.Phase // or phaseIdle
 }
 
 // instant is a zero-duration marker event (fast-forward skips).
@@ -135,7 +135,7 @@ func (t *tracer) WriteChromeTrace(w io.Writer) error {
 			comma()
 			fmt.Fprintf(bw,
 				`{"ph":"X","pid":1,"tid":%d,"name":%q,"cat":"engine","ts":%s,"dur":%s,"args":{"round":%d}}`,
-				shard, s.phase.String(), usec(s.start), usec(s.dur), s.round)
+				shard, spanName(s.phase), usec(s.start), usec(s.dur), s.round)
 		}
 	}
 	for _, in := range t.instants {
