@@ -78,8 +78,7 @@ type Obs struct {
 	droppedHalt *Counter
 	ffRounds    *Counter
 	awake       *Gauge
-	phaseHist   [int(sim.NumPhases)]*Histogram
-	idleHist    *Histogram
+	phaseHist   [int(phaseIdle) + 1]*Histogram
 }
 
 // phaseIdle is obs's name for a worker's (shard ≥ 1) PhaseBarrier span. A
@@ -142,10 +141,9 @@ func New(opts Options) *Obs {
 	o.droppedHalt = reg.Counter("mm_dropped_halted_total", "Messages addressed to already-halted nodes.", "")
 	o.ffRounds = reg.Counter("mm_fastforward_rounds_total", "Rounds resolved arithmetically by the quiescent fast-forward.", "")
 	o.awake = reg.Gauge("mm_awake_nodes", "Nodes awake at the end of the last observed round.", "")
-	for p := sim.Phase(0); p < sim.NumPhases; p++ {
-		o.phaseHist[p] = reg.Histogram("mm_phase_duration_ns", "Engine phase durations in nanoseconds, per shard-phase execution.", Labels("phase", p.String()))
+	for p := range o.phaseHist {
+		o.phaseHist[p] = reg.Histogram("mm_phase_duration_ns", "Engine phase durations in nanoseconds, per shard-phase execution.", Labels("phase", spanName(sim.Phase(p))))
 	}
-	o.idleHist = reg.Histogram("mm_worker_idle_ns", "Worker waits at the phase gate outside fanned-out phases, in nanoseconds, per wait.", "")
 	return o
 }
 
@@ -197,13 +195,9 @@ func (o *Obs) BeginPhase(p sim.Phase, shard int) int64 {
 func (o *Obs) EndPhase(p sim.Phase, shard, round int, start int64) {
 	dur := o.now() - start
 	k := spanKind(p, shard)
-	if k == phaseIdle {
-		o.idleHist.Observe(dur)
-	} else {
-		o.phaseHist[p].Observe(dur)
-		if ns := o.phaseNs[p]; shard < len(ns) {
-			ns[shard] += dur
-		}
+	o.phaseHist[k].Observe(dur)
+	if ns := o.phaseNs[p]; k == p && shard < len(ns) {
+		ns[shard] += dur
 	}
 	if o.tr != nil {
 		o.tr.record(k, shard, round, start, dur)
@@ -276,7 +270,7 @@ func (o *Obs) PhaseSummary(p sim.Phase) Summary {
 // IdleSummary digests the workers' waits at the phase gate outside
 // fanned-out phases, which PhaseSummary(sim.PhaseBarrier) leaves out.
 func (o *Obs) IdleSummary() Summary {
-	return o.idleHist.Summarize()
+	return o.phaseHist[phaseIdle].Summarize()
 }
 
 // WriteTrace renders the recorded spans as Chrome trace_event JSON. Call
