@@ -179,15 +179,16 @@ func (m *rMachine) Step(in sim.Input) bool {
 		}
 		return m.verified()
 	}
-	k, l := m.c.Round()-m.start, m.sh.iterLen
+	k := m.c.Round() - m.start // rounds into the attempt
 	if k > 0 {
-		m.receive((k-1)%l, in)
+		m.receive((k-1)%m.sh.iterLen, in)
 	}
-	if m.iter = k / l; m.iter == len(m.sh.probs) {
+	if m.iter = k / m.sh.iterLen; m.iter == len(m.sh.probs) {
 		return m.attemptDone()
 	}
-	m.send(k % l)
-	m.park(k % l)
+	pos := k % m.sh.iterLen
+	m.send(pos)
+	m.park(pos)
 	return false
 }
 

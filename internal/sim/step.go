@@ -908,8 +908,8 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 		if awakeTotal == 0 && !disableFastForward {
 			// Fully parked network, nothing staged: no machine can run until
 			// a delayed delivery, a crash, a pulse, a timed wake, or the
-			// round budget fires. Jump straight to that event, accruing the skipped
-			// rounds' writer-free slots arithmetically, so quiescent
+			// round budget fires. Jump straight to that event, accruing the
+			// skipped rounds' writer-free slots arithmetically, so quiescent
 			// stretches — including a genuine wedge spinning to ErrMaxRounds
 			// — cost O(1) instead of O(shards) per round while keeping
 			// transcripts and Metrics bit-identical with the per-round path.
@@ -1064,19 +1064,13 @@ func (e *stepEngine) ffTarget(r int) int {
 	// parked until round p woken, by iteration p-1.
 	for i := range e.shards {
 		s := &e.shards[i]
-		if s.pendingN > 0 {
-			//mmlint:commutative min reduction over due rounds; order-free
-			for p := range s.pending {
-				if p-1 < R {
-					R = p - 1
-				}
-			}
+		//mmlint:commutative min reduction over due rounds; order-free
+		for p := range s.pending {
+			R = min(R, p-1)
 		}
 		//mmlint:commutative min reduction over wake rounds; order-free
 		for p := range s.timed {
-			if p-1 < R {
-				R = p - 1
-			}
+			R = min(R, p-1)
 		}
 	}
 	// Crashes at round c are applied by iteration c-1; iteration r already
