@@ -21,8 +21,6 @@ import (
 // slot v is written only by node v's machine, so shards never share one.
 type stepLog [][]string
 
-func newStepLog(n int) stepLog { return make(stepLog, n) }
-
 func (l stepLog) add(c *StepCtx, format string, args ...any) {
 	l[c.ID()] = append(l[c.ID()], fmt.Sprintf(format, args...))
 }
@@ -33,7 +31,7 @@ func TestSleepUntilRoundWakes(t *testing.T) {
 	// phase of a running network; node 2 parks until 20 with everyone else
 	// gone, so its wake comes through the fast-forward.
 	for _, workers := range []int{1, 3} {
-		log := newStepLog(3)
+		log := make(stepLog, 3)
 		res, err := RunStep(path(t, 3), func(c *StepCtx) Machine {
 			return &stepFuncs{step: func(in Input) bool {
 				log.add(c, "%d/%d", in.Round, len(in.Msgs))
@@ -83,7 +81,7 @@ func TestSleepUntilRoundEarlyMessage(t *testing.T) {
 		{"later round", func(c *StepCtx) { c.SleepUntilRound(11) }, []string{"0", "3", "11"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			log := newStepLog(2)
+			log := make(stepLog, 2)
 			_, err := RunStep(path(t, 2), func(c *StepCtx) Machine {
 				return &stepFuncs{step: func(in Input) bool {
 					if c.ID() == 0 {
@@ -155,7 +153,7 @@ func TestSleepUntilRoundCrashAndRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3} {
-			log := newStepLog(3)
+			log := make(stepLog, 3)
 			res, err := RunStep(path(t, 3), prog(log), WithFaults(plan), WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
