@@ -920,8 +920,8 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 	if rec := e.cfg.rec; rec != nil {
 		rec.RunEnd(&e.met)
 	}
-	res = &Result{Metrics: e.met, Results: make([]any, n)}
-	copy(res.Results, e.results)
+	// The engine runs once, so the result takes its slice rather than a copy.
+	res = &Result{Metrics: e.met, Results: e.results}
 	if tw := e.cfg.tw; tw != nil {
 		tw.finalFrame(&e.met, res.Results, e.err())
 	}
