@@ -273,6 +273,31 @@ func TestImplicitScaleConstantMemory(t *testing.T) {
 	}
 }
 
+// TestTopologyBytesPerNode gates what holding a 10⁵-node ring costs per
+// node: nothing for the implicit form, and 72.05 B for the stored one (its
+// edge list and two adjacency halves per edge) when this was written. A
+// form fails only past both base/0.75 and base+16 B/node.
+func TestTopologyBytesPerNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap measurement skipped in -short mode")
+	}
+	const n = 100_000
+	for _, tc := range []struct {
+		spec string
+		base float64
+	}{{"ring:100000", 0}, {"mat:ring:100000", 72.05}} {
+		_, bytes, err := TopoHeapCost(func() (Topology, error) { return ParseSpec(tc.spec, 1) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		perNode := float64(bytes) / n
+		t.Logf("%s: %d B (%.2f B/node)", tc.spec, bytes, perNode)
+		if bound := max(tc.base/0.75, tc.base+16); perNode > bound {
+			t.Errorf("%s: %.2f B/node, want at most %.2f", tc.spec, perNode, bound)
+		}
+	}
+}
+
 // TestScaleFreeGenerators checks BA and WS shape invariants: connected,
 // simple, expected edge counts, and (for BA) a hub heavier than the ring
 // could ever produce.

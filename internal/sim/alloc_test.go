@@ -138,3 +138,43 @@ func TestTimedSleepSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestRelayAllocsPerRun counts the allocations of whole runs: the 20-round
+// relay on a stored 10⁵-node ring at 1, 4 and 8 workers. The machines come
+// from one Slab, as protocol machines do, so a run allocates per shard and
+// per worker, never per node, and one heap object per node anywhere in the
+// engine adds 10⁵. A count fails only past both base/0.75 and base+16,
+// where base is the count a benchmark recorded for the same relay: 129,
+// 396 and 683.
+func TestRelayAllocsPerRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10⁵-node relay runs skipped in -short mode")
+	}
+	g, err := graph.ParseSpec("mat:ring:100000", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		workers int
+		base    float64
+	}{{1, 129}, {4, 396}, {8, 683}} {
+		allocs := testing.AllocsPerRun(1, func() {
+			var slab Slab[dietMachine]
+			res, err := RunStep(g, func(c *StepCtx) Machine {
+				m := slab.Alloc(g.N())
+				*m = dietMachine{c: c, rounds: 20}
+				return m
+			}, WithWorkers(tc.workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Metrics.Messages != int64(20*g.N()) {
+				t.Fatalf("messages = %d", res.Metrics.Messages)
+			}
+		})
+		t.Logf("w%d: %.0f allocs/run", tc.workers, allocs)
+		if bound := max(tc.base/0.75, tc.base+16); allocs > bound {
+			t.Errorf("w%d: a relay run allocates %.0f objects, want at most %.1f", tc.workers, allocs, bound)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package size
 
 import (
 	"math/bits"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -36,6 +37,65 @@ func TestCensusCountsExactly(t *testing.T) {
 				t.Errorf("census used %d channel slots", res.Metrics.Slots())
 			}
 		})
+	}
+}
+
+// heapSampler is a sim.Recorder that samples the live heap during a run: at
+// RunStart, at every 2¹⁴th RoundEnd and at RunEnd it forces a collection and
+// keeps the largest HeapAlloc it reads.
+type heapSampler struct {
+	rounds int
+	peak   uint64
+}
+
+func (s *heapSampler) sample() {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	s.peak = max(s.peak, ms.HeapAlloc)
+}
+
+func (s *heapSampler) RunStart(int, sim.Engine, int, int) { s.sample() }
+func (*heapSampler) BeginPhase(sim.Phase, int) int64      { return 0 }
+func (*heapSampler) EndPhase(sim.Phase, int, int, int64)  {}
+func (*heapSampler) FastForward(int, int)                 {}
+func (s *heapSampler) RunEnd(*sim.Metrics)                { s.sample() }
+func (s *heapSampler) RoundEnd(int, int, sim.SlotState, *sim.Metrics) {
+	if s.rounds++; s.rounds%(1<<14) == 0 {
+		s.sample()
+	}
+}
+
+// TestCensusBytesPerNode gates the live heap a census of a 10⁵-node ring
+// holds beyond its topology: the engine's node arrays and shard arenas and
+// the protocol's machines and results. Both forms read 153 B/node when this
+// was written; a form fails only past both base/0.75 and base+16 B/node.
+func TestCensusBytesPerNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap measurement skipped in -short mode")
+	}
+	const n, base = 100_000, 153.0
+	for _, spec := range []string{"ring:100000", "mat:ring:100000"} {
+		g, err := graph.ParseSpec(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var topo runtime.MemStats
+		runtime.ReadMemStats(&topo)
+		var s heapSampler
+		res, err := Census(g, 1, sim.WithWorkers(1), sim.WithRecorder(&s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.N != n {
+			t.Fatalf("%s: census = %d, want %d", spec, res.N, n)
+		}
+		perNode := float64(s.peak-topo.HeapAlloc) / n
+		t.Logf("%s: %.2f B/node", spec, perNode)
+		if bound := max(base/0.75, base+16); perNode > bound {
+			t.Errorf("%s: a census holds %.2f B/node, want at most %.2f", spec, perNode, bound)
+		}
 	}
 }
 
