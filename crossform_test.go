@@ -66,8 +66,8 @@ func TestCrossFormEquivalence(t *testing.T) {
 					oldW := sim.DefaultWorkers
 					sim.DefaultWorkers = workers
 					defer func() { sim.DefaultWorkers = oldW }()
-					implicit := capture(proto.Run, imp, 1)
-					materialized := capture(proto.Run, mat, 1)
+					implicit := capture(t, proto.Run, imp, 1)
+					materialized := capture(t, proto.Run, mat, 1)
 					if !reflect.DeepEqual(implicit, materialized) {
 						t.Errorf("forms diverge:\n implicit:     %#v\n materialized: %#v",
 							implicit, materialized)
@@ -97,8 +97,8 @@ func TestCrossFormEquivalenceUnderFaults(t *testing.T) {
 				oldPlan := sim.DefaultFaults
 				sim.DefaultFaults = parsed
 				defer func() { sim.DefaultFaults = oldPlan }()
-				implicit := capture(proto.Run, imp, 1)
-				materialized := capture(proto.Run, mat, 1)
+				implicit := capture(t, proto.Run, imp, 1)
+				materialized := capture(t, proto.Run, mat, 1)
 				if !reflect.DeepEqual(implicit, materialized) {
 					t.Errorf("faulted forms diverge:\n implicit:     %#v\n materialized: %#v",
 						implicit, materialized)

@@ -109,9 +109,9 @@ func checkTuple(t *testing.T, d diffTuple) {
 	}()
 
 	sim.DefaultWorkers = 1
-	want := capture(d.proto.Run, g, d.seed)
+	want := capture(t, d.proto.Run, g, d.seed)
 	sim.DefaultWorkers = d.pairedWorkers()
-	got := capture(d.proto.Run, g, d.seed)
+	got := capture(t, d.proto.Run, g, d.seed)
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("%v: worker counts diverge:\n w1:  %#v\n w%d: %#v\n%s",
 			d, want, d.pairedWorkers(), got, reduceDivergence(d, g, plan))

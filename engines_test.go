@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/sim"
 	"repro/internal/size"
 )
 
@@ -32,12 +33,37 @@ type outcome struct {
 	err   string
 }
 
-func capture(run func(g graph.Topology, seed int64) (any, error), g graph.Topology, seed int64) outcome {
+// capture runs one protocol and keeps its outcome. Every sim run inside is
+// held to the slot accounting identity: by slotAudit, or by the caller's own
+// recorder when one is installed (barrierCounter embeds slotAudit).
+func capture(t *testing.T, run func(g graph.Topology, seed int64) (any, error), g graph.Topology, seed int64) outcome {
+	t.Helper()
+	if sim.DefaultRecorder == nil {
+		sim.DefaultRecorder = slotAudit{t}
+		defer func() { sim.DefaultRecorder = nil }()
+	}
 	v, err := run(g, seed)
 	if err != nil {
 		return outcome{err: err.Error()}
 	}
 	return outcome{value: v}
+}
+
+// slotAudit is a sim.Recorder that checks, at the end of every run, aborted
+// runs included, that each round resolved the channel slot exactly one way:
+// idle + success + collision + jammed slots = rounds.
+type slotAudit struct{ t *testing.T }
+
+func (slotAudit) RunStart(int, sim.Engine, int, int)             {}
+func (slotAudit) BeginPhase(sim.Phase, int) int64                { return 0 }
+func (slotAudit) EndPhase(sim.Phase, int, int, int64)            {}
+func (slotAudit) FastForward(int, int)                           {}
+func (slotAudit) RoundEnd(int, int, sim.SlotState, *sim.Metrics) {}
+func (a slotAudit) RunEnd(m *sim.Metrics) {
+	if s := m.SlotsIdle + m.SlotsSuccess + m.SlotsCollision + m.SlotsJammed; s != int64(m.Rounds) {
+		a.t.Errorf("slot accounting: idle %d + success %d + collision %d + jammed %d = %d slots in %d rounds",
+			m.SlotsIdle, m.SlotsSuccess, m.SlotsCollision, m.SlotsJammed, s, m.Rounds)
+	}
 }
 
 // TestMillionNodeRingCensus is the scale gate: the engine must run a
@@ -63,6 +89,6 @@ func TestMillionNodeRingCensus(t *testing.T) {
 	if res.Metrics.Messages != 4*(n-1)+2 {
 		// explore+ack on both directed halves, value+result along the tree:
 		// 2m explores/acks + (n-1) values + (n-1) results, m = n on a ring.
-		t.Logf("messages = %d (informational)", res.Metrics.Messages)
+		t.Errorf("messages = %d, want %d", res.Metrics.Messages, 4*(n-1)+2)
 	}
 }

@@ -43,7 +43,7 @@ func registryCell(t *testing.T, proto difftest.Protocol, g graph.Topology, plan 
 	tw := sim.NewTranscriptWriter(&buf, false)
 	oldT, oldF, oldM := sim.DefaultTranscript, sim.DefaultFaults, sim.DefaultMaxRounds
 	sim.DefaultTranscript, sim.DefaultFaults, sim.DefaultMaxRounds = tw, plan, 2000
-	out := capture(proto.Run, g, 1)
+	out := capture(t, proto.Run, g, 1)
 	sim.DefaultTranscript, sim.DefaultFaults, sim.DefaultMaxRounds = oldT, oldF, oldM
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
@@ -168,19 +168,17 @@ func TestRegistryPartitionScale(t *testing.T) {
 
 // barrierCounter is a sim.Recorder that counts the coordinator's barrier
 // spans: one per phase fanned out to the worker pool, none for a phase run
-// inline.
-type barrierCounter struct{ spans atomic.Int64 }
+// inline. Its slotAudit checks each run's slot accounting.
+type barrierCounter struct {
+	slotAudit
+	spans atomic.Int64
+}
 
-func (*barrierCounter) RunStart(int, sim.Engine, int, int) {}
-func (*barrierCounter) BeginPhase(sim.Phase, int) int64    { return 0 }
 func (c *barrierCounter) EndPhase(p sim.Phase, shard, _ int, _ int64) {
 	if p == sim.PhaseBarrier && shard == 0 {
 		c.spans.Add(1)
 	}
 }
-func (*barrierCounter) FastForward(int, int)                           {}
-func (*barrierCounter) RoundEnd(int, int, sim.SlotState, *sim.Metrics) {}
-func (*barrierCounter) RunEnd(*sim.Metrics)                            {}
 
 // TestRegistryFannedOut holds rounds that run on the worker pool to the
 // byte-identity contract. No fixture topology has more than 48 nodes, so
@@ -208,7 +206,7 @@ func TestRegistryFannedOut(t *testing.T) {
 			t.Run(proto.Name+"/"+p.name, func(t *testing.T) {
 				plan := mustPlan(t, p.plan)
 				cell := func(workers int) (string, int64) {
-					var c barrierCounter
+					c := barrierCounter{slotAudit: slotAudit{t}}
 					oldW, oldR := sim.DefaultWorkers, sim.DefaultRecorder
 					sim.DefaultWorkers, sim.DefaultRecorder = workers, &c
 					defer func() { sim.DefaultWorkers, sim.DefaultRecorder = oldW, oldR }()
