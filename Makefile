@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test test-short test-race bench bench-check bench-quick chaos fuzz fuzz-decoders golden obs-smoke scale-smoke resume-smoke chaos2-smoke ci
+.PHONY: build vet lint test test-short test-race bench-quick chaos fuzz fuzz-decoders golden obs-smoke scale-smoke resume-smoke chaos2-smoke ci
 
 ## build: compile every package (the tier-1 gate's first half)
 build:
@@ -30,8 +30,9 @@ lint:
 		echo "lint: govulncheck not installed; skipped (CI runs a pinned build)"; \
 	fi
 
-## test: full test suite, including the million-node census gate, plus the
-## benchmark command (its own module, so the root ./... never builds it)
+## test: full test suite, including the million-node census gate and the
+## allocation and bytes/node gates, plus the benchmark command (its own
+## module, so the root ./... never builds it)
 test:
 	$(GO) test ./...
 	cd cmd/mmperf && $(GO) vet ./... && $(GO) test ./...
@@ -49,17 +50,6 @@ test-race:
 ## chaos: the E10 smoke configuration — fault-injection degradation tables
 chaos:
 	$(GO) run ./cmd/mmexp -only E10
-
-## bench: the engine benchmark suite at full (10⁶-node) scale, recorded
-## machine-readably in BENCH_engines.json for commit-over-commit tracking
-bench:
-	$(GO) run ./cmd/mmbench -full -out BENCH_engines.json
-
-## bench-check: quick benchmark subset diffed against the committed
-## BENCH_engines.json; fails on any >25% nodes/sec regression (scale rows
-## only compare when node counts match — run `make bench` for those)
-bench-check:
-	$(GO) run ./cmd/mmbench -compare BENCH_engines.json -out /tmp/bench-check.json
 
 ## bench-quick: one pass of the engine relay and census benchmarks
 bench-quick:

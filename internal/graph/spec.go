@@ -1,8 +1,8 @@
 package graph
 
 // spec.go is the one topology-spec grammar shared by the CLIs (mmnet,
-// mmreplay, mmexp, mmbench) and the test harnesses, so `-graph
-// ring:10000000` means the same thing everywhere.
+// mmreplay, mmexp) and the test harnesses, so `-graph ring:10000000` means
+// the same thing everywhere.
 //
 // Grammar:
 //

@@ -149,9 +149,9 @@ func ConnectedTopo(t Topology) bool {
 }
 
 // TopoHeapCost builds a topology with mk and returns it together with the
-// heap growth its construction caused — the bytes/node measure mmbench's
-// mem rows and the E12 table record. The double GC brackets the build so
-// transient construction garbage is excluded; the delta is clamped at 0.
+// heap growth its construction caused — the bytes/node measure of E12 and
+// TestTopologyBytesPerNode. The double GC brackets the build so transient
+// construction garbage is excluded; the delta is clamped at 0.
 func TopoHeapCost(mk func() (Topology, error)) (Topology, uint64, error) {
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -1,6 +1,6 @@
 package obs
 
-// http.go is the opt-in exposition listener behind mmnet/mmbench's
+// http.go is the opt-in exposition listener behind mmnet/mmexp's
 // -metrics-addr flag: /metrics serves the registry in Prometheus text
 // format and /debug/pprof serves the standard profiling endpoints (whose
 // CPU profiles break down by engine phase when pprof labels are on). This

@@ -262,7 +262,7 @@ func (o *Obs) RunEnd(m *sim.Metrics) {
 }
 
 // PhaseSummary digests one phase's duration histogram (count, sum, p50,
-// p95, max in nanoseconds) — the per-phase breakdown mmbench reports.
+// p95, max in nanoseconds) — the breakdown mmnet's phase lines print.
 func (o *Obs) PhaseSummary(p sim.Phase) Summary {
 	return o.phaseHist[p].Summarize()
 }

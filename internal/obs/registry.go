@@ -4,7 +4,7 @@ package obs
 // gauges, and histograms on sync/atomic (the repo takes no dependencies
 // beyond the standard library), collected in a Registry that renders the
 // Prometheus text exposition format — the exact surface a future mmserve
-// mounts and the -metrics-addr listeners of mmnet/mmbench serve today.
+// mounts and the -metrics-addr listeners of mmnet/mmexp serve today.
 //
 // All instruments are safe for concurrent use: engine workers observe
 // histograms from their own goroutines while an HTTP scrape reads them.
