@@ -6,7 +6,7 @@
 //	mmexp                      # quick sweep (seconds)
 //	mmexp -full                # full sweep (minutes)
 //	mmexp -only E3             # a single experiment
-//	mmexp -only E9             # step-engine scaling table (10⁶ nodes with -full)
+//	mmexp -only E9             # census scaling table (10⁷ nodes, ~1.5 GB live heap, with -full)
 //	mmexp -only E10            # chaos: degradation under crash/jam fault plans
 //	mmexp -faults jam:1-/p0.2  # every experiment under a 20% channel-jamming plan
 //	mmexp -list                # list the registry
@@ -52,6 +52,9 @@ func run(args []string, w io.Writer) error {
 			return nil
 		}
 		return err
+	}
+	if *workers < 0 || *maxRounds < 0 {
+		return fmt.Errorf("-workers %d, -max-rounds %d: want 0 (the default) or more", *workers, *maxRounds)
 	}
 
 	plan, err := fault.FromFlag(*faults)

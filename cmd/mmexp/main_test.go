@@ -34,6 +34,8 @@ func TestRunErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-only", "E999"},
 		{"-faults", "nope:1@2"},
+		{"-only", "E6", "-workers", "-3"},
+		{"-only", "E6", "-max-rounds", "-5"},
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -124,6 +124,16 @@ func run(args []string, w io.Writer) error {
 		}
 		return err
 	}
+	switch {
+	case *workers < 0:
+		return fmt.Errorf("-workers %d: want 0 (GOMAXPROCS) or more", *workers)
+	case *maxRounds < 0:
+		return fmt.Errorf("-max-rounds %d: want 0 (graph-derived default) or more", *maxRounds)
+	case *ckptEvery < 0:
+		return fmt.Errorf("-checkpoint-every %d: want 0 (off) or more", *ckptEvery)
+	case *seriesEvery < 1:
+		return fmt.Errorf("-series-every %d: want 1 or more", *seriesEvery)
+	}
 
 	plan, err := fault.FromFlag(*faults)
 	if err != nil {
@@ -262,7 +272,7 @@ func run(args []string, w io.Writer) error {
 }
 
 // printPhases appends the per-phase duration digest to the human report,
-// then the workers' idle time at the phase gate.
+// then the workers' idle time waiting for their next phase.
 func printPhases(w io.Writer, o *obs.Obs) {
 	line := func(label string, s obs.Summary) {
 		if s.Count > 0 {

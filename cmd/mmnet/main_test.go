@@ -189,3 +189,21 @@ func TestRunCheckpointFlagValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestRunCountFlagValidation pins that a negative count, or a zero series
+// window, is an error rather than a silent fallback to the default.
+func TestRunCountFlagValidation(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "x.mmcp")
+	for _, args := range [][]string{
+		{"-algo", "census", "-checkpoint", ckpt, "-checkpoint-every", "-2"},
+		{"-algo", "census", "-series-every", "0"},
+		{"-algo", "census", "-series-every", "-4"},
+		{"-algo", "census", "-workers", "-3"},
+		{"-algo", "census", "-max-rounds", "-5"},
+	} {
+		args = append([]string{"-graph", "ring:64"}, args...)
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
+	}
+}

@@ -123,7 +123,7 @@ func TestObsSmoke(t *testing.T) {
 
 // TestPhaseLinesBookWorkerWaitsAsIdle checks the report's phase digest: a
 // run in which no phase fans out to the worker pool prints no barrier line
-// and books the workers' gate waits on the idle line; a run on 4,096 nodes
+// and books the workers' phase waits on the idle line; a run on 4,096 nodes
 // fans out and prints a barrier line.
 func TestPhaseLinesBookWorkerWaitsAsIdle(t *testing.T) {
 	for _, tc := range []struct {

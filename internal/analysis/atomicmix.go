@@ -2,17 +2,16 @@ package analysis
 
 // atomicmix flags struct fields accessed both through sync/atomic
 // pointer-style calls (atomic.LoadInt32(&s.f), atomic.AddInt64(&s.f), ...)
-// and by plain loads or stores in the same package — the exact bug class
-// behind the PR 4 gate races: a field that is atomic on one path and plain
-// on another has no happens-before edge between the two, and the racy
-// interleavings only surface under contention the tests may never generate.
+// and by plain loads or stores in the same package: a field that is atomic
+// on one path and plain on another has no happens-before edge between the
+// two, and the racy interleavings only surface under contention the tests
+// may never generate.
 //
 // The fix is one of: make every access atomic, or migrate the field to the
 // typed sync/atomic wrappers (atomic.Int32, atomic.Bool, ...), whose method
-// set makes plain access impossible — which is why gate.go's sense word and
-// arrival counter are immune by construction. Fields of the typed wrappers
-// are therefore out of scope by design; so are accesses in _test files of
-// the field's package (tests may read counters of a quiesced engine).
+// set makes plain access impossible. Fields of the typed wrappers are
+// therefore out of scope by design; so are accesses in _test files of the
+// field's package (tests may read counters of a quiesced engine).
 //
 // The analyzer is package-local (matching the framework: no cross-package
 // facts): a field must be atomically accessed and plainly accessed within

@@ -15,8 +15,8 @@ package analysis
 // always-global math/rand/v2 top-level functions) are flagged.
 //
 // A deliberate, transcript-invariant use — the step engine sizing its
-// default worker pool from GOMAXPROCS, or the gate sizing a spin budget —
-// is suppressed with //mmlint:nondet <reason>; the reason is mandatory.
+// default worker pool from GOMAXPROCS — is suppressed with
+// //mmlint:nondet <reason>; the reason is mandatory.
 
 import (
 	"go/ast"

@@ -63,7 +63,7 @@ type Obs struct {
 
 	// Per-round, per-shard phase-duration accumulators: written by
 	// EndPhase (single writer per shard, ordered by the engine's phase
-	// gate), harvested and reset by RoundEnd (coordinator side).
+	// handoff), harvested and reset by RoundEnd (coordinator side).
 	phaseNs [int(sim.NumPhases)][]int64
 
 	// Registry instruments. prevReg snapshots the current run's cumulative
@@ -82,7 +82,7 @@ type Obs struct {
 }
 
 // phaseIdle is obs's name for a worker's (shard ≥ 1) PhaseBarrier span. A
-// worker waits at the phase gate through the coordinator's sequential
+// worker waits for its next phase through the coordinator's sequential
 // section, every round run inline and the run's exit, so only the
 // coordinator's wait, which is on the critical path, is barrier time.
 const phaseIdle = sim.NumPhases
@@ -267,8 +267,8 @@ func (o *Obs) PhaseSummary(p sim.Phase) Summary {
 	return o.phaseHist[p].Summarize()
 }
 
-// IdleSummary digests the workers' waits at the phase gate outside
-// fanned-out phases, which PhaseSummary(sim.PhaseBarrier) leaves out.
+// IdleSummary digests the workers' waits for their next phase, which
+// PhaseSummary(sim.PhaseBarrier) leaves out.
 func (o *Obs) IdleSummary() Summary {
 	return o.phaseHist[phaseIdle].Summarize()
 }

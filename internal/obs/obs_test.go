@@ -306,7 +306,7 @@ func TestTraceChromeJSON(t *testing.T) {
 	}
 }
 
-// TestWorkerWaitIsIdle checks where a worker's gate wait is booked: as
+// TestWorkerWaitIsIdle checks where a worker's phase wait is booked: as
 // barrier time only when the coordinator waits on a fanned-out phase. A
 // 64-node ring never fans out, so at 4 workers it has idle time and no
 // barrier time; a 2,048-node ring fans out every round.

@@ -67,8 +67,8 @@ type seriesRow struct {
 
 // collector accumulates rounds into windows and streams rows. All methods
 // are coordinator-side (RoundEnd/RunStart/RunEnd ordering); the per-shard
-// duration arrays are filled by endPhase under the engine's gate ordering
-// and harvested here.
+// duration arrays are filled by endPhase under the engine's phase-handoff
+// ordering and harvested here.
 type collector struct {
 	bw    *bufio.Writer
 	enc   *json.Encoder

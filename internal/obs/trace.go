@@ -10,8 +10,8 @@ package obs
 //
 // Concurrency: each shard's ring has exactly one writer at a time — the
 // goroutine running that shard's slice of the current phase — and writes
-// are ordered against the coordinator by the engine's phase gate, so rings
-// need no locks. Rendering happens after Run returns, when all writers have
+// are ordered against the coordinator by the engine's phase handoff, so
+// rings need no locks. Rendering happens after Run returns, when all writers have
 // quiesced.
 
 import (

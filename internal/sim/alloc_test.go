@@ -31,7 +31,7 @@ func (m dietMachine) Step(in Input) bool {
 func (m dietMachine) Result() any { return nil }
 
 // dietRingN is inlineThreshold, the smallest ring whose rounds fan out, so
-// multi-worker runs use the gate.
+// multi-worker runs use the worker pool.
 const dietRingN = inlineThreshold
 
 // dietForm is one topology form the gate runs on.
@@ -112,7 +112,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 }
 
 func TestStepSteadyStateZeroAllocMultiWorker(t *testing.T) {
-	// The gate parks and wakes workers without allocating; a small budget
+	// Handing phases to the workers allocates nothing; a small budget
 	// absorbs one-time goroutine stack growth.
 	for _, f := range dietForms(t) {
 		if perRound := stepAllocsPerRound(t, f.g, 4); perRound > 0.05 {

@@ -7,7 +7,7 @@ package sim
 // prefix to exactly the bytes of an uninterrupted run (difftest-enforced).
 //
 // A checkpoint is captured at the top of a round iteration, coordinator-side
-// with every worker parked at the phase gate, and records: the round and
+// with every worker waiting for its next phase, and records: the round and
 // cumulative Metrics, the slot the next step phase will observe, per-node
 // scheduler flags and results, per-node machine state (through the
 // Snapshotter interface), per-node RNG positions (draw counts — see

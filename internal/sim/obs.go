@@ -21,15 +21,15 @@ package sim
 //
 // Threading contract for implementations: BeginPhase/EndPhase for a given
 // shard are called by whichever goroutine runs that shard's slice of the
-// phase (worker goroutines in gate mode, the coordinator on the inline
+// phase (a worker on a fanned-out phase, the coordinator on the inline
 // path), but never by two goroutines at once for the same shard, and all
 // such calls are ordered against RunStart/RoundEnd/RunEnd (coordinator-only)
-// by the engine's phase barrier. Per-shard state therefore needs no locks;
+// by the engine's phase handoff. Per-shard state therefore needs no locks;
 // cross-shard aggregates must be atomic.
 
 // Phase identifies one engine execution phase for observability: Step
 // (compute), Deliver (slot resolution + message delivery), and Barrier
-// (time a participant spent waiting on the phase gate).
+// (time a participant spent waiting for the others).
 type Phase uint8
 
 // The phases, in reporting order.

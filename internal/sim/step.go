@@ -14,13 +14,14 @@ package sim
 //	         shard's inbox arena, sorts multi-message inboxes by (sender,
 //	         edge id), and wakes sleeping recipients.
 //
-// The phases are coordinated by a persistent-worker, sense-reversing atomic
-// barrier (gate.go): a phase transition costs a few atomics, not 2×shards
-// channel operations, and shards with nothing to do in a phase are skipped
-// by a shared need-check. All buffers (inbox arenas, outboxes, awake lists)
-// are reused across rounds, so a steady-state round allocates nothing beyond
-// what machines themselves allocate. Machines that have nothing to do until
-// a message arrives call StepCtx.Sleep, and a machine that also waits for
+// A round with enough awake nodes hands each phase to persistent workers,
+// one buffered channel each and a WaitGroup counting their arrivals;
+// smaller rounds run inline on the coordinator, and shards with nothing to
+// do in a phase are skipped by a shared need-check. All buffers (inbox
+// arenas, outboxes, awake lists) are reused across rounds, so a
+// steady-state round allocates nothing beyond what machines themselves
+// allocate. Machines that have nothing to do until a message arrives call
+// StepCtx.Sleep, and a machine that also waits for
 // the channel barrier's pulse or for a known round calls SleepUntilPulse or
 // SleepUntilRound; combined with the awake lists this makes the per-round
 // cost proportional to the number of active nodes, not n. When every live
@@ -525,15 +526,15 @@ const (
 	phaseDeliver
 	// inlineThreshold: with fewer awake nodes than this, the coordinator
 	// steps them itself rather than waking the worker pool. A fanned-out
-	// phase parks and wakes every worker, and only a phase with enough
-	// node steps to split pays that back. 2,048 is about where the
-	// cheapest step breaks even: a one-send relay on a ring, every node
-	// stepping every round, always fanned out, ran at 2 workers 0.7–0.8×
-	// as fast as at 1 on 1,024 nodes, 1.0× on 2,048, 1.1–1.2× on 4,096
-	// and 1.3–1.6× on 8,192 (2-vCPU host, best of 7 runs of 400 rounds).
-	// At 256, the §6 MST plus §5 sum on random:512,1024 took 1.6–1.8× as
-	// long at 2 workers as at 1, because most of its rounds have 256–512
-	// awake nodes.
+	// phase wakes every worker and waits for each, and the cheapest step
+	// pays that back from 2,048–4,096 nodes: a one-send relay on a ring,
+	// every node stepping every round, always fanned out, ran at 2 workers
+	// 0.95× as fast as at 1 on 1,024 nodes, 0.90× on 2,048, 1.09× on
+	// 4,096, 1.29× on 8,192 and 1.44× on 16,384 (2-vCPU host; medians of 6
+	// passes, each the best of 7 runs of 400 rounds, that spread ±0.2). At
+	// 256, the §6 MST plus §5 sum on random:512,1024 took 1.6–1.8× as long
+	// at 2 workers as at 1, because most of its rounds have 256–512 awake
+	// nodes.
 	inlineThreshold = 2048
 )
 
@@ -577,7 +578,8 @@ type stepEngine struct {
 	firstErr error
 	failed   atomic.Bool // set with firstErr; the round loop's lock-free check
 
-	gate *phaseGate // nil when single-worker
+	work    []chan int8    // shard i+1's worker receives phases on work[i]; nil when single-worker
+	arrived sync.WaitGroup // workers yet to finish the fanned-out phase
 }
 
 // shardOf returns the shard owning node v.
@@ -1126,12 +1128,14 @@ func (e *stepEngine) hasPulseSleepers() bool {
 }
 
 // runPhase executes one phase over the shards, inline when the round is
-// small or the engine single-threaded, on the persistent worker pool behind
-// the phase gate otherwise (the coordinator takes shard 0 itself).
+// small or the engine single-threaded, on the persistent worker pool
+// otherwise (the coordinator takes shard 0 itself). The send to a worker
+// orders the round state before its phase, and its Done orders the phase
+// before Wait returns.
 //
 //mmlint:noalloc
 func (e *stepEngine) runPhase(phase int8, stepped []int, awakeTotal int) {
-	if e.gate == nil || awakeTotal < inlineThreshold {
+	if e.work == nil || awakeTotal < inlineThreshold {
 		switch phase {
 		case phaseStep:
 			for _, si := range stepped {
@@ -1144,17 +1148,20 @@ func (e *stepEngine) runPhase(phase int8, stepped []int, awakeTotal int) {
 		}
 		return
 	}
-	e.gate.release(phase)
+	e.arrived.Add(len(e.work))
+	for _, ch := range e.work {
+		ch <- phase
+	}
 	e.phaseShard(phase, 0)
 	if rec := e.cfg.rec; rec != nil {
 		// The coordinator's barrier wait: its own shard is done, the round
 		// cannot advance until the last worker arrives.
 		t0 := rec.BeginPhase(PhaseBarrier, 0)
-		e.gate.wait()
+		e.arrived.Wait()
 		rec.EndPhase(PhaseBarrier, 0, e.round, t0)
 		return
 	}
-	e.gate.wait()
+	e.arrived.Wait()
 }
 
 // phaseShard runs one shard's slice of a phase, skipping shards the phase
@@ -1211,50 +1218,49 @@ func (e *stepEngine) needsDelivery(d int) bool {
 }
 
 // startWorkers brings up the persistent worker pool: one goroutine per
-// shard except shard 0, which the coordinator runs itself between releasing
-// and waiting on the gate.
+// shard except shard 0, which the coordinator runs itself between sending
+// a phase and waiting for the workers' arrivals.
 func (e *stepEngine) startWorkers() {
-	e.gate = newPhaseGate(len(e.shards) - 1)
-	for i := 1; i < len(e.shards); i++ {
-		go e.workerLoop(i)
+	e.work = make([]chan int8, len(e.shards)-1)
+	for i := range e.work {
+		e.work[i] = make(chan int8, 1)
+		go e.workerLoop(i+1, e.work[i])
 	}
 }
 
-// workerLoop is one persistent worker: woken by the gate for each phase, it
-// runs its shard's slice and reports completion, until told to exit.
-func (e *stepEngine) workerLoop(shard int) {
+// workerLoop is one persistent worker: it runs its shard's slice of each
+// phase it receives and reports its arrival, until its channel closes.
+func (e *stepEngine) workerLoop(shard int, work <-chan int8) {
+	defer e.arrived.Done() // the exit arrival stopWorkers waits for
 	rec := e.cfg.rec
-	var epoch uint32
 	for {
 		var t0 int64
 		if rec != nil {
 			t0 = rec.BeginPhase(PhaseBarrier, shard)
 		}
-		epoch = e.gate.await(shard-1, epoch)
-		phase := e.gate.phase
+		phase, ok := <-work
 		if rec != nil {
-			// Everything since the previous finish — the coordinator's
-			// sequential section plus the gate wait — is time this worker
-			// spent barred from shard work.
+			// Everything since the previous arrival — the coordinator's
+			// sequential section plus the wait for this phase — is time
+			// this worker spent barred from shard work.
 			rec.EndPhase(PhaseBarrier, shard, e.round, t0)
 		}
-		if phase != phaseExit {
-			e.phaseShard(phase, shard)
-		}
-		e.gate.finish()
-		if phase == phaseExit {
+		if !ok {
 			return
 		}
+		e.phaseShard(phase, shard)
+		e.arrived.Done()
 	}
 }
 
+// stopWorkers closes every worker's channel and waits for all of them to
+// leave, so no worker's barrier span ends after the run returns.
 func (e *stepEngine) stopWorkers() {
-	if e.gate == nil {
-		return
+	e.arrived.Add(len(e.work))
+	for _, ch := range e.work {
+		close(ch)
 	}
-	e.gate.release(phaseExit)
-	e.gate.wait()
-	e.gate = nil
+	e.arrived.Wait()
 }
 
 // stepShard runs the compute phase for one shard: step every awake machine,

@@ -35,21 +35,23 @@ var registryPlans = []struct{ name, plan string }{
 	{"chaos", "seed:5;crash:5@4;jam:2-3;drop:0@2-8/p0.5"},
 }
 
-// registryCell runs one protocol with every inner run streaming into one
-// transcript and renders the cell's fixture.
-func registryCell(t *testing.T, proto difftest.Protocol, g graph.Topology, plan *fault.Plan) string {
+// registryCell runs one protocol, with every inner run streaming into one
+// transcript and limited to maxRounds rounds (2,000 for every committed
+// fixture), and renders the cell's fixture. It also returns the outcome the
+// fixture hashes.
+func registryCell(t *testing.T, proto difftest.Protocol, g graph.Topology, plan *fault.Plan, maxRounds int) (string, outcome) {
 	t.Helper()
 	var buf bytes.Buffer
 	tw := sim.NewTranscriptWriter(&buf, false)
 	oldT, oldF, oldM := sim.DefaultTranscript, sim.DefaultFaults, sim.DefaultMaxRounds
-	sim.DefaultTranscript, sim.DefaultFaults, sim.DefaultMaxRounds = tw, plan, 2000
+	sim.DefaultTranscript, sim.DefaultFaults, sim.DefaultMaxRounds = tw, plan, maxRounds
 	out := capture(t, proto.Run, g, 1)
 	sim.DefaultTranscript, sim.DefaultFaults, sim.DefaultMaxRounds = oldT, oldF, oldM
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return fmt.Sprintf("stream sha256:%x len:%d\noutcome sha256:%x\n",
-		sha256.Sum256(buf.Bytes()), buf.Len(), sha256.Sum256([]byte(fmt.Sprintf("%#v", out))))
+		sha256.Sum256(buf.Bytes()), buf.Len(), sha256.Sum256([]byte(fmt.Sprintf("%#v", out)))), out
 }
 
 func TestRegistryFixtures(t *testing.T) {
@@ -63,7 +65,8 @@ func TestRegistryFixtures(t *testing.T) {
 					}
 					path := filepath.Join("testdata", "registry", proto.Name, topo.name+"-"+p.name+".golden")
 					pinCells(t, path, harnessWorkers, func(t *testing.T) string {
-						return registryCell(t, proto, g, mustPlan(t, p.plan))
+						fx, _ := registryCell(t, proto, g, mustPlan(t, p.plan), 2000)
+						return fx
 					})
 				})
 			}
@@ -158,7 +161,8 @@ func TestRegistryPartitionScale(t *testing.T) {
 				t.Run(proto.Name+"/"+topo.name+"/"+p.name, func(t *testing.T) {
 					path := filepath.Join("testdata", "registry", proto.Name, topo.name+"-"+p.name+".golden")
 					pinCells(t, path, workerCounts, func(t *testing.T) string {
-						return registryCell(t, proto, g, mustPlan(t, p.plan))
+						fx, _ := registryCell(t, proto, g, mustPlan(t, p.plan), 2000)
+						return fx
 					})
 				})
 			}
@@ -185,9 +189,11 @@ func (c *barrierCounter) EndPhase(p sim.Phase, shard, _ int, _ int64) {
 // every fixture round runs inline on the coordinator. On torus:64x64 (4,096
 // nodes) a round with every node awake fans out; these five entries have
 // such rounds — partition-lv's include its channel verification — and run
-// in about 2 s together. At every worker count, each cell's transcript
-// stream and outcome must equal the 1-worker cell's, and past one worker at
-// least one phase must have fanned out.
+// in under 2 s together. The budget is 4,000 rounds, as the §4 partitions
+// need 3,105 (partition-rand) and 3,443 (partition-lv), and every cell
+// under the clean plan must finish without an error. At every worker
+// count, each cell's transcript stream and outcome must equal the 1-worker
+// cell's, and past one worker at least one phase must have fanned out.
 func TestRegistryFannedOut(t *testing.T) {
 	protos := []string{"coloring", "partition-rand", "partition-lv", "sync-sum", "elect"}
 	g, err := graph.ParseSpec("torus:64x64", 1)
@@ -210,7 +216,11 @@ func TestRegistryFannedOut(t *testing.T) {
 					oldW, oldR := sim.DefaultWorkers, sim.DefaultRecorder
 					sim.DefaultWorkers, sim.DefaultRecorder = workers, &c
 					defer func() { sim.DefaultWorkers, sim.DefaultRecorder = oldW, oldR }()
-					return registryCell(t, proto, g, plan), c.spans.Load()
+					fx, out := registryCell(t, proto, g, plan, 4000)
+					if plan == nil && out.err != "" {
+						t.Errorf("step-w%d: fault-free run failed: %s", workers, out.err)
+					}
+					return fx, c.spans.Load()
 				}
 				want, spans := cell(1)
 				if spans != 0 {
