@@ -114,15 +114,15 @@ func (*shardSpans) FastForward(int, int)                   {}
 func (*shardSpans) RoundEnd(int, int, SlotState, *Metrics) {}
 func (*shardSpans) RunEnd(*Metrics)                        {}
 
-// waitEngineGoroutines fails the test unless the goroutine count falls back
-// to base within a few seconds of a run's end.
-func waitEngineGoroutines(t *testing.T, base int, run string) {
+// waitEngineGoroutines fails the test unless the goroutine count falls to
+// idle within a few seconds of a run's end.
+func waitEngineGoroutines(t *testing.T, idle int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
+	for runtime.NumGoroutine() > idle {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d goroutines still running after the run, %d before it",
-				run, runtime.NumGoroutine(), base)
+			t.Fatalf("%d goroutines still running after the run, %d outside it",
+				runtime.NumGoroutine(), idle)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -148,56 +148,65 @@ func TestWorkerPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	errSink := errors.New("checkpoint sink full")
+	ends := []struct {
+		name string
+		prog StepProgram
+		opts []Option
+		is   func(error) bool
+	}{
+		{"failf", poolRelayProgram(rounds, last, rounds/2), nil,
+			func(err error) bool { return err != nil && strings.Contains(err.Error(), "pool relay: node") }},
+		{"max-rounds", clean, []Option{WithMaxRounds(rounds / 2)},
+			func(err error) bool { return errors.Is(err, ErrMaxRounds) }},
+		{"checkpoint-sink", clean, []Option{WithCheckpoints(&CheckpointSpec{
+			At:   []int{rounds / 2},
+			Sink: func(*Checkpoint) error { return errSink },
+		})}, func(err error) bool { return errors.Is(err, errSink) }},
+	}
+	// Outside a run, each subtest below sees the goroutines alive now plus
+	// its own and its parent's, which waits in t.Run. Counting here rather
+	// than in the subtest keeps the goroutine of the subtest before it,
+	// which may not have exited yet, out of the count.
+	idle := runtime.NumGoroutine() + 2
 	for _, workers := range []int{2, 3, 4, 8} {
-		base := runtime.NumGoroutine()
-		spans := shardSpans{rounds: rounds}
-		got, res, err := runStepTranscript(t, g, clean, WithWorkers(workers), WithRecorder(&spans))
-		if err != nil {
-			t.Fatalf("w%d: %v", workers, err)
-		}
-		waitEngineGoroutines(t, base, fmt.Sprintf("w%d clean run", workers))
-		if res.Metrics.Rounds != rounds+1 || spans.shards != workers {
-			t.Fatalf("w%d: %d rounds on %d shards, want %d on %d",
-				workers, res.Metrics.Rounds, spans.shards, rounds+1, workers)
-		}
-		for r := 0; r <= rounds; r++ {
-			for s := 0; s < spans.shards; s++ {
-				wantDeliver := int32(1)
-				if r == rounds {
-					wantDeliver = 0
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			t.Run("clean", func(t *testing.T) {
+				spans := shardSpans{rounds: rounds}
+				got, res, err := runStepTranscript(t, g, clean, WithWorkers(workers), WithRecorder(&spans))
+				if err != nil {
+					t.Fatal(err)
 				}
-				i := r*spans.shards + s
-				if st, dl := spans.spans[PhaseStep][i].Load(), spans.spans[PhaseDeliver][i].Load(); st != 1 || dl != wantDeliver {
-					t.Fatalf("w%d: round %d shard %d ran step %d and deliver %d times, want 1 and %d",
-						workers, r, s, st, dl, wantDeliver)
+				waitEngineGoroutines(t, idle)
+				if res.Metrics.Rounds != rounds+1 || spans.shards != workers {
+					t.Fatalf("%d rounds on %d shards, want %d on %d",
+						res.Metrics.Rounds, spans.shards, rounds+1, workers)
 				}
+				for r := 0; r <= rounds; r++ {
+					for s := 0; s < spans.shards; s++ {
+						wantDeliver := int32(1)
+						if r == rounds {
+							wantDeliver = 0
+						}
+						i := r*spans.shards + s
+						if st, dl := spans.spans[PhaseStep][i].Load(), spans.spans[PhaseDeliver][i].Load(); st != 1 || dl != wantDeliver {
+							t.Fatalf("round %d shard %d ran step %d and deliver %d times, want 1 and %d",
+								r, s, st, dl, wantDeliver)
+						}
+					}
+				}
+				if !bytes.Equal(got, ref) {
+					t.Fatal("transcript differs from the 1-worker transcript")
+				}
+			})
+			for _, tc := range ends {
+				t.Run(tc.name, func(t *testing.T) {
+					_, err := RunStep(g, tc.prog, append([]Option{WithWorkers(workers)}, tc.opts...)...)
+					if !tc.is(err) {
+						t.Fatalf("run ended with %v", err)
+					}
+					waitEngineGoroutines(t, idle)
+				})
 			}
-		}
-		if !bytes.Equal(got, ref) {
-			t.Fatalf("w%d: transcript differs from the 1-worker transcript", workers)
-		}
-
-		for _, tc := range []struct {
-			name string
-			prog StepProgram
-			opts []Option
-			is   func(error) bool
-		}{
-			{"failf", poolRelayProgram(rounds, last, rounds/2), nil,
-				func(err error) bool { return err != nil && strings.Contains(err.Error(), "pool relay: node") }},
-			{"max-rounds", clean, []Option{WithMaxRounds(rounds / 2)},
-				func(err error) bool { return errors.Is(err, ErrMaxRounds) }},
-			{"checkpoint-sink", clean, []Option{WithCheckpoints(&CheckpointSpec{
-				At:   []int{rounds / 2},
-				Sink: func(*Checkpoint) error { return errSink },
-			})}, func(err error) bool { return errors.Is(err, errSink) }},
-		} {
-			base := runtime.NumGoroutine()
-			_, err := RunStep(g, tc.prog, append([]Option{WithWorkers(workers)}, tc.opts...)...)
-			if !tc.is(err) {
-				t.Fatalf("w%d %s: run ended with %v", workers, tc.name, err)
-			}
-			waitEngineGoroutines(t, base, fmt.Sprintf("w%d %s", workers, tc.name))
-		}
+		})
 	}
 }
