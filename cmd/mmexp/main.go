@@ -8,7 +8,7 @@
 //	mmexp -only E3             # a single experiment
 //	mmexp -only E9             # census scaling table (10⁷ nodes, ~1.5 GB live heap, with -full)
 //	mmexp -only E10            # chaos: degradation under crash/jam fault plans
-//	mmexp -faults jam:1-/p0.2  # every experiment under a 20% channel-jamming plan
+//	mmexp -faults jam:1-/p0.2  # every experiment under a 20% channel-jamming plan (E6, E10 and E13 install their own)
 //	mmexp -list                # list the registry
 package main
 
@@ -41,7 +41,7 @@ func run(args []string, w io.Writer) error {
 		only      = fs.String("only", "", "run a single experiment by id (e.g. E3)")
 		list      = fs.Bool("list", false, "list experiments and exit")
 		workers   = fs.Int("workers", 0, "step-engine worker count (0 = GOMAXPROCS)")
-		faults    = fs.String("faults", "", "fault plan DSL applied to every experiment (E10 installs its own plans); seed 1 unless it pins seed:N")
+		faults    = fs.String("faults", "", "fault plan DSL applied to every experiment (E6, E10 and E13 install their own plans); seed 1 unless it pins seed:N")
 		maxRounds = fs.Int("max-rounds", 0, "round budget per run (0 = graph-derived default); bound wedged faulted runs")
 
 		tracePath   = fs.String("trace", "", "write engine phase spans across every run as Chrome trace_event JSON to this file")

@@ -2,8 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestRunList(t *testing.T) {
@@ -54,5 +60,39 @@ func TestRunFaultedExperiment(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "== E8") {
 		t.Errorf("output malformed:\n%s", buf.String())
+	}
+}
+
+// TestE6HonoursRunSettings checks that E6 runs on the step engine under
+// mmexp's settings: -trace records its engine spans, and -max-rounds bounds
+// its runs.
+func TestE6HonoursRunSettings(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "e6.json")
+	if err := run([]string{"-only", "E6", "-trace", path}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct{ Name, Ph string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &trace); err != nil {
+		t.Fatalf("trace does not parse: %v", err)
+	}
+	steps := 0
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "X" && ev.Name == "step" {
+			steps++
+		}
+	}
+	if steps == 0 {
+		t.Errorf("-only E6 -trace wrote no step span (%d bytes)", len(data))
+	}
+
+	err = run([]string{"-only", "E6", "-max-rounds", "5"}, &bytes.Buffer{})
+	if !errors.Is(err, sim.ErrMaxRounds) || !strings.Contains(err.Error(), "budget 5") {
+		t.Errorf("-only E6 -max-rounds 5: err = %v, want the budget-5 ErrMaxRounds", err)
 	}
 }

@@ -83,6 +83,9 @@ func run(args []string, w io.Writer) error {
 			return stitchTranscripts(*stitch, *at, trs[0], trs[1])
 		})
 	case *bisect:
+		if *workersA < 0 || *workersB < 0 || *maxR < 0 {
+			return fmt.Errorf("-workers-a %d, -workers-b %d, -max-rounds %d: want 0 (GOMAXPROCS workers, graph-derived budget) or more", *workersA, *workersB, *maxR)
+		}
 		return bisectStates(w, *algo, *gname, *seed, *faults, *maxR, *workersA, *workersB)
 	default:
 		fs.Usage()

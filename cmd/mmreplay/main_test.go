@@ -195,6 +195,17 @@ func TestBisectCleanRun(t *testing.T) {
 	}
 }
 
+// TestBisectCountFlagValidation pins that a negative worker count or round
+// budget is an error rather than a silent fallback to the default.
+func TestBisectCountFlagValidation(t *testing.T) {
+	for _, flag := range []string{"-workers-a", "-workers-b", "-max-rounds"} {
+		args := []string{"-bisect", "-algo", "census", "-graph", "ring:64", flag, "-3"}
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
 // TestFixtureStructurallyValid keeps the committed fixture honest: it must
 // verify cleanly and describe the run that generated it (census, ring 16).
 func TestFixtureStructurallyValid(t *testing.T) {

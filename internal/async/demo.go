@@ -4,18 +4,18 @@ import (
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/sim"
 )
 
 // SumDemo builds a synchronous BFS-aggregation algorithm (the globalfunc
 // point-to-point baseline restated as a RoundFunc): node 0 floods an
 // explore wave, partial sums converge back up the BFS tree, and the total
 // is broadcast down. It is the workload of the §7.1 experiment: the same
-// rounds-based code runs on the synchronous engine by construction and on
-// the asynchronous engine via the channel synchronizer.
+// rounds-based code runs through the channel synchronizer on a synchronous
+// network and on an asynchronous one.
 //
 // results[v] receives node v's final value; the slice must have length n
-// and is written under mu (node callbacks are engine-serialized, but the
-// mutex keeps the demo race-detector clean).
+// and is written under mu.
 func SumDemo(inputs func(graph.NodeID) int64, results []int64, mu *sync.Mutex) func(graph.NodeID) RoundFunc {
 	type explore struct{}
 	type ack struct{ Child bool }
@@ -24,7 +24,6 @@ func SumDemo(inputs func(graph.NodeID) int64, results []int64, mu *sync.Mutex) f
 
 	return func(id graph.NodeID) RoundFunc {
 		adopted := id == 0
-		adoptedRound := -1
 		parentLink := -1
 		acksPending := 0
 		explored := false
@@ -34,7 +33,7 @@ func SumDemo(inputs func(graph.NodeID) int64, results []int64, mu *sync.Mutex) f
 		sentUp := false
 		done := false
 
-		return func(api Port, round int, inbox []Message) {
+		return func(api Port, round int, inbox []sim.Message) {
 			if done {
 				api.Halt()
 				return
@@ -77,11 +76,9 @@ func SumDemo(inputs func(graph.NodeID) int64, results []int64, mu *sync.Mutex) f
 			if bestLink != -1 && !adopted {
 				adopted = true
 				adoptedNow = true
-				adoptedRound = round
 				parentLink = bestLink
 				sendExplores(skip)
 			}
-			_ = adoptedRound
 
 			parentBusy := false
 			for _, m := range inbox {

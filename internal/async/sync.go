@@ -1,18 +1,5 @@
 package async
 
-// sync.go runs a RoundFunc algorithm on the synchronous step engine through
-// the §7.1 synchronizer protocol itself: every algorithm message is
-// acknowledged, a node transmits the busy tone while any of its messages is
-// unacknowledged, and an idle slot — heard by everyone in the same round —
-// is the clock pulse that starts the next simulated synchronous round. This
-// is the protocol the event-driven engine in async.go models with real
-// (seeded) delays; here delivery is exactly one round, so each simulated
-// round costs at most three slots and Corollary 4's ≤2× message overhead is
-// visible directly in the metrics.
-//
-// Each node is a step machine; passive nodes park with the barrier's
-// pulse-sleep.
-
 import (
 	"fmt"
 
@@ -79,7 +66,8 @@ func (p *syncPort) SendTo(to graph.NodeID, payload any) {
 // syncMachine is one node of the synchronizer-driven run. One barrier step
 // spans one simulated round: the round function fires on the step's entry
 // round, acknowledgements flow during it, and the pulse that ends it starts
-// the next simulated round.
+// the next simulated round. Passive nodes park with the barrier's
+// pulse-sleep.
 type syncMachine struct {
 	port        syncPort
 	b           *sim.StepBarrier
@@ -88,8 +76,8 @@ type syncMachine struct {
 	round       int
 	invoked     bool
 	outstanding int
-	inbox       []Message
-	nextInbox   []Message
+	inbox       []sim.Message
+	nextInbox   []sim.Message
 	result      any
 }
 
@@ -121,7 +109,7 @@ func (m *syncMachine) handle(step sim.Input) bool {
 	for _, msg := range step.Msgs {
 		switch p := msg.Payload.(type) {
 		case sMsg:
-			m.nextInbox = append(m.nextInbox, Message{From: msg.From, EdgeID: msg.EdgeID, Payload: p.P})
+			m.nextInbox = append(m.nextInbox, sim.Message{From: msg.From, EdgeID: msg.EdgeID, Payload: p.P})
 			m.port.c.Send(m.port.c.LinkOf(msg.EdgeID), sAck{})
 			m.port.ackSent++
 		case sAck:
@@ -153,7 +141,8 @@ func syncStepProgram(g graph.Topology, maxRounds int, factory func(id graph.Node
 // Sync executes the synchronous algorithm produced by factory, driven by
 // the §7.1 channel synchronizer. factory is called once per node and
 // returns that node's RoundFunc; maxRounds bounds the number of simulated
-// rounds.
+// rounds. The engine run takes its fault plan, worker count, recorder and
+// round budget from sim's process defaults (sim.DefaultFaults and the rest).
 func Sync(g graph.Topology, seed int64, maxRounds int, factory func(id graph.NodeID) RoundFunc) (*SyncResult, error) {
 	// WithSynchronizer unlocks skew: rules — clock skew is meaningful only
 	// at this layer, where a slot is a tick of the §7.1 clock.

@@ -7,10 +7,11 @@ import (
 	"sync"
 
 	"repro/internal/async"
+	"repro/internal/fault"
 	"repro/internal/globalfunc"
 	"repro/internal/graph"
 	"repro/internal/mst"
-	"repro/internal/partition"
+	"repro/internal/sim"
 	"repro/internal/size"
 )
 
@@ -63,12 +64,25 @@ func runE5(w io.Writer, full bool) error {
 }
 
 // runE6 reproduces Corollary 4: the channel synchronizer doubles messages
-// at most and costs a constant number of slots per simulated round.
+// at most and costs a constant number of slots per simulated round. Each
+// graph runs the same synchronous sum through async.Sync on the synchronous
+// network and on an asynchronous one, a seeded delay plan installed as
+// sim.DefaultFaults. The experiment fails on a run whose acknowledgements
+// differ from its algorithm messages or that takes more than 2d+3 slots per
+// simulated round (d the plan's delay: a message, its acknowledgement and
+// the pulse), and on an asynchronous run whose sum, simulated rounds or
+// algorithm messages differ from the synchronous run's.
 func runE6(w io.Writer, full bool) error {
 	t := &Table{
 		Title:  "E6 — channel synchronizer overhead (§7.1, Corollary 4)",
-		Header: []string{"graph", "n", "rounds", "time (slots)", "slots/round", "alg msgs", "acks", "overhead"},
+		Header: []string{"graph", "n", "network", "rounds", "time (slots)", "slots/round", "alg msgs", "acks", "overhead"},
 	}
+	networks := []struct {
+		name, dsl string
+		d         int // the plan's message delay, in slots
+	}{{"sync", "", 0}, {"async", "seed:7;delay:*@1-/p0.5/d1", 1}}
+	oldFaults := sim.DefaultFaults
+	defer func() { sim.DefaultFaults = oldFaults }()
 	sizes := []int{16, 64}
 	if full {
 		sizes = []int{16, 64, 256, 1024}
@@ -80,19 +94,40 @@ func runE6(w io.Writer, full bool) error {
 		}
 		for _, name := range []string{"ring", "grid"} {
 			g := gs[name]
-			results := make([]int64, g.N())
-			var mu sync.Mutex
-			met, err := async.Run(g, 7, 50*g.N()+500,
-				async.SumDemo(func(v graph.NodeID) int64 { return int64(v) + 1 }, results, &mu))
-			if err != nil {
-				return fmt.Errorf("E6 %s n=%d: %w", name, n, err)
+			var base *async.SyncResult
+			for _, nw := range networks {
+				where := fmt.Sprintf("E6 %s n=%d %s", name, n, nw.name)
+				plan, err := fault.Parse(nw.dsl)
+				if err != nil {
+					return err
+				}
+				sim.DefaultFaults = plan
+				results := make([]int64, g.N())
+				var mu sync.Mutex
+				res, err := async.Sync(g, 7, 50*g.N()+500,
+					async.SumDemo(func(v graph.NodeID) int64 { return int64(v) + 1 }, results, &mu))
+				if err != nil {
+					return fmt.Errorf("%s: %w", where, err)
+				}
+				wantV := int64(g.N()) * int64(g.N()+1) / 2
+				perRound := float64(res.Metrics.Rounds) / float64(res.Rounds)
+				switch {
+				case results[0] != wantV:
+					return fmt.Errorf("%s: value %d, want %d", where, results[0], wantV)
+				case res.AckMsgs != res.AlgMsgs:
+					return fmt.Errorf("%s: %d acknowledgements for %d algorithm messages", where, res.AckMsgs, res.AlgMsgs)
+				case perRound > float64(2*nw.d+3):
+					return fmt.Errorf("%s: %.2f slots per simulated round, over 2d+3 = %d", where, perRound, 2*nw.d+3)
+				case base != nil && (res.Rounds != base.Rounds || res.AlgMsgs != base.AlgMsgs):
+					return fmt.Errorf("%s: %d rounds and %d algorithm messages, synchronous network %d and %d",
+						where, res.Rounds, res.AlgMsgs, base.Rounds, base.AlgMsgs)
+				}
+				if base == nil {
+					base = res
+				}
+				t.Add(name, n, nw.name, res.Rounds, res.Metrics.Rounds, perRound,
+					res.AlgMsgs, res.AckMsgs, res.Overhead())
 			}
-			wantV := int64(g.N()) * int64(g.N()+1) / 2
-			if results[0] != wantV {
-				return fmt.Errorf("E6 %s n=%d: value %d, want %d", name, n, results[0], wantV)
-			}
-			t.Add(name, n, met.Rounds, met.Time, float64(met.Time)/float64(met.Rounds),
-				met.AlgMsgs, met.AckMsgs, met.Overhead())
 		}
 	}
 	t.Fprint(w)
@@ -191,6 +226,5 @@ func runE8(w io.Writer, full bool) error {
 			p2p.Total.Rounds, mm.Total.Rounds, best, float64(best)/minDS)
 	}
 	t.Fprint(w)
-	_ = partition.SqrtN // keep the import stable if columns change
 	return nil
 }
