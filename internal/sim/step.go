@@ -7,12 +7,15 @@ package sim
 // Nodes are partitioned into contiguous shards. Every round has two
 // barrier-separated phases:
 //
-//	step     each worker steps the awake machines of its shard; sends and
-//	         channel writes are staged into per-shard, per-destination-shard
-//	         outbox buckets (no locks, no per-node channel handoffs);
-//	deliver  each worker drains the buckets addressed to its shard into the
-//	         shard's inbox arena, sorts multi-message inboxes by (sender,
-//	         edge id), and wakes sleeping recipients.
+//	step     each worker steps the awake machines of its shard; a send goes
+//	         straight into the shard's outbox bucket for the destination's
+//	         shard, a channel write into the shard's write summary (no
+//	         locks, no per-node channel handoffs);
+//	deliver  each worker routes the buckets addressed to its shard through
+//	         the fault hook and copies the survivors into the shard's inbox
+//	         arena — a message's second and last copy — then sorts
+//	         multi-message inboxes by (sender, edge id) and wakes sleeping
+//	         recipients.
 //
 // A round with enough awake nodes hands each phase to persistent workers,
 // one buffered channel each and a WaitGroup counting their arrivals;
@@ -39,9 +42,9 @@ package sim
 // shard's inbox arena — instead of a fat per-node struct. The StepCtx a
 // machine captures is a 16-byte handle (node id, shard index, engine
 // pointer); every StepCtx method resolves per-node state through the
-// arrays. Round-scoped scratch that the old layout kept per node (staged
-// sends, the channel write, the duplicate-send guard, the RNG generator,
-// the adjacency memo) lives once per shard:
+// arrays. Round-scoped scratch that the old layout kept per node (the
+// channel write, the duplicate-send guard, the RNG generator, the adjacency
+// memo) lives once per shard:
 // shards are single-threaded within a phase and machines step one at a
 // time, so one node's scratch can be recycled for the next. Per-node RNG
 // state is the raw SplitMix64 (state word, draw count) pair in two lazily
@@ -107,10 +110,9 @@ var DefaultWorkers = 0
 //
 // Step is called once per round with that round's input (round 0 carries no
 // messages and a zero slot: the node's initial compute). Sends and channel
-// writes staged during Step are
-// committed when it returns; returning true halts the node, with any staged
-// sends still delivered. The Input and its Msgs are engine-owned and only
-// valid during the call.
+// writes made during Step are delivered and resolved at the round's end;
+// returning true halts the node, with its sends still delivered. The Input
+// and its Msgs are engine-owned and only valid during the call.
 //
 // Result is the result hook: it is called once, when the node halts, and
 // its value lands in the run's Result.Results slot for the node. A node
@@ -128,17 +130,10 @@ type Machine interface {
 // c.Rand.
 type StepProgram func(c *StepCtx) Machine
 
-// stagedSend is one queued point-to-point message in a shard's staging
-// buffer. link is the sender-local link index, used to reset the duplicate-
-// send guard.
-type stagedSend struct {
-	to      graph.NodeID
-	edgeID  int32
-	link    int32
-	payload Payload
-}
-
-// delivered is one message in flight between the step and deliver phases.
+// delivered is one message in flight: Send writes it into its shard's
+// bucket for the destination's shard, and the delivery phase copies it into
+// the recipient's inbox window, or holds it in the destination shard's
+// pending buffer when a fault delays or duplicates it.
 type delivered struct {
 	to      graph.NodeID
 	from    graph.NodeID
@@ -178,8 +173,9 @@ func (c *StepCtx) N() int { return c.eng.topo.N() }
 // Topo returns the immutable network topology.
 func (c *StepCtx) Topo() graph.Topology { return c.eng.topo }
 
-// shard returns the shard owning this node. Per-node round scratch (staged
-// sends, the RNG generator, adjacency memos) lives there: a shard steps its
+// shard returns the shard owning this node. Per-node round scratch (the
+// channel write, the send guard, the RNG generator, adjacency memos) lives
+// there: a shard steps its
 // machines one at a time, so the scratch is exclusively the current node's
 // for the duration of its Step.
 //
@@ -271,8 +267,9 @@ func (c *StepCtx) Link(to graph.NodeID) (int, bool) {
 }
 
 // Send queues a message on the link with the given local index for delivery
-// at the start of the next round. At most one message may be sent per link
-// per round.
+// at the start of the next round: it goes, under this node's id, straight
+// into the shard's bucket for the destination's shard. At most one message
+// may be sent per link per round.
 func (c *StepCtx) Send(link int, p Payload) {
 	sd := c.shard()
 	adj := c.eng.shardAdj(sd, c.id)
@@ -281,14 +278,19 @@ func (c *StepCtx) Send(link int, p Payload) {
 	}
 	h := adj[link]
 	w, bit := link>>6, uint64(1)<<(link&63)
-	if w >= len(sd.sentBits) {
-		sd.growSentBits(w)
+	for w >= len(sd.sentBits) {
+		sd.sentBits = append(sd.sentBits, 0) // O(log maxDegree) times a run
 	}
 	if sd.sentBits[w]&bit != 0 {
 		panic(fmt.Sprintf("sim: node %d sent twice on edge %d in round %d", c.id, h.EdgeID, c.Round()))
 	}
 	sd.sentBits[w] |= bit
-	sd.stage = append(sd.stage, stagedSend{to: h.To, edgeID: int32(h.EdgeID), link: int32(link), payload: p})
+	sd.sentWords = max(sd.sentWords, w+1)
+	d := int(c.shardIdx)
+	if to := int(h.To); to < sd.lo || to >= sd.hi {
+		d = to / c.eng.shardSize
+	}
+	sd.out[d] = append(sd.out[d], delivered{to: h.To, from: c.id, edgeID: h.EdgeID, payload: p})
 }
 
 // SendTo queues a message to the given neighbor.
@@ -316,7 +318,7 @@ func (c *StepCtx) Busy() { c.Broadcast(BusyTone{}) }
 
 // SentThisRound reports whether this node queued any point-to-point message
 // in the current round.
-func (c *StepCtx) SentThisRound() bool { return len(c.shard().stage) > 0 }
+func (c *StepCtx) SentThisRound() bool { return c.shard().sentWords > 0 }
 
 // Sleep parks this node after the current Step returns: the engine skips it
 // every round until a message arrives, at which point it is woken and
@@ -392,8 +394,8 @@ func (s *shardRNG) Seed(int64) {
 }
 
 // stepShard is one contiguous slice of the node range plus every per-shard
-// buffer the two phases reuse round after round, including the scratch the
-// node currently stepping stages into.
+// buffer the two phases reuse round after round, including the scratch of
+// the node currently stepping.
 type stepShard struct {
 	lo, hi int
 
@@ -417,7 +419,7 @@ type stepShard struct {
 	timedFree [][]int32
 	wakeAt    []int
 
-	out     [][]delivered // staged messages, bucketed by destination shard
+	out     [][]delivered // this round's sends, bucketed by destination shard
 	touched []int32       // nodes that received mail this round (sort + reuse)
 
 	// Delayed and duplicated messages addressed to this shard, held until
@@ -428,20 +430,19 @@ type stepShard struct {
 	pendingN    int
 	pendingFree [][]delivered
 
-	// Delivery scratch: the round's surviving messages in arrival order,
-	// per-node counts/offsets, and the arena the inbox windows are carved
-	// from — all reused round after round.
-	arrivals   []delivered
+	// Delivery scratch: per-node counts/offsets and the arena the inbox
+	// windows are carved from, both reused round after round.
 	counts     []int32
 	inboxArena []Message
 
-	// Staging scratch for the node currently stepping: its queued sends,
-	// channel write, and per-link duplicate-send bitmap (cleared link by
-	// link when the node commits).
-	stage     []stagedSend
+	// Scratch for the node currently stepping: its channel write and its
+	// per-link duplicate-send bitmap. sentWords is the number of leading
+	// bitmap words its sends dirtied (0: it has not sent); commitNode clears
+	// them.
 	chPending bool
 	chWrite   Payload
 	sentBits  []uint64
+	sentWords int
 
 	// Per-node RNG state — SplitMix64 (word, draws) pairs indexed by
 	// node-lo — and the shard-shared generator over it, all allocated on
@@ -500,14 +501,6 @@ func (sd *stepShard) parkUntil(v graph.NodeID, wake int) {
 	sd.timed[wake] = append(lst, int32(v))
 }
 
-// growSentBits extends the duplicate-send bitmap to cover word index w;
-// amortized over the run it allocates O(log maxDegree) times.
-func (sd *stepShard) growSentBits(w int) {
-	for w >= len(sd.sentBits) {
-		sd.sentBits = append(sd.sentBits, 0)
-	}
-}
-
 // arenaFor returns the shard's inbox arena resized to n messages, dropping
 // the previous round's payload references. Elements beyond len are kept
 // zero, so growing within capacity exposes only cleared slots.
@@ -541,7 +534,7 @@ const (
 type stepEngine struct {
 	topo    graph.Topology
 	cfg     config          // resolved by runStepEngine
-	program StepProgram     // the init hook, kept for crash-restart revival
+	program StepProgram     // the init hook; kept past construction only for crash-restart revival
 	inj     *fault.Injector // nil for fault-free runs
 	ck      *ckptState      // nil = checkpoints off
 
@@ -751,12 +744,17 @@ func newStepEngine(g graph.Topology, program StepProgram, cfg config) (*stepEngi
 			return nil, err
 		}
 	}
+	if e.roundBase == nil {
+		// Without a restart rule nothing calls the hook again: drop it, so
+		// what it captured only to build the machines can be collected.
+		e.program = nil
+	}
 	return e, nil
 }
 
 // build runs the init hook for node v, as a fresh run does and a restart
 // does again: the hook must return a machine without panicking, and must not
-// send or write the channel. Anything it staged is left in the shard's
+// send or write the channel. A channel write it made is left in the shard's
 // scratch for the caller to commit or discard.
 func (e *stepEngine) build(v graph.NodeID) (err error) {
 	sc := &e.nodes[v]
@@ -769,7 +767,7 @@ func (e *stepEngine) build(v graph.NodeID) (err error) {
 	if e.machines[v] == nil {
 		return fmt.Errorf("sim: step program returned a nil machine for node %d", v)
 	}
-	if sd := sc.shard(); len(sd.stage) > 0 || sd.chPending {
+	if sd := sc.shard(); sd.sentWords > 0 || sd.chPending {
 		return fmt.Errorf("sim: step program for node %d sent or wrote the channel during init", v)
 	}
 	return nil
@@ -855,7 +853,7 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 		e.pulseFired = slot.State == SlotIdle
 
 		// Crash-stop the nodes scheduled to fail before observing round+1.
-		// Their round-round sends (staged above) are still delivered;
+		// Their round-round sends (bucketed above) are still delivered;
 		// messages addressed to them join the halted-drop count.
 		for _, v := range e.inj.CrashesAt(round + 1) {
 			if e.flags[v]&flagHalted != 0 {
@@ -908,7 +906,7 @@ func (e *stepEngine) run(start int) (res *Result, err error) {
 			break
 		}
 		if awakeTotal == 0 && !disableFastForward {
-			// Fully parked network, nothing staged: no machine can run until
+			// Fully parked network, nothing in flight: no machine can run until
 			// a delayed delivery, a crash, a pulse, a timed wake, or the
 			// round budget fires. Jump straight to that event, accruing the
 			// skipped rounds' writer-free slots arithmetically, so quiescent
@@ -958,8 +956,9 @@ func (e *stepEngine) reviveRestarts(round int) {
 			sd.rngWord[i], sd.rngDraws[i] = 0, 0
 		}
 		if err := e.build(graph.NodeID(v)); err != nil {
-			// As after a Step panic: what the hook staged leaves under its
-			// own id, so no other node of the shard commits it.
+			// As after a Step panic: the hook's sends already left under its
+			// own id; commit its channel write and clear its send guard, so
+			// no other node of the shard inherits them.
 			e.recordErr(graph.NodeID(v), err)
 			e.commitNode(sd, graph.NodeID(v))
 			e.flags[v] = flagHalted
@@ -1006,7 +1005,7 @@ func (e *stepEngine) emitRound(round int) {
 }
 
 // fastForward is the quiescent-round fast-forward, called at the bottom of
-// iteration r when every live node is parked and no message is staged. It
+// iteration r when every live node is parked and no message is bucketed. It
 // returns the iteration to resume per-round execution before (the caller's
 // round++ lands on it); returning r resumes normally at r+1.
 //
@@ -1193,7 +1192,7 @@ func (e *stepEngine) phaseShard(phase int8, i int) {
 }
 
 // needsDelivery reports whether a destination shard has anything to do in
-// the delivery phase: fresh buckets staged for it, delayed messages due
+// the delivery phase: fresh buckets addressed to it, delayed messages due
 // this round, or pulse-parked or timed sleepers to wake. Shared by the
 // inline and worker paths, so empty shards are never drained on either.
 //
@@ -1263,11 +1262,12 @@ func (e *stepEngine) stopWorkers() {
 	e.arrived.Wait()
 }
 
-// stepShard runs the compute phase for one shard: step every awake machine,
-// stage its sends into the per-destination buckets, and summarize channel
-// writes and halts. A machine panic is recorded against its node and halts
-// that node; the rest of the round still runs everywhere, and the run aborts
-// at the round's end with the lowest-node error.
+// stepShard runs the compute phase for one shard: step every awake machine
+// (its sends land in the per-destination buckets as it makes them), and
+// summarize channel writes and halts. A machine panic is recorded against
+// its node and halts that node; the rest of the round still runs
+// everywhere, and the run aborts at the round's end with the lowest-node
+// error.
 //
 //mmlint:noalloc
 func (e *stepEngine) stepShard(s *stepShard) {
@@ -1291,8 +1291,8 @@ func (e *stepEngine) stepShard(s *stepShard) {
 // stepNodes steps s.awake[start:] until the batch completes or a machine
 // panics: the happy path pays for one deferred recover per batch instead of
 // one per node step. On a panic the failing node's error is recorded, its
-// sends and channel write staged before the panic are still committed, the
-// node halts, and the index after it is returned so the caller resumes the
+// sends and channel write made before the panic still count, the node
+// halts, and the index after it is returned so the caller resumes the
 // batch.
 //
 //mmlint:noalloc
@@ -1330,7 +1330,7 @@ func (e *stepEngine) stepNodes(s *stepShard, start int) (next int) {
 		}
 		halt := e.machines[v].Step(in)
 		e.inboxLen[v] = 0
-		if s.chPending || len(s.stage) > 0 {
+		if s.chPending || s.sentWords > 0 {
 			e.commitNode(s, graph.NodeID(v))
 		}
 		switch {
@@ -1352,10 +1352,10 @@ func (e *stepEngine) stepNodes(s *stepShard, start int) (next int) {
 	return i
 }
 
-// commitNode commits the stepping node's staged sends and channel write —
-// accumulated in its shard's scratch — into the destination buckets and
-// write summary, clearing the duplicate-send guard link by link. A send
-// within the sender's own shard takes the shard index from its StepCtx.
+// commitNode ends the stepping node's turn on its shard's scratch: its
+// channel write joins the shard's write summary, and the duplicate-send
+// bitmap words its sends dirtied are cleared. Its sends are already in the
+// destination buckets.
 //
 //mmlint:noalloc
 func (e *stepEngine) commitNode(s *stepShard, id graph.NodeID) {
@@ -1365,27 +1365,18 @@ func (e *stepEngine) commitNode(s *stepShard, id graph.NodeID) {
 		s.writerPayload = s.chWrite
 		s.chPending, s.chWrite = false, nil
 	}
-	own := int(e.nodes[id].shardIdx)
-	for _, o := range s.stage {
-		s.sentBits[o.link>>6] &^= uint64(1) << (o.link & 63)
-		d := own
-		if to := int(o.to); to < s.lo || to >= s.hi {
-			d = to / e.shardSize
-		}
-		s.out[d] = append(s.out[d], delivered{to: o.to, from: id, edgeID: o.edgeID, payload: o.payload})
-	}
-	s.stage = s.stage[:0]
+	clear(s.sentBits[:s.sentWords])
+	s.sentWords = 0
 }
 
 // deliverShard runs the delivery phase for one destination shard: wake
 // pulse-parked nodes if the pulse fired and timed sleepers due next round,
-// then land the round's messages —
-// delayed deliveries due now first, then every source shard's bucket in
-// shard order — in the shard's inbox arena: survivors are gathered in
-// arrival order, counted per recipient, and laid out as one contiguous
-// window per recipient, all in buffers reused round after round (steady-
-// state delivery allocates nothing). Multi-message
-// inboxes are sorted by (sender, edge id) and sleeping recipients woken.
+// then land the round's messages in the shard's inbox arena. Pass A routes
+// them — delayed deliveries due now first, then every source shard's bucket
+// in shard order — compacting survivors in place; pass B carves one arena
+// window per recipient and copies the survivors into it in that arrival
+// order, with every buffer reused round after round. Multi-message inboxes
+// are sorted by (sender, edge id) and sleeping recipients woken.
 //
 //mmlint:noalloc
 func (e *stepEngine) deliverShard(d int) {
@@ -1418,100 +1409,115 @@ func (e *stepEngine) deliverShard(d int) {
 		e.wakeTimed(sd, deliverRound)
 	}
 
-	// Pass A: route everything due this round through the fault hook,
-	// collecting survivors in arrival order (late deliveries first, then
-	// source shards in shard order).
-	sd.arrivals = sd.arrivals[:0]
-	if late := sd.takePending(deliverRound); late != nil {
-		for i := range late {
-			m := &late[i]
-			if e.flags[m.to]&flagHalted != 0 {
-				if e.continuing {
-					sd.dropped++
-				}
-				continue
-			}
-			sd.arrivals = append(sd.arrivals, *m)
-		}
-		sd.recyclePending(late)
-	}
+	// Pass A. The late list is recycled only after pass B has copied it:
+	// a delay routed below may take a recycled bucket.
+	late := sd.takePending(deliverRound)
+	late = late[:e.route(sd, late, false, deliverRound)]
+	survivors := len(late)
 	msgFaults := e.inj.HasMsgFaults()
 	for si := range e.shards {
-		bucket := e.shards[si].out[d]
-		if len(bucket) == 0 {
-			continue
+		if bucket := e.shards[si].out[d]; len(bucket) > 0 {
+			sd.msgs += int64(len(bucket))
+			k := e.route(sd, bucket, msgFaults, deliverRound)
+			e.shards[si].out[d] = bucket[:k]
+			survivors += k
 		}
-		for i := range bucket {
-			m := &bucket[i]
-			sd.msgs++
-			if msgFaults && !e.applyMsgFaults(sd, m, deliverRound) {
-				m.payload = nil
-				continue
-			}
-			if e.flags[m.to]&flagHalted != 0 {
-				if e.continuing {
-					sd.dropped++
-				}
-				m.payload = nil
-				continue
-			}
-			sd.arrivals = append(sd.arrivals, *m)
-			m.payload = nil
+	}
+	if survivors > 0 {
+		// Pass B: the arena carved into per-node windows, filled in arrival
+		// order. counts doubles as the fill cursor and is restored to zero
+		// on the way out.
+		arena := sd.arenaFor(survivors)
+		off := int32(0)
+		for _, v := range sd.touched {
+			t := int(v) - sd.lo
+			n := sd.counts[t]
+			e.inboxOff[v] = off
+			e.inboxLen[v] = n
+			sd.counts[t] = off // becomes the node's next free index below
+			off += n
 		}
-		e.shards[si].out[d] = bucket[:0]
+		sd.scatter(arena, late)
+		for si := range e.shards {
+			if bucket := e.shards[si].out[d]; len(bucket) > 0 {
+				sd.scatter(arena, bucket)
+				e.shards[si].out[d] = bucket[:0]
+			}
+		}
+		for _, v := range sd.touched {
+			sd.counts[int(v)-sd.lo] = 0
+			if box := e.inboxIn(sd, graph.NodeID(v)); len(box) > 1 {
+				sortInbox(box)
+			}
+			// Wake the recipient, in first-arrival order.
+			fl := e.flags[v]
+			if fl&flagScheduled == 0 {
+				e.flags[v] = (fl | flagScheduled) &^ flagAsleep
+				sd.awake = append(sd.awake, v)
+			}
+		}
+		if e.cfg.tw == nil {
+			// With a transcript on, the coordinator digests and clears the
+			// touched lists after the phase (emitRound); the hot path never
+			// does transcript work.
+			sd.touched = sd.touched[:0]
+		}
 	}
-	if len(sd.arrivals) == 0 {
-		return
+	if late != nil {
+		sd.pendingFree = append(sd.pendingFree, late[:0])
 	}
+}
 
-	// Pass B: per-recipient counts, then the arena carved into per-node
-	// windows filled in arrival order. counts doubles as the fill cursor
-	// and is restored to zero on the way out.
-	if sd.counts == nil {
+// route passes one list of messages due now through the fault hook (when
+// faults is set) and the halted check. It compacts the survivors to the
+// front of the list, clears the rest, counts each survivor for its
+// recipient (listing the recipient in touched on its first arrival), and
+// returns how many survived.
+//
+//mmlint:noalloc
+func (e *stepEngine) route(sd *stepShard, list []delivered, faults bool, deliverRound int) int {
+	if sd.counts == nil && len(list) > 0 {
 		sd.ensureCounts()
 	}
-	arena := sd.arenaFor(len(sd.arrivals))
-	for i := range sd.arrivals {
-		t := int(sd.arrivals[i].to) - sd.lo
+	k := 0
+	for i := range list {
+		m := &list[i]
+		if faults && !e.applyMsgFaults(sd, m, deliverRound) {
+			continue
+		}
+		if e.flags[m.to]&flagHalted != 0 {
+			if e.continuing {
+				sd.dropped++
+			}
+			continue
+		}
+		if k != i {
+			list[k] = *m
+		}
+		k++
+		t := int(m.to) - sd.lo
 		if sd.counts[t] == 0 {
-			sd.touched = append(sd.touched, int32(sd.arrivals[i].to))
+			sd.touched = append(sd.touched, int32(m.to))
 		}
 		sd.counts[t]++
 	}
-	off := int32(0)
-	for _, v := range sd.touched {
-		t := int(v) - sd.lo
-		n := sd.counts[t]
-		e.inboxOff[v] = off
-		e.inboxLen[v] = n
-		sd.counts[t] = off // becomes the node's next free index below
-		off += n
-	}
-	for i := range sd.arrivals {
-		m := &sd.arrivals[i]
+	clear(list[k:])
+	return k
+}
+
+// scatter copies survivors into their recipients' arena windows at the
+// cursors counts holds, advancing them, and drops the list's payload
+// references.
+//
+//mmlint:noalloc
+func (sd *stepShard) scatter(arena []Message, msgs []delivered) {
+	for i := range msgs {
+		m := &msgs[i]
 		t := int(m.to) - sd.lo
 		arena[sd.counts[t]] = Message{From: m.from, EdgeID: int(m.edgeID), Payload: m.payload}
 		sd.counts[t]++
-		m.payload = nil // release the scratch list's reference
 	}
-	for _, v := range sd.touched {
-		sd.counts[int(v)-sd.lo] = 0
-		if box := e.inboxIn(sd, graph.NodeID(v)); len(box) > 1 {
-			sortInbox(box)
-		}
-		// Wake the recipient, in first-arrival order.
-		fl := e.flags[v]
-		if fl&flagScheduled == 0 {
-			e.flags[v] = (fl | flagScheduled) &^ flagAsleep
-			sd.awake = append(sd.awake, v)
-		}
-	}
-	if e.cfg.tw == nil {
-		// With a transcript on, the coordinator digests and clears the
-		// touched lists after the phase (emitRound); the hot path never
-		// does transcript work.
-		sd.touched = sd.touched[:0]
-	}
+	clear(msgs)
 }
 
 // wakeTimed wakes the shard's nodes parked by SleepUntilRound until round
@@ -1540,12 +1546,12 @@ func (e *stepEngine) wakeTimed(sd *stepShard, r int) {
 }
 
 // ensureCounts allocates the shard's per-recipient count array; called once
-// per shard, on its first non-empty delivery.
+// per shard, on the first delivery phase with a message addressed to it.
 func (sd *stepShard) ensureCounts() {
 	sd.counts = make([]int32, sd.hi-sd.lo)
 }
 
-// applyMsgFaults routes one staged message through the injector. A false
+// applyMsgFaults routes one bucketed message through the injector. A false
 // return means the message must not be delivered this round: destroyed, or
 // deferred into the pending buffer. Duplicates are scheduled for later and
 // the original still delivered now; a skewed sender's messages are deferred
@@ -1598,15 +1604,6 @@ func (sd *stepShard) takePending(deliverRound int) []delivered {
 	delete(sd.pending, deliverRound)
 	sd.pendingN -= len(late)
 	return late
-}
-
-// recyclePending returns a drained pending bucket's backing array to the
-// shard's free list, clearing its payload references.
-//
-//mmlint:noalloc
-func (sd *stepShard) recyclePending(late []delivered) {
-	clear(late)
-	sd.pendingFree = append(sd.pendingFree, late[:0])
 }
 
 // sortInbox orders one inbox by (sender, edge id) — the guaranteed delivery
