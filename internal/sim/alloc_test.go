@@ -14,6 +14,17 @@ import (
 	"repro/internal/graph"
 )
 
+// skipUnderRace skips a steady-state gate under the race detector, which
+// instruments every access and multiplies the gates' 10⁶-round runs tenfold,
+// as the standard library skips its AllocsPerRun checks; the gates still run
+// in every build without -race.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("steady-state allocation gate skipped under the race detector")
+	}
+}
+
 // dietMachine is an allocation-free relay: every node forwards a constant
 // payload on link 0 each round until the target round.
 type dietMachine struct {
@@ -105,6 +116,7 @@ func stepAllocsPerRound(t *testing.T, g graph.Topology, workers int) float64 {
 }
 
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
+	skipUnderRace(t)
 	for _, f := range dietForms(t) {
 		if perRound := stepAllocsPerRound(t, f.g, 1); perRound > 0.01 {
 			t.Errorf("%s: steady-state native round allocates %.3f objects/round, want 0", f.name, perRound)
@@ -113,6 +125,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 }
 
 func TestStepSteadyStateZeroAllocMultiWorker(t *testing.T) {
+	skipUnderRace(t)
 	// Handing phases to the workers allocates nothing; a small budget
 	// absorbs one-time goroutine stack growth.
 	for _, f := range dietForms(t) {
@@ -126,6 +139,7 @@ func TestTimedSleepSteadyStateZeroAlloc(t *testing.T) {
 	// Parking with SleepUntilRound, and waking on the timer or early by a
 	// message, allocates nothing once the shard's wake buckets exist.
 	// The budgets are the two gates' above.
+	skipUnderRace(t)
 	g := ring(t, dietRingN)
 	for _, tc := range []struct {
 		workers int
