@@ -123,9 +123,30 @@ func Materialize(t Topology) (*Graph, error) {
 // dimension 12 stays at or below it; longer lists take the generic sort.
 const insertionSortMax = 12
 
-// sortHalves orders one adjacency list by ascending weight. Weights are
-// pairwise distinct, so both sorts produce the one sorted order.
+// sortHalves orders one adjacency list by ascending weight: lists of 2–4
+// halves (the ring, path, grid and torus) by a compare-exchange network,
+// longer ones by insertion or the generic sort. Weights are pairwise
+// distinct, so every sort produces the one sorted order.
 func sortHalves(adj []Half) {
+	switch len(adj) {
+	case 2:
+		cx(&adj[0], &adj[1])
+		return
+	case 3:
+		a := (*[3]Half)(adj)
+		cx(&a[0], &a[2])
+		cx(&a[0], &a[1])
+		cx(&a[1], &a[2])
+		return
+	case 4:
+		a := (*[4]Half)(adj)
+		cx(&a[0], &a[1])
+		cx(&a[2], &a[3])
+		cx(&a[0], &a[2])
+		cx(&a[1], &a[3])
+		cx(&a[1], &a[2])
+		return
+	}
 	if len(adj) > insertionSortMax {
 		slices.SortFunc(adj, func(a, b Half) int { return cmp.Compare(a.Weight, b.Weight) })
 		return
@@ -137,6 +158,22 @@ func sortHalves(adj []Half) {
 		}
 		adj[j] = h
 	}
+}
+
+// cx is a compare-exchange: it leaves the lighter of two halves in *a. It
+// swaps field by field so the compiler selects without branching: on
+// random weights a branch mispredicts half the time, and the sort of a
+// 4-half list took about 3× as long with one.
+func cx(a, b *Half) {
+	x, y := *a, *b
+	to0, to1, e0, e1, w0, w1 := x.To, y.To, x.EdgeID, y.EdgeID, x.Weight, y.Weight
+	if w1 < w0 {
+		to0, to1 = to1, to0
+		e0, e1 = e1, e0
+		w0, w1 = w1, w0
+	}
+	*a = Half{To: to0, EdgeID: e0, Weight: w0}
+	*b = Half{To: to1, EdgeID: e1, Weight: w1}
 }
 
 // ConnectedTopo reports whether t is connected (Graph.Connected for any

@@ -406,9 +406,9 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
-// TestSortHalvesMatchesSortFunc: on every length from 0 to 40, on both sides
-// of insertionSortMax, sortHalves orders distinct weights exactly as the
-// generic sort does.
+// TestSortHalvesMatchesSortFunc: on every length from 0 to 40 — the
+// networks' 2–4, insertion's 5–12 and the generic sort's longer lists —
+// sortHalves orders distinct weights exactly as the generic sort does.
 func TestSortHalvesMatchesSortFunc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n <= 40; n++ {
@@ -427,5 +427,39 @@ func TestSortHalvesMatchesSortFunc(t *testing.T) {
 				t.Fatalf("length %d, trial %d: sortHalves = %v, want %v", n, trial, adj, want)
 			}
 		}
+	}
+}
+
+// TestSortHalvesNetworks: the compare-exchange networks order every
+// arrangement of 2, 3 and 4 distinct weights, and each half keeps its
+// endpoint and edge id.
+func TestSortHalvesNetworks(t *testing.T) {
+	var permute func(p []int, k int)
+	permute = func(p []int, k int) {
+		if k == len(p) {
+			adj := make([]Half, len(p))
+			for i, w := range p {
+				adj[i] = Half{To: NodeID(w), Weight: Weight(w), EdgeID: int32(w)}
+			}
+			sortHalves(adj)
+			for i, h := range adj {
+				if h != (Half{To: NodeID(i), Weight: Weight(i), EdgeID: int32(i)}) {
+					t.Fatalf("sortHalves of weights %v = %v", p, adj)
+				}
+			}
+			return
+		}
+		for i := k; i < len(p); i++ {
+			p[k], p[i] = p[i], p[k]
+			permute(p, k+1)
+			p[k], p[i] = p[i], p[k]
+		}
+	}
+	for n := 2; n <= 4; n++ {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
+		}
+		permute(p, 0)
 	}
 }
