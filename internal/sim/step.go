@@ -1419,7 +1419,10 @@ func (e *stepEngine) deliverShard(d int) {
 		if bucket := e.shards[si].out[d]; len(bucket) > 0 {
 			sd.msgs += int64(len(bucket))
 			k := e.route(sd, bucket, msgFaults, deliverRound)
-			e.shards[si].out[d] = bucket[:k]
+			if k < len(bucket) {
+				// Only then: bucket headers share cache lines across workers.
+				e.shards[si].out[d] = bucket[:k]
+			}
 			survivors += k
 		}
 	}
@@ -1468,11 +1471,10 @@ func (e *stepEngine) deliverShard(d int) {
 	}
 }
 
-// route passes one list of messages due now through the fault hook (when
-// faults is set) and the halted check. It compacts the survivors to the
-// front of the list, clears the rest, counts each survivor for its
-// recipient (listing the recipient in touched on its first arrival), and
-// returns how many survived.
+// route passes a list of messages due now through the fault hook (if faults
+// is set) and the halted check, compacts the survivors to its front, clears
+// the rest, and returns how many survived. Each survivor is counted for its
+// recipient, and a recipient's first arrival lists it in touched.
 //
 //mmlint:noalloc
 func (e *stepEngine) route(sd *stepShard, list []delivered, faults bool, deliverRound int) int {
