@@ -8,14 +8,12 @@ package sim
 // barrier-separated phases:
 //
 //	step     each worker steps the awake machines of its shard; a send goes
-//	         straight into the shard's outbox bucket for the destination's
-//	         shard, a channel write into the shard's write summary (no
-//	         locks, no per-node channel handoffs);
+//	         straight into the shard's bucket for the destination's shard,
+//	         a channel write into the shard's write summary (no locks);
 //	deliver  each worker routes the buckets addressed to its shard through
-//	         the fault hook and copies the survivors into the shard's inbox
-//	         arena — a message's second and last copy — then sorts
-//	         multi-message inboxes by (sender, edge id) and wakes sleeping
-//	         recipients.
+//	         the fault hook, copies the survivors into the shard's inbox
+//	         arena — a message's second and last copy — sorts multi-message
+//	         inboxes by (sender, edge id), and wakes sleeping recipients.
 //
 // A round with enough awake nodes hands each phase to persistent workers,
 // one buffered channel each and a WaitGroup counting their arrivals;
@@ -1365,7 +1363,9 @@ func (e *stepEngine) commitNode(s *stepShard, id graph.NodeID) {
 		s.writerPayload = s.chWrite
 		s.chPending, s.chWrite = false, nil
 	}
-	clear(s.sentBits[:s.sentWords])
+	for w := range s.sentWords {
+		s.sentBits[w] = 0
+	}
 	s.sentWords = 0
 }
 
@@ -1412,8 +1412,11 @@ func (e *stepEngine) deliverShard(d int) {
 	// Pass A. The late list is recycled only after pass B has copied it:
 	// a delay routed below may take a recycled bucket.
 	late := sd.takePending(deliverRound)
-	late = late[:e.route(sd, late, false, deliverRound)]
-	survivors := len(late)
+	survivors := 0
+	if late != nil {
+		late = late[:e.route(sd, late, false, deliverRound)]
+		survivors = len(late)
+	}
 	msgFaults := e.inj.HasMsgFaults()
 	for si := range e.shards {
 		if bucket := e.shards[si].out[d]; len(bucket) > 0 {
@@ -1427,9 +1430,8 @@ func (e *stepEngine) deliverShard(d int) {
 		}
 	}
 	if survivors > 0 {
-		// Pass B: the arena carved into per-node windows, filled in arrival
-		// order. counts doubles as the fill cursor and is restored to zero
-		// on the way out.
+		// Pass B: carve the arena into per-node windows and fill them in
+		// arrival order; counts is the fill cursor, zeroed on the way out.
 		arena := sd.arenaFor(survivors)
 		off := int32(0)
 		for _, v := range sd.touched {
@@ -1503,7 +1505,9 @@ func (e *stepEngine) route(sd *stepShard, list []delivered, faults bool, deliver
 		}
 		sd.counts[t]++
 	}
-	clear(list[k:])
+	if k < len(list) {
+		clear(list[k:])
+	}
 	return k
 }
 
@@ -1518,8 +1522,8 @@ func (sd *stepShard) scatter(arena []Message, msgs []delivered) {
 		t := int(m.to) - sd.lo
 		arena[sd.counts[t]] = Message{From: m.from, EdgeID: int(m.edgeID), Payload: m.payload}
 		sd.counts[t]++
+		m.payload = nil
 	}
-	clear(msgs)
 }
 
 // wakeTimed wakes the shard's nodes parked by SleepUntilRound until round
@@ -1591,18 +1595,14 @@ func (e *stepEngine) applyMsgFaults(sd *stepShard, m *delivered, deliverRound in
 	return true
 }
 
-// takePending removes and returns the pending bucket due at deliverRound,
-// or nil.
+// takePending removes and returns the bucket due at deliverRound, or nil.
 //
 //mmlint:noalloc
 func (sd *stepShard) takePending(deliverRound int) []delivered {
-	if sd.pendingN == 0 {
+	if sd.pendingN == 0 || len(sd.pending[deliverRound]) == 0 {
 		return nil
 	}
 	late := sd.pending[deliverRound]
-	if len(late) == 0 {
-		return nil
-	}
 	delete(sd.pending, deliverRound)
 	sd.pendingN -= len(late)
 	return late

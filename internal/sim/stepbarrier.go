@@ -25,8 +25,8 @@ func (in Input) IsPulse() bool { return in.Slot.State == SlotIdle }
 // The pulse round's input carries no messages and must be handed to
 // whatever the machine does next.
 //
-// A node that is passive in a round — handle reported inactive and staged
-// neither sends nor a channel write — is parked with SleepUntilPulse: within
+// A node that is passive in a round — handle reported inactive and made
+// neither a send nor a channel write — is parked with SleepUntilPulse: within
 // a barrier step such a node can only be reactivated by a message or by the
 // step's global termination, so skipping the busy slots in between changes
 // nothing observable and makes whole phases cost O(work) instead of
