@@ -128,35 +128,31 @@ const insertionSortMax = 12
 // longer ones by insertion or the generic sort. Weights are pairwise
 // distinct, so every sort produces the one sorted order.
 func sortHalves(adj []Half) {
-	switch len(adj) {
-	case 2:
+	switch n := len(adj); {
+	case n == 2:
 		cx(&adj[0], &adj[1])
-		return
-	case 3:
+	case n == 3:
 		a := (*[3]Half)(adj)
 		cx(&a[0], &a[2])
 		cx(&a[0], &a[1])
 		cx(&a[1], &a[2])
-		return
-	case 4:
+	case n == 4:
 		a := (*[4]Half)(adj)
 		cx(&a[0], &a[1])
 		cx(&a[2], &a[3])
 		cx(&a[0], &a[2])
 		cx(&a[1], &a[3])
 		cx(&a[1], &a[2])
-		return
-	}
-	if len(adj) > insertionSortMax {
+	case n > insertionSortMax:
 		slices.SortFunc(adj, func(a, b Half) int { return cmp.Compare(a.Weight, b.Weight) })
-		return
-	}
-	for i := 1; i < len(adj); i++ {
-		h, j := adj[i], i
-		for ; j > 0 && adj[j-1].Weight > h.Weight; j-- {
-			adj[j] = adj[j-1]
+	default:
+		for i := 1; i < n; i++ {
+			h, j := adj[i], i
+			for ; j > 0 && adj[j-1].Weight > h.Weight; j-- {
+				adj[j] = adj[j-1]
+			}
+			adj[j] = h
 		}
-		adj[j] = h
 	}
 }
 
