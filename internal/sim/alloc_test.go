@@ -15,9 +15,9 @@ import (
 )
 
 // skipUnderRace skips a steady-state gate under the race detector, which
-// instruments every access and multiplies the gates' 10⁶-round runs tenfold,
-// as the standard library skips its AllocsPerRun checks; the gates still run
-// in every build without -race.
+// instruments every memory access and slows the gates' thousands of
+// 2,048-node rounds about 18-fold, as the standard library skips its
+// AllocsPerRun checks; the gates still run in every build without -race.
 func skipUnderRace(t *testing.T) {
 	t.Helper()
 	if raceEnabled {
